@@ -37,13 +37,15 @@ for model in (gauss, riesz):
     print(f"\n{model.kind}: finite={res.finite}  integral={res.integral}  ({res.reason})")
 
 # Lattice noise slices.  Each slice is one time increment of the smoothed
-# field; slices are independent in time, correlated in space.
+# field; slices are independent in time, correlated in space.  Slice j of a
+# stream is a pure function of (seed, stream id, j), so any step can be drawn
+# without drawing the ones before it.
 grid = sl.LatticeGrid(d=1, m=128, dx=0.25)
 dt = 1.0 / 64
 src = sl.WhiteNoiseSource(seed=42, stream_id=0)
-white = sl.sample_white_slice(src, grid, dt)
-slice0 = sl.correlate_slice(white, gauss)
-print(f"\none noise slice: shape={slice0.values.shape}, std={slice0.values.std():.4f}")
+white = src.white_at(0, grid, dt)
+slice0 = sl.correlate_array(white, gauss, grid)
+print(f"\none noise slice: shape={slice0.shape}, std={slice0.std():.4f}")
 
 # Short self-test: empirical lag covariance over 20k slices vs dt * f_eff.
 rows, cross = sl.covariance_selftest(gauss, grid, dt, [0, 2, 5], 20_000, seed=1)

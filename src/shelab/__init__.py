@@ -30,10 +30,8 @@ from .correlation import (
     triangular_taper,
 )
 from .lattice import (
-    HeatPropagator,
     LatticeError,
     LatticeGrid,
-    apply_propagator,
     d_separation,
     heat_kernel,
     propagator_multiplier,
@@ -41,15 +39,12 @@ from .lattice import (
 )
 from .noise import (
     NoiseError,
-    NoiseSlice,
     WhiteNoiseSource,
     correlate_array,
-    correlate_slice,
     covariance_selftest,
     effective_covariance,
     gridded_kernel_h,
     kernel_multiplier,
-    sample_white_slice,
 )
 from .solver import (
     LocalizationConfig,
@@ -59,12 +54,10 @@ from .solver import (
     SolverConfig,
     SolverError,
     U0Spec,
-    localized_solve,
     localized_solve_batch,
     picard_solve,
     solve,
     solve_batch,
-    step,
 )
 from .analysis import (
     AnalysisError,
@@ -87,6 +80,7 @@ from .analysis import (
     moment_growth_exponent,
     replica_map,
     spatial_sup,
+    tail_estimate,
     tail_probability,
     wilson_interval,
 )

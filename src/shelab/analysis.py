@@ -3,7 +3,9 @@
 Estimators follow one pattern: replicas are independent solver runs indexed
 by stream id, farmed out in contiguous chunks (optionally across a thread
 pool), and every reduction happens after sorting by stream id, so results
-do not depend on the thread count.
+do not depend on the thread count.  Each estimator first calls its check_*
+function, which raises every rule of the run before any noise is drawn;
+manifest validation calls the same functions.
 
 The moment oracle estimates E|u_t(x)|^k for flat initial data without
 touching the lattice solver.  For multiplicative noise the k-th moment has
@@ -42,14 +44,14 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from .correlation import CorrelationModel, CorrelationError, evaluate_f
+from .correlation import RIESZ, CorrelationModel, evaluate_f_radial
 from .lattice import LatticeGrid, d_separation
-from .noise import WhiteNoiseSource
 from .solver import (
     LocalizationConfig,
     SolutionField,
     SolverConfig,
-    SolverError,
+    check_localization,
+    check_solve,
     localized_solve_batch,
     solve_batch,
 )
@@ -108,6 +110,20 @@ def jackknife_stat(values: np.ndarray, stat: str = "mean"):
     return est, se
 
 
+def _check_replicas(n_replicas: int) -> None:
+    if n_replicas < 2:
+        raise AnalysisError(f"needs replicas >= 2 for a sample statistic, got {n_replicas}")
+
+
+def _point_array(points, d: int) -> np.ndarray:
+    """Points as an (n, d) array; each point must have d coordinates."""
+    rows = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
+    for p, row in zip(points, rows):
+        if row.shape != (d,):
+            raise AnalysisError(f"point {p} does not have {d} coordinates")
+    return np.array(rows).reshape(len(rows), d)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A solver setup plus the observation geometry for estimators."""
@@ -119,12 +135,7 @@ class Scenario:
 
     def probe_indices(self) -> tuple:
         grid = self.cfg.grid
-        pts = np.asarray(self.probes, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1) if grid.d == 1 else pts.reshape(1, -1)
-        if pts.shape[-1] != grid.d:
-            raise AnalysisError(f"probe points must have {grid.d} coordinates")
-        return grid.nearest_index(pts)
+        return grid.nearest_index(_point_array(self.probes, grid.d))
 
 
 @dataclass
@@ -147,6 +158,15 @@ def _heavy_tail_flag(samples: np.ndarray) -> bool:
     return tot > 0 and float(np.sum(s[:top])) / tot > 0.5
 
 
+def check_moments(scenario: Scenario, ks: Sequence[int], n_replicas: int) -> tuple:
+    """Raise unless estimate_moments can run; returns the probe indices."""
+    if any(int(k) < 1 for k in ks):
+        raise AnalysisError("moment orders must be >= 1")
+    _check_replicas(n_replicas)
+    check_solve(scenario.cfg, scenario.t_final)
+    return scenario.probe_indices()
+
+
 def estimate_moments(
     scenario: Scenario,
     ks: Sequence[int],
@@ -161,11 +181,9 @@ def estimate_moments(
     replicas.  k outside 1..8, heavy-tailed samples, or relative stderr
     above 50% set the per-k unreliable flag.
     """
+    idx = check_moments(scenario, ks, n_replicas)
     ks = [int(k) for k in ks]
-    if any(k < 1 for k in ks):
-        raise AnalysisError("moment orders must be >= 1")
     cfg = scenario.cfg
-    idx = scenario.probe_indices()
 
     def batch(streams):
         vals = solve_batch(cfg, scenario.t_final, seed, streams)
@@ -218,14 +236,6 @@ class FkOracleResult:
     resamplings: int
 
 
-def _radial_f(model: CorrelationModel, r: np.ndarray, r_reg: float) -> np.ndarray:
-    if model.kind == "riesz":
-        return model.c0 * np.maximum(r, r_reg) ** (-model.alpha)
-    if model.kind == "gaussian_h":
-        return model.f_at_zero() * np.exp(-(r * r) / (4.0 * model.width**2))
-    return np.full_like(r, model.c)
-
-
 _FK_BLOCKS = 4  # independent walker populations, each resampled as a whole
 # Weights within a factor 3 + 2 sqrt(2) of each other keep an effective sample
 # size of at least half their number (Kantorovich's inequality), so while the
@@ -260,7 +270,7 @@ def check_oracle_model(model: CorrelationModel) -> None:
     A riesz kernel needs alpha < min(d, 2): the paper's range, and the range
     where Dalang's condition (and so a solution with finite moments) holds.
     """
-    if model.kind == "riesz":
+    if model.kind == RIESZ:
         bound = min(model.d, 2)
         if model.alpha >= bound:
             raise AnalysisError(
@@ -323,7 +333,9 @@ def fk_moment_oracle(
     def pair_sum(p):
         diff = p[:, ii, :] - p[:, jj, :]
         r = math.sqrt(kappa) * np.sqrt(np.sum(diff * diff, axis=-1))
-        return 2.0 * np.sum(_radial_f(model, r, r_reg), axis=1)
+        if model.kind == RIESZ:
+            r = np.maximum(r, r_reg)
+        return 2.0 * np.sum(evaluate_f_radial(model, r), axis=1)
 
     def block_weights():
         """Weights exp(S) scaled per population, their sums, log mean weights."""
@@ -392,6 +404,21 @@ def wilson_interval(x: int, n: int, z: float = 1.96) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def check_tail_threshold(lam: float) -> None:
+    """Raise unless lam > e, the tail regime of the growth statements."""
+    if lam <= math.e:
+        raise AnalysisError(f"tail threshold must exceed e ~ 2.718, got {lam}")
+
+
+def tail_estimate(sups: np.ndarray, lam: float) -> TailEstimate:
+    """Share of sup samples above lam > e, with a Wilson interval whose upper
+    bound is informative even at zero exceedances."""
+    check_tail_threshold(lam)
+    x = int(np.count_nonzero(sups > lam))
+    lo, hi = wilson_interval(x, sups.size)
+    return TailEstimate(lam=lam, p_hat=x / sups.size, lo=lo, hi=hi, exceedances=x, n=sups.size)
+
+
 def tail_probability(
     scenario: Scenario,
     lam: float,
@@ -399,28 +426,16 @@ def tail_probability(
     seed: int = 0,
     threads: int = 1,
 ) -> TailEstimate:
-    """P( sup_{|x| <= R} |u_t(x)| > lam ) with a Wilson confidence interval.
+    """P( sup_{|x| <= R} |u_t(x)| > lam ) by tail_estimate over replicas.
 
-    Requires lam > e (the tail regime of the growth statements) and a
-    radius on the scenario.  With zero exceedances the point estimate is 0
-    and the upper bound is still informative.
+    Requires lam > e and a radius R on the scenario.
     """
-    if lam <= math.e:
-        raise AnalysisError(f"tail threshold must exceed e ~ 2.718, got {lam}")
+    check_tail_threshold(lam)
     if scenario.radius is None:
         raise AnalysisError("scenario.radius is required for tail probabilities")
-    cfg = scenario.cfg
-    mask = cfg.grid.ball_mask(scenario.radius)
-
-    def batch(streams):
-        vals = solve_batch(cfg, scenario.t_final, seed, streams)
-        sups = np.max(np.abs(vals[:, mask]), axis=1)
-        return sups
-
-    sups = replica_map(batch, n_replicas, threads)
-    x = int(np.count_nonzero(sups > lam))
-    lo, hi = wilson_interval(x, n_replicas)
-    return TailEstimate(lam=lam, p_hat=x / n_replicas, lo=lo, hi=hi, exceedances=x, n=n_replicas)
+    mask = scenario.cfg.grid.ball_mask(scenario.radius)
+    sups = _sup_samples(scenario, [mask], n_replicas, seed, threads)
+    return tail_estimate(sups[:, 0], lam)
 
 
 def spatial_sup(fld: Union[SolutionField, np.ndarray], R: float, grid: Optional[LatticeGrid] = None) -> float:
@@ -575,6 +590,18 @@ class IndependenceResult:
     passed: bool
 
 
+def check_independence(
+    cfg: SolverConfig, loc: LocalizationConfig, t_final: float, points: Sequence, n_replicas: int
+) -> np.ndarray:
+    """Raise unless independence_test can run; returns the points as an array."""
+    pts = _point_array(points, cfg.grid.d)
+    if pts.shape[0] < 2:
+        raise AnalysisError("independence test needs at least two points")
+    _check_replicas(n_replicas)
+    check_localization(cfg, loc, t_final)
+    return pts
+
+
 def independence_test(
     cfg: SolverConfig,
     loc: LocalizationConfig,
@@ -591,11 +618,7 @@ def independence_test(
     2 * n_picard * beta * (1 + sqrt(t)).
     """
     grid = cfg.grid
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.shape[0] < 2:
-        raise AnalysisError("independence test needs at least two points")
+    pts = check_independence(cfg, loc, t_final, points, n_replicas)
     idx = grid.nearest_index(pts)
 
     def batch(streams):
@@ -634,6 +657,23 @@ class LocalizationCurve:
     fit: Optional[ExponentFit]
 
 
+def check_localization_curve(
+    cfg: SolverConfig, t_final: float, betas: Sequence[float], k: int, n_replicas: int, n_picard: Optional[int] = None
+) -> list:
+    """Raise unless localization_error_curve can run; returns one config per beta."""
+    if k < 1:
+        raise AnalysisError("error norm order k must be >= 1")
+    blist = [float(b) for b in betas]
+    if sorted(blist) != blist or len(set(blist)) != len(blist):
+        raise AnalysisError("beta ladder must be strictly increasing")
+    _check_replicas(n_replicas)
+    check_solve(cfg, t_final)
+    locs = [LocalizationConfig(beta=beta, n_picard=n_picard) for beta in blist]
+    for loc in locs:
+        check_localization(cfg, loc, t_final)
+    return locs
+
+
 def localization_error_curve(
     cfg: SolverConfig,
     t_final: float,
@@ -651,17 +691,13 @@ def localization_error_curve(
     Monte Carlo noise.  Errors are (E |u - U^{beta}|^k)^{1/k} with the
     spatial mean inside the expectation.
     """
-    if k < 1:
-        raise AnalysisError("error norm order k must be >= 1")
-    blist = [float(b) for b in betas]
-    if sorted(blist) != blist or len(set(blist)) != len(blist):
-        raise AnalysisError("beta ladder must be strictly increasing")
+    locs = check_localization_curve(cfg, t_final, betas, k, n_replicas, n_picard)
+    blist = [loc.beta for loc in locs]
 
     def batch(streams):
         full = solve_batch(cfg, t_final, seed, streams)
         rows = np.empty((len(streams), len(blist)))
-        for bi, beta in enumerate(blist):
-            loc = LocalizationConfig(beta=beta, n_picard=n_picard)
+        for bi, loc in enumerate(locs):
             approx = localized_solve_batch(cfg, loc, t_final, seed, streams)
             diff = np.abs(full - approx) ** k
             rows[:, bi] = diff.reshape(len(streams), -1).mean(axis=1)
@@ -702,6 +738,30 @@ class BoundednessProbe:
     samples: Optional[np.ndarray] = None  # (n_replicas, n_radii) raw sups
 
 
+def check_boundedness(scenario: Scenario, radii: Sequence[float], n_replicas: int) -> list:
+    """Raise unless boundedness_probe can run; returns one ball mask per radius."""
+    rl = [float(r) for r in radii]
+    if len(rl) < 2 or sorted(rl) != rl or len(set(rl)) != len(rl):
+        raise AnalysisError("radius ladder must be strictly increasing with >= 2 rungs")
+    _check_replicas(n_replicas)
+    check_solve(scenario.cfg, scenario.t_final)
+    return [scenario.cfg.grid.ball_mask(r) for r in rl]
+
+
+def _sup_samples(scenario: Scenario, masks: list, n_replicas: int, seed: int, threads: int) -> np.ndarray:
+    """(n_replicas, len(masks)) sups of |u_t| over each mask."""
+    cfg = scenario.cfg
+
+    def batch(streams):
+        vals = solve_batch(cfg, scenario.t_final, seed, streams)
+        out = np.empty((len(streams), len(masks)))
+        for i, mask in enumerate(masks):
+            out[:, i] = np.max(np.abs(vals[:, mask]), axis=1)
+        return out
+
+    return replica_map(batch, n_replicas, threads)
+
+
 def boundedness_probe(
     scenario: Scenario,
     radii: Sequence[float],
@@ -716,20 +776,9 @@ def boundedness_probe(
     are both below 2 stderr, 'growing' when the last increment exceeds
     2 stderr, otherwise 'inconclusive'.
     """
+    masks = check_boundedness(scenario, radii, n_replicas)
     rl = [float(r) for r in radii]
-    if len(rl) < 2 or sorted(rl) != rl or len(set(rl)) != len(rl):
-        raise AnalysisError("radius ladder must be strictly increasing with >= 2 rungs")
-    cfg = scenario.cfg
-    masks = [cfg.grid.ball_mask(r) for r in rl]
-
-    def batch(streams):
-        vals = solve_batch(cfg, scenario.t_final, seed, streams)
-        out = np.empty((len(streams), len(rl)))
-        for i, mask in enumerate(masks):
-            out[:, i] = np.max(np.abs(vals[:, mask]), axis=1)
-        return out
-
-    sups = replica_map(batch, n_replicas, threads)  # (N, n_radii)
+    sups = _sup_samples(scenario, masks, n_replicas, seed, threads)  # (N, n_radii)
     mean_sup, se_sup, mean_log = [], [], []
     dropped = 0
     for i in range(len(rl)):

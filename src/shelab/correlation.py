@@ -196,16 +196,19 @@ def evaluate_f(model: CorrelationModel, x) -> np.ndarray:
     regularize_f_at_zero instead.
     """
     pts = _as_points(x, model.d)
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
+    vals = evaluate_f_radial(model, np.sqrt(np.sum(pts * pts, axis=-1)))
+    return vals[0] if vals.shape == (1,) else vals
+
+
+def evaluate_f_radial(model: CorrelationModel, r) -> np.ndarray:
+    """f as a function of the radius |x|; riesz is infinite at r = 0."""
+    r = np.asarray(r, dtype=float)
     if model.kind == RIESZ:
         with np.errstate(divide="ignore"):
-            vals = model.c0 * np.where(r > 0, r, np.nan) ** (-model.alpha)
-        vals = np.where(r > 0, vals, np.inf)
-    elif model.kind == GAUSSIAN_H:
-        vals = model.f_at_zero() * np.exp(-(r * r) / (4.0 * model.width**2))
-    else:
-        vals = np.full_like(r, model.c)
-    return vals[0] if vals.shape == (1,) else vals
+            return model.c0 * r ** (-model.alpha)
+    if model.kind == GAUSSIAN_H:
+        return model.f_at_zero() * np.exp(-(r * r) / (4.0 * model.width**2))
+    return np.full_like(r, model.c)
 
 
 def spectral_density(model: CorrelationModel, xi) -> np.ndarray:
@@ -240,13 +243,6 @@ def spectral_density_radial(model: CorrelationModel, r) -> np.ndarray:
         return np.where(r > 0, vals, np.inf)
     a2 = model.amplitude**2 * (2.0 * math.pi * model.width**2) ** model.d
     return a2 * np.exp(-(model.width**2) * r * r)
-
-
-def riesz_h_hat(model: CorrelationModel, xi) -> np.ndarray:
-    """h_hat(xi) = sqrt(f_hat(xi)) for a riesz model."""
-    if model.kind != RIESZ:
-        raise CorrelationError("riesz_h_hat is only defined for the riesz kind")
-    return np.sqrt(spectral_density(model, xi))
 
 
 def kernel_h_hat_radial(model: CorrelationModel, r) -> np.ndarray:
@@ -377,16 +373,6 @@ def cutoff_kernel_hn(model: CorrelationModel, cfg: CutoffConfig, x, grid=None) -
     return vals[0] if vals.shape == (1,) else vals
 
 
-def _ball_infimum(model: CorrelationModel, delta: float) -> float:
-    # All supported correlations are radial and nonincreasing, so the infimum
-    # over a centered ball of radius delta is the value on its boundary.
-    if model.kind == RIESZ:
-        return model.c0 * delta ** (-model.alpha)
-    if model.kind == GAUSSIAN_H:
-        return model.f_at_zero() * math.exp(-(delta * delta) / (4.0 * model.width**2))
-    return model.c
-
-
 def compute_a_t(model: CorrelationModel, t: float, kappa: float) -> float:
     """Lower-bound growth functional
 
@@ -401,8 +387,11 @@ def compute_a_t(model: CorrelationModel, t: float, kappa: float) -> float:
     if t <= 0 or kappa <= 0:
         raise CorrelationError("compute_a_t needs t > 0 and kappa > 0")
 
+    # All supported correlations are radial and nonincreasing, so the infimum
+    # over a centered ball of radius delta is the value on its boundary.
     def objective(delta):
-        return (delta * delta / (4.0 * kappa)) * min(1.0, 4.0 * kappa * t / (delta * delta)) * _ball_infimum(model, delta)
+        inf_ball = float(evaluate_f_radial(model, delta))
+        return (delta * delta / (4.0 * kappa)) * min(1.0, 4.0 * kappa * t / (delta * delta)) * inf_ball
 
     grid = np.logspace(-3, 3, 601)
     vals = np.array([objective(g) for g in grid])

@@ -2,9 +2,13 @@
 
 A manifest is a JSON document naming one model, optionally a grid and
 solver setup, a seed, a replica count, and a set of analyses.  Validation
-is all-at-once: structural errors (JSON schema) and semantic errors
-(constraint violations, with the violated inequality in the message) are
-collected into a single report.
+is all-at-once: structural errors (JSON schema) and semantic errors are
+collected into a single report.  The semantic rules are the library's own:
+each analysis has one _prepare function that turns its block into library
+arguments and runs the library's checks on them, which raise with the
+violated inequality in the message.  Validation collects what they raise,
+and each runner calls the same function before it computes anything, so a
+manifest that validates does not fail a rule halfway through a run.
 
 Running a manifest produces a bundle directory written atomically (build
 in a temporary sibling, then rename): a canonical copy of the manifest,
@@ -23,12 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -39,7 +43,7 @@ import jsonschema
 from . import analysis as an
 from .correlation import CorrelationModel, CorrelationError, dalang_condition
 from .lattice import LatticeGrid, LatticeError
-from .noise import covariance_selftest, NoiseError
+from .noise import NoiseError, check_covariance_selftest, covariance_selftest
 from .solver import (
     LocalizationConfig,
     SigmaFunction,
@@ -47,6 +51,7 @@ from .solver import (
     SolverConfig,
     SolverError,
     U0Spec,
+    check_solve,
     solve_batch,
 )
 
@@ -89,6 +94,10 @@ _SOLVER_ANALYSES = {
     "boundedness",
 }
 
+# What the library raises when a rule of a run is violated.
+_RULE_ERRORS = (CorrelationError, LatticeError, NoiseError, SolverError, an.AnalysisError)
+_FLAT_U0 = {"kind": "constant", "level": 1.0}
+
 
 def validate_manifest(manifest: dict) -> list:
     """All validation errors for a manifest, empty when runnable."""
@@ -100,109 +109,39 @@ def validate_manifest(manifest: dict) -> list:
     if errors:
         return errors
 
-    model = grid = cfg = None
-    try:
-        model = CorrelationModel.from_dict(manifest["model"])
-    except CorrelationError as e:
-        errors.append(f"model: {e}")
-    if "grid" in manifest:
+    def collect(where, build, *args):
         try:
-            grid = LatticeGrid.from_dict(manifest["grid"])
-        except LatticeError as e:
-            errors.append(f"grid: {e}")
-    solver_block = manifest.get("solver")
-    sigma = u0 = None
-    if solver_block is not None:
-        try:
-            sigma = SigmaFunction.from_dict(solver_block["sigma"])
-        except SolverError as e:
-            errors.append(f"solver/sigma: {e}")
-        try:
-            u0 = U0Spec.from_dict(solver_block.get("u0", {"kind": "constant", "level": 1.0}))
-        except SolverError as e:
-            errors.append(f"solver/u0: {e}")
-        if grid is not None and model is not None and sigma is not None and u0 is not None:
-            try:
-                cfg = SolverConfig(
-                    grid=grid,
-                    model=model,
-                    sigma=sigma,
-                    kappa=solver_block["kappa"],
-                    dt=solver_block["dt"],
-                    u0=u0,
-                )
-            except SolverError as e:
-                errors.append(f"solver: {e}")
-        if solver_block["dt"] > solver_block["t_final"] / 16.0 + 1e-15:
-            errors.append(
-                f"solver: dt = {solver_block['dt']} violates dt <= t_final/16 = {solver_block['t_final'] / 16.0}"
-            )
-        n = solver_block["t_final"] / solver_block["dt"]
-        if abs(n - round(n)) > 1e-9 * max(1.0, round(n)):
-            errors.append("solver: t_final must be an integer multiple of dt")
+            return build(*args)
+        except _RULE_ERRORS as e:
+            errors.append(f"{where}: {e}")
+
+    model = collect("model", CorrelationModel.from_dict, manifest["model"])
+    grid = collect("grid", LatticeGrid.from_dict, manifest["grid"]) if "grid" in manifest else None
+    sb = manifest.get("solver")
+    cfg = None
+    if sb is not None:
+        sigma = collect("solver/sigma", SigmaFunction.from_dict, sb["sigma"])
+        u0 = collect("solver/u0", U0Spec.from_dict, sb.get("u0", _FLAT_U0))
+        if all(x is not None for x in (model, grid, sigma, u0)):
+            cfg = collect("solver", SolverConfig, grid, model, sigma, sb["kappa"], sb["dt"], u0)
 
     analyses = manifest.get("analysis", {})
     needs_solver = _SOLVER_ANALYSES & set(analyses)
-    if needs_solver and (grid is None or solver_block is None):
+    if needs_solver and (grid is None or sb is None):
         errors.append(
             f"analyses {sorted(needs_solver)} need both a grid and a solver block"
         )
-    if model is not None and not model.has_kernel:
-        kernel_users = needs_solver - {"dalang"}
-        if kernel_users:
-            errors.append(
-                f"model kind {model.kind!r} has no convolution kernel; "
-                f"cannot run {sorted(kernel_users)}"
-            )
-    replicas = manifest.get("replicas", 1)
-    for verb in ("moments", "extremes", "localize", "independence", "boundedness"):
-        if verb in analyses and replicas < 2:
-            errors.append(f"{verb}: needs replicas >= 2 for jackknife stderr")
-
-    if grid is not None and solver_block is not None:
-        L = grid.period
-        t_final = solver_block["t_final"]
-        if "simulate" in analyses:
-            for t_rec in analyses["simulate"]["record_times"]:
-                ratio = t_rec / solver_block["dt"]
-                if abs(ratio - round(ratio)) > 1e-9 * max(1.0, round(ratio)) or round(ratio) < 16:
-                    errors.append(
-                        f"simulate: record time {t_rec} must be an integer multiple (>= 16) of dt"
-                    )
-                if t_rec > t_final + 1e-12:
-                    errors.append(f"simulate: record time {t_rec} exceeds t_final {t_final}")
-        for verb in ("extremes", "boundedness"):
-            if verb in analyses:
-                for r in analyses[verb]["radii"]:
-                    if r > L / 2.0:
-                        errors.append(f"{verb}: radius {r} exceeds period/2 = {L / 2.0}")
-        if "localize" in analyses:
-            for beta in analyses["localize"]["betas"]:
-                window = beta * math.sqrt(t_final)
-                if window > L / 4.0 + 1e-12:
-                    errors.append(
-                        f"localize: window beta*sqrt(t_final) = {window:.6g} exceeds period/4 = {L / 4.0:.6g}"
-                    )
-                if beta < grid.dx:
-                    errors.append(f"localize: cutoff level {beta} below one grid cell {grid.dx}")
-        if "independence" in analyses:
-            blk = analyses["independence"]
-            window = blk["beta"] * math.sqrt(t_final)
-            if window > L / 4.0 + 1e-12:
-                errors.append(
-                    f"independence: window beta*sqrt(t_final) = {window:.6g} exceeds period/4 = {L / 4.0:.6g}"
-                )
-            for p in blk["points"]:
-                if len(p) != grid.d:
-                    errors.append(f"independence: point {p} does not have {grid.d} coordinates")
-    if "oracle" in analyses:
-        if solver_block is None:
-            errors.append("oracle: needs a solver block for kappa and t_final")
-        if model is not None:
-            try:
-                an.check_oracle_model(model)
-            except an.AnalysisError as e:
-                errors.append(f"oracle: {e}")
+    if "oracle" in analyses and sb is None:
+        errors.append("oracle: needs a solver block for kappa and t_final")
+    if "simulate" in analyses and sb is not None:
+        for t_rec in analyses["simulate"]["record_times"]:
+            if t_rec > sb["t_final"] + 1e-12:
+                errors.append(f"simulate: record time {t_rec} exceeds t_final {sb['t_final']}")
+    for verb in sorted(set(analyses) & set(_PREPARE)):
+        # a block is checked once everything it builds on was built
+        built = cfg is not None if verb in _SOLVER_ANALYSES else model is not None and sb is not None
+        if built:
+            collect(verb, _PREPARE[verb], manifest, cfg)
     return errors
 
 
@@ -216,8 +155,90 @@ def _build_cfg(manifest: dict) -> SolverConfig:
         sigma=SigmaFunction.from_dict(sb["sigma"]),
         kappa=sb["kappa"],
         dt=sb["dt"],
-        u0=U0Spec.from_dict(sb.get("u0", {"kind": "constant", "level": 1.0})),
+        u0=U0Spec.from_dict(sb.get("u0", _FLAT_U0)),
     )
+
+
+def _replicas(manifest: dict) -> int:
+    return manifest.get("replicas", 1)
+
+
+# One _prepare function per analysis: it turns the block into the arguments
+# of the library call, runs the library's checks on them, returns the call.
+
+
+def _prepare_noise_selftest(manifest: dict, cfg: SolverConfig):
+    blk = manifest["analysis"]["noise_selftest"]
+    args = (cfg.model, cfg.grid, cfg.dt, blk["lags"], blk["slices"])
+    check_covariance_selftest(cfg.model, cfg.grid, blk["lags"], blk["slices"], blk.get("level"))
+    return partial(covariance_selftest, *args, seed=manifest["seed"], level=blk.get("level"))
+
+
+def _prepare_simulate(manifest: dict, cfg: SolverConfig) -> list:
+    calls = []
+    for t_rec in manifest["analysis"]["simulate"]["record_times"]:
+        check_solve(cfg, t_rec)
+        calls.append(partial(solve_batch, cfg, t_rec, manifest["seed"], [0]))
+    return calls
+
+
+def _prepare_moments(manifest: dict, cfg: SolverConfig):
+    blk = manifest["analysis"]["moments"]
+    probes = tuple(tuple(p) for p in blk.get("probes", [[0.0] * cfg.grid.d]))
+    scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"], probes=probes)
+    args = (scen, blk["ks"], _replicas(manifest))
+    an.check_moments(*args)
+    return partial(an.estimate_moments, *args, seed=manifest["seed"])
+
+
+def _prepare_oracle(manifest: dict, cfg) -> list:
+    blk = manifest["analysis"]["oracle"]
+    model = CorrelationModel.from_dict(manifest["model"])
+    an.check_oracle_model(model)
+    ocfg = an.FkOracleConfig(blk["walkers"], blk["inner_steps"], blk.get("reg_scale"), manifest["seed"])
+    sb = manifest["solver"]
+    return [
+        partial(an.fk_moment_oracle, model, sb["kappa"], sb["t_final"], k, ocfg, u0_level=blk.get("u0_level", 1.0))
+        for k in blk.get("ks", [blk["k"]])
+    ]
+
+
+def _prepare_probe(manifest: dict, cfg: SolverConfig, verb: str):
+    """The sup probe that both extremes and boundedness run."""
+    blk = manifest["analysis"][verb]
+    scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"])
+    args = (scen, blk["radii"], _replicas(manifest))
+    an.check_boundedness(*args)
+    for lam in blk.get("tail_lambdas", []):
+        an.check_tail_threshold(lam)
+    return partial(an.boundedness_probe, *args, seed=manifest["seed"])
+
+
+def _prepare_localize(manifest: dict, cfg: SolverConfig):
+    blk = manifest["analysis"]["localize"]
+    args = (cfg, manifest["solver"]["t_final"], blk["betas"], blk["k"], _replicas(manifest))
+    an.check_localization_curve(*args, n_picard=blk.get("n_picard"))
+    return partial(an.localization_error_curve, *args, seed=manifest["seed"], n_picard=blk.get("n_picard"))
+
+
+def _prepare_independence(manifest: dict, cfg: SolverConfig):
+    blk = manifest["analysis"]["independence"]
+    loc = LocalizationConfig(beta=blk["beta"], n_picard=blk.get("n_picard"))
+    args = (cfg, loc, manifest["solver"]["t_final"], blk["points"], _replicas(manifest))
+    an.check_independence(*args)
+    return partial(an.independence_test, *args, seed=manifest["seed"])
+
+
+_PREPARE = {
+    "noise_selftest": _prepare_noise_selftest,
+    "simulate": _prepare_simulate,
+    "moments": _prepare_moments,
+    "oracle": _prepare_oracle,
+    "extremes": partial(_prepare_probe, verb="extremes"),
+    "localize": _prepare_localize,
+    "independence": _prepare_independence,
+    "boundedness": partial(_prepare_probe, verb="boundedness"),
+}
 
 
 def _fmt(x) -> str:
@@ -294,16 +315,7 @@ def _run_dalang(manifest, cfg, mhash, outdir, summary, results, threads):
 
 
 def _run_noise_selftest(manifest, cfg, mhash, outdir, summary, results, threads):
-    blk = manifest["analysis"]["noise_selftest"]
-    rows, cross = covariance_selftest(
-        cfg.model,
-        cfg.grid,
-        cfg.dt,
-        blk["lags"],
-        blk["slices"],
-        seed=manifest["seed"],
-        level=blk.get("level"),
-    )
+    rows, cross = _prepare_noise_selftest(manifest, cfg)()
     results["noise_selftest"] = (rows, cross)
     _write_csv(
         outdir / "noise_selftest.csv",
@@ -325,8 +337,8 @@ def _run_simulate(manifest, cfg, mhash, outdir, summary, results, threads):
     seed = manifest["seed"]
     rows = []
     files = ["field_stats.csv"]
-    for t_rec in blk["record_times"]:
-        vals = solve_batch(cfg, t_rec, seed, [0])[0]
+    for t_rec, solve in zip(blk["record_times"], _prepare_simulate(manifest, cfg)):
+        vals = solve()[0]
         rows.append(
             [
                 t_rec,
@@ -348,12 +360,7 @@ def _run_simulate(manifest, cfg, mhash, outdir, summary, results, threads):
 
 
 def _run_moments(manifest, cfg, mhash, outdir, summary, results, threads):
-    blk = manifest["analysis"]["moments"]
-    probes = tuple(tuple(p) for p in blk.get("probes", [[0.0] * cfg.grid.d]))
-    scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"], probes=probes)
-    rep = an.estimate_moments(
-        scen, blk["ks"], manifest["replicas"], seed=manifest["seed"], threads=threads
-    )
+    rep = _prepare_moments(manifest, cfg)(threads=threads)
     results["moments"] = rep
     _write_csv(
         outdir / "moments.csv",
@@ -374,43 +381,10 @@ def _run_moments(manifest, cfg, mhash, outdir, summary, results, threads):
 
 
 def _run_oracle(manifest, cfg, mhash, outdir, summary, results, threads):
-    blk = manifest["analysis"]["oracle"]
-    model = CorrelationModel.from_dict(manifest["model"])
-    sb = manifest["solver"]
-    ks = blk.get("ks", [blk["k"]])
-    ocfg = an.FkOracleConfig(
-        walkers=blk["walkers"],
-        inner_steps=blk["inner_steps"],
-        reg_scale=blk.get("reg_scale"),
-        seed=manifest["seed"],
-    )
-    rows = []
-    out = []
-    for k in ks:
-        res = an.fk_moment_oracle(
-            model, sb["kappa"], sb["t_final"], k, ocfg, u0_level=blk.get("u0_level", 1.0)
-        )
-        out.append(res)
-        rows.append(
-            [
-                res.k,
-                res.t,
-                res.estimate,
-                res.stderr,
-                res.log_mean,
-                res.log_stderr,
-                res.heavy_tail,
-                res.walkers,
-                res.reg_scale,
-            ]
-        )
+    out = [oracle() for oracle in _prepare_oracle(manifest, cfg)]
     results["oracle"] = out
-    _write_csv(
-        outdir / "oracle.csv",
-        mhash,
-        ["k", "t", "estimate", "stderr", "log_mean", "log_stderr", "heavy_tail", "walkers", "reg_scale"],
-        rows,
-    )
+    columns = ["k", "t", "estimate", "stderr", "log_mean", "log_stderr", "heavy_tail", "walkers", "reg_scale"]
+    _write_csv(outdir / "oracle.csv", mhash, columns, [[getattr(r, c) for c in columns] for r in out])
     summary["oracle"] = {
         "ks": [r.k for r in out],
         "log_means": [r.log_mean for r in out],
@@ -422,12 +396,7 @@ def _run_oracle(manifest, cfg, mhash, outdir, summary, results, threads):
 
 
 def _run_extremes(manifest, cfg, mhash, outdir, summary, results, threads):
-    blk = manifest["analysis"]["extremes"]
-    t_final = manifest["solver"]["t_final"]
-    scen = an.Scenario(cfg=cfg, t_final=t_final)
-    probe = an.boundedness_probe(
-        scen, blk["radii"], manifest["replicas"], seed=manifest["seed"], threads=threads
-    )
+    probe = _prepare_probe(manifest, cfg, "extremes")(threads=threads)
     fit = an.fluctuation_exponent(probe.radii, probe.mean_log_sup)
     results["extremes"] = (probe, fit)
     _write_csv(
@@ -437,19 +406,10 @@ def _run_extremes(manifest, cfg, mhash, outdir, summary, results, threads):
         list(zip(probe.radii, probe.mean_sup, probe.stderr_sup, probe.mean_log_sup)),
     )
     files = ["sup_stats.csv"]
-    tails = []
-    for lam in blk.get("tail_lambdas", []):
-        samples = probe.samples[:, -1]
-        x = int(np.count_nonzero(samples > lam))
-        lo, hi = an.wilson_interval(x, samples.size)
-        tails.append([lam, x / samples.size, lo, hi, x, samples.size])
+    lams = manifest["analysis"]["extremes"].get("tail_lambdas", [])
+    tails = [astuple(an.tail_estimate(probe.samples[:, -1], lam)) for lam in lams]
     if tails:
-        _write_csv(
-            outdir / "tails.csv",
-            mhash,
-            ["lambda", "p_hat", "lo", "hi", "exceedances", "n"],
-            tails,
-        )
+        _write_csv(outdir / "tails.csv", mhash, ["lambda", "p_hat", "lo", "hi", "exceedances", "n"], tails)
         files.append("tails.csv")
     summary["extremes"] = {
         "psi_hat": fit.exponent,
@@ -461,17 +421,7 @@ def _run_extremes(manifest, cfg, mhash, outdir, summary, results, threads):
 
 
 def _run_localize(manifest, cfg, mhash, outdir, summary, results, threads):
-    blk = manifest["analysis"]["localize"]
-    curve = an.localization_error_curve(
-        cfg,
-        manifest["solver"]["t_final"],
-        blk["betas"],
-        blk["k"],
-        manifest["replicas"],
-        seed=manifest["seed"],
-        threads=threads,
-        n_picard=blk.get("n_picard"),
-    )
+    curve = _prepare_localize(manifest, cfg)(threads=threads)
     results["localize"] = curve
     _write_csv(
         outdir / "localize.csv",
@@ -491,17 +441,7 @@ def _run_localize(manifest, cfg, mhash, outdir, summary, results, threads):
 
 
 def _run_independence(manifest, cfg, mhash, outdir, summary, results, threads):
-    blk = manifest["analysis"]["independence"]
-    loc = LocalizationConfig(beta=blk["beta"], n_picard=blk.get("n_picard"))
-    res = an.independence_test(
-        cfg,
-        loc,
-        manifest["solver"]["t_final"],
-        blk["points"],
-        manifest["replicas"],
-        seed=manifest["seed"],
-        threads=threads,
-    )
+    res = _prepare_independence(manifest, cfg)(threads=threads)
     results["independence"] = res
     rows = []
     P = len(res.points)
@@ -519,11 +459,7 @@ def _run_independence(manifest, cfg, mhash, outdir, summary, results, threads):
 
 
 def _run_boundedness(manifest, cfg, mhash, outdir, summary, results, threads):
-    blk = manifest["analysis"]["boundedness"]
-    scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"])
-    probe = an.boundedness_probe(
-        scen, blk["radii"], manifest["replicas"], seed=manifest["seed"], threads=threads
-    )
+    probe = _prepare_probe(manifest, cfg, "boundedness")(threads=threads)
     results["boundedness"] = probe
     rows = []
     for i, r in enumerate(probe.radii):
@@ -585,7 +521,7 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
         meta = {
             "manifest_hash": mhash,
             "seed": manifest["seed"],
-            "replicas": manifest.get("replicas", 1),
+            "replicas": _replicas(manifest),
             "threads": threads,
             "complete": not failures,
             "failures": failures,

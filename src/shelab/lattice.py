@@ -100,7 +100,7 @@ class LatticeGrid:
         """Boolean mask of sites within Euclidean torus distance radius of 0."""
         if radius > self.period / 2.0:
             raise LatticeError(
-                f"ball radius {radius} exceeds half period {self.period / 2.0}"
+                f"ball radius {radius} exceeds period/2 = {self.period / 2.0}"
             )
         return self.radius_sq_mesh() <= radius * radius + 1e-12
 
@@ -147,43 +147,11 @@ def propagator_multiplier(grid: LatticeGrid, kappa: float, tau: float) -> np.nda
     return mult
 
 
-@dataclass(frozen=True)
-class HeatPropagator:
-    """One-step semigroup operator on a fixed grid."""
-
-    grid: LatticeGrid
-    kappa: float
-    dt: float
-
-    def __post_init__(self):
-        if self.kappa <= 0 or self.dt <= 0:
-            raise LatticeError("HeatPropagator needs kappa > 0 and dt > 0")
-
-    @property
-    def multipliers(self) -> np.ndarray:
-        return propagator_multiplier(self.grid, self.kappa, self.dt)
-
-
-def apply_propagator(field: np.ndarray, prop: HeatPropagator) -> np.ndarray:
-    """Apply the semigroup to one field or to a batch over leading axes.
-
-    The last grid.d axes must match the grid shape.  Mean is preserved
-    exactly (zero-frequency multiplier is 1) and the periodized kernel is
-    positive, so nonnegative fields stay nonnegative up to roundoff.
-    """
-    grid = prop.grid
-    if field.shape[-grid.d:] != grid.shape:
-        raise LatticeError(f"field shape {field.shape} does not end in {grid.shape}")
-    axes = tuple(range(field.ndim - grid.d, field.ndim))
-    spec = np.fft.rfftn(field, axes=axes)
-    spec *= prop.multipliers
-    return np.fft.irfftn(spec, s=grid.shape, axes=axes)
-
-
 def sampled_heat_kernel(grid: LatticeGrid, kappa: float, tau: float) -> np.ndarray:
     """Discrete convolution kernel of the propagator (periodized heat kernel).
 
-    Returned in sum convention: apply_propagator(g) equals the circular
+    Returned in sum convention: the propagated field
+    irfftn(rfftn(g) * propagator_multiplier) equals the circular
     convolution sum_j K[i-j] g[j].  Entries are positive up to bandlimit
     ringing of order exp(-kappa tau (pi/dx)^2 / 2); once the multiplier
     underflows at the Nyquist frequency the kernel is positive to roundoff.

@@ -57,7 +57,6 @@ class WhiteNoiseSource:
 
     seed: int
     stream_id: int = 0
-    step: int = 0
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2**63):
@@ -79,24 +78,6 @@ class WhiteNoiseSource:
         scale = np.sqrt(dt / grid.cell_volume)
         rng = self.generator_at(step)
         return scale * rng.standard_normal(grid.shape)
-
-    def next_white(self, grid: LatticeGrid, dt: float) -> np.ndarray:
-        out = self.white_at(self.step, grid, dt)
-        self.step += 1
-        return out
-
-
-@dataclass
-class NoiseSlice:
-    grid: LatticeGrid
-    dt: float
-    values: np.ndarray
-    level: Union[str, float]  # "white", "full", or a cutoff level n
-
-
-def sample_white_slice(src: WhiteNoiseSource, grid: LatticeGrid, dt: float) -> NoiseSlice:
-    """Draw the next white slice from the source (advances its step counter)."""
-    return NoiseSlice(grid=grid, dt=dt, values=src.next_white(grid, dt), level="white")
 
 
 def _require_kernel(model: CorrelationModel):
@@ -133,9 +114,9 @@ def _multiplier_cached(model: CorrelationModel, grid: LatticeGrid, level) -> np.
         n = float(level)
         CutoffConfig(n=n)  # validates n >= 1
         if n < grid.dx:
-            raise NoiseError(f"cutoff level {n} is smaller than one grid cell {grid.dx}")
+            raise NoiseError(f"cutoff level {n} is below one grid cell dx = {grid.dx}")
         if n > grid.period / 2.0:
-            raise NoiseError(f"cutoff level {n} exceeds half period {grid.period / 2.0}")
+            raise NoiseError(f"cutoff level {n} exceeds period/2 = {grid.period / 2.0}")
         h_real = np.fft.irfftn(full, s=grid.shape, axes=tuple(range(grid.d)))
         taper = np.ones(grid.shape)
         for c in grid.coordinate_mesh():
@@ -157,14 +138,6 @@ def gridded_kernel_h(model: CorrelationModel, grid: LatticeGrid, level=None) -> 
     return np.fft.irfftn(mult, s=grid.shape, axes=tuple(range(grid.d))) / grid.cell_volume
 
 
-def correlate_slice(white: NoiseSlice, model: CorrelationModel, level=None) -> NoiseSlice:
-    """Convolve a white slice with the model kernel at the requested level."""
-    if white.level != "white":
-        raise NoiseError(f"expected a white slice, got level {white.level!r}")
-    vals = correlate_array(white.values, model, white.grid, level)
-    return NoiseSlice(grid=white.grid, dt=white.dt, values=vals, level=_level_key(level))
-
-
 def correlate_array(white: np.ndarray, model: CorrelationModel, grid: LatticeGrid, level=None) -> np.ndarray:
     """Array-level correlation pass; leading axes are treated as a batch."""
     mult = kernel_multiplier(model, grid, level)
@@ -182,6 +155,17 @@ def effective_covariance(model: CorrelationModel, grid: LatticeGrid, level=None)
     """
     mult = kernel_multiplier(model, grid, level)
     return np.fft.irfftn(mult * mult, s=grid.shape, axes=tuple(range(grid.d))) / grid.cell_volume
+
+
+def check_covariance_selftest(model: CorrelationModel, grid: LatticeGrid, lags, n_slices: int, level=None) -> list:
+    """Raise unless covariance_selftest can run; returns the lags as ints."""
+    if n_slices < 2:
+        raise NoiseError("need at least two slices")
+    lags = [int(l) for l in lags]
+    if any(l < 0 or l >= grid.m for l in lags):
+        raise NoiseError(f"lags must lie in [0, m), got {lags}")
+    kernel_multiplier(model, grid, level)
+    return lags
 
 
 def covariance_selftest(
@@ -205,11 +189,7 @@ def covariance_selftest(
     lag_distance, target, empirical, stderr and cross_time is a dict with
     mean, stderr, n_pairs.
     """
-    if n_slices < 2:
-        raise NoiseError("need at least two slices")
-    lags = [int(l) for l in lags]
-    if any(l < 0 or l >= grid.m for l in lags):
-        raise NoiseError(f"lags must lie in [0, m), got {lags}")
+    lags = check_covariance_selftest(model, grid, lags, n_slices, level)
     f_eff = effective_covariance(model, grid, level)
     src = WhiteNoiseSource(seed=seed, stream_id=0)
     chunk = 2048

@@ -40,7 +40,7 @@ import numpy as np
 
 from .correlation import CorrelationModel, CorrelationError
 from .lattice import LatticeGrid, propagator_multiplier
-from .noise import WhiteNoiseSource, NoiseSlice, kernel_multiplier, FULL_LEVEL
+from .noise import WhiteNoiseSource, kernel_multiplier
 
 
 class SolverError(ValueError):
@@ -160,10 +160,6 @@ class U0Spec:
             return np.full(grid.shape, float(self.level))
         return self.level * np.exp(-grid.radius_sq_mesh())
 
-    @property
-    def infimum_positive(self) -> bool:
-        return self.kind == "constant"
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "level": self.level}
 
@@ -226,11 +222,35 @@ def _steps_for(t_final: float, dt: float) -> int:
         raise SolverError("t_final must be positive")
     n = t_final / dt
     n_round = round(n)
+    broken = []
     if n_round < 1 or abs(n - n_round) > 1e-9 * max(1.0, n_round):
-        raise SolverError(f"t_final={t_final} is not an integer multiple of dt={dt}")
+        broken.append(f"t_final={t_final} is not an integer multiple of dt={dt}")
     if dt > t_final / 16.0 + 1e-15:
-        raise SolverError(f"dt={dt} too coarse: need dt <= t_final/16 = {t_final / 16.0}")
+        broken.append(f"dt={dt} too coarse: need dt <= t_final/16 = {t_final / 16.0}")
+    if broken:
+        raise SolverError("; ".join(broken))
     return int(n_round)
+
+
+def check_solve(cfg: SolverConfig, t_final: float) -> int:
+    """Raise unless cfg can step to t_final = n dt, n >= 16; returns n."""
+    n_steps = _steps_for(t_final, cfg.dt)
+    kernel_multiplier(cfg.model, cfg.grid, None)
+    return n_steps
+
+
+def check_localization(cfg: SolverConfig, loc: LocalizationConfig, t_final: float) -> None:
+    """Raise unless loc can run on cfg to t_final: window beta*sqrt(t_final)
+    <= L/4 and, with Picard iterates, steps and a cutoff dx <= beta <= L/2."""
+    window = loc.beta * math.sqrt(t_final)
+    quarter = cfg.grid.period / 4.0
+    if window > quarter + 1e-12:
+        raise SolverError(
+            f"window beta*sqrt(t_final) = {window:.6g} exceeds period/4 = {quarter:.6g}"
+        )
+    if loc.depth() > 0:
+        _steps_for(t_final, cfg.dt)
+        kernel_multiplier(cfg.model, cfg.grid, loc.beta)
 
 
 def _clamp_negatives(u: np.ndarray, stats: dict):
@@ -251,26 +271,6 @@ def _clamp_negatives(u: np.ndarray, stats: dict):
         stats["below_floor"] = stats.get("below_floor", 0) + int(np.count_nonzero(u < floor))
     np.maximum(u, 0.0, out=u)
     return u
-
-
-def step(state: SolutionField, slice_: NoiseSlice, cfg: SolverConfig) -> SolutionField:
-    """One exponential-Euler step from a field and a correlated noise slice."""
-    if slice_.level == "white":
-        raise SolverError("step expects a correlated slice, not white noise")
-    if slice_.grid != cfg.grid:
-        raise SolverError("slice grid does not match config grid")
-    u = state.values
-    g = u + cfg.sigma(u) * slice_.values
-    axes = tuple(range(g.ndim - cfg.grid.d, g.ndim))
-    spec = np.fft.rfftn(g, axes=axes)
-    spec *= propagator_multiplier(cfg.grid, cfg.kappa, slice_.dt)
-    out = np.fft.irfftn(spec, s=cfg.grid.shape, axes=axes)
-    stats = dict(state.provenance)
-    if cfg.sigma.is_multiplicative:
-        out = _clamp_negatives(out, stats)
-    if not np.all(np.isfinite(out)):
-        raise SolverBlowup(state.t + slice_.dt, float(np.max(np.abs(u))))
-    return SolutionField(grid=cfg.grid, t=state.t + slice_.dt, values=out, provenance=stats)
 
 
 def _white_batch(cfg: SolverConfig, seed: int, streams: Sequence[int], step_idx: int, refine: int) -> np.ndarray:
@@ -448,12 +448,7 @@ def localized_solve_batch(
     streams: Sequence[int],
 ) -> np.ndarray:
     """Localized Picard approximation for a batch of replicas."""
-    window = loc.beta * math.sqrt(t_final)
-    quarter = cfg.grid.period / 4.0
-    if window > quarter + 1e-12:
-        raise SolverError(
-            f"window beta*sqrt(t_final) = {window:.6g} exceeds period/4 = {quarter:.6g}"
-        )
+    check_localization(cfg, loc, t_final)
     depth = loc.depth()
     if depth == 0:
         # Iterate zero followed by the deterministic term only: heat flow of u0.
@@ -473,20 +468,6 @@ def localized_solve_batch(
         level=loc.beta,
         window_beta=loc.beta,
     )
-
-
-def localized_solve(
-    cfg: SolverConfig, loc: LocalizationConfig, t_final: float, src: WhiteNoiseSource
-) -> SolutionField:
-    vals = localized_solve_batch(cfg, loc, t_final, src.seed, [src.stream_id])
-    prov = {
-        "seed": src.seed,
-        "stream_id": src.stream_id,
-        "beta": loc.beta,
-        "n_picard": loc.depth(),
-        "dt": cfg.dt,
-    }
-    return SolutionField(grid=cfg.grid, t=t_final, values=vals[0], provenance=prov)
 
 
 def picard_solve(

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+import shelab as sl
+import shelab.analysis as an
 import shelab.experiments as exp
 from shelab.cli import main as cli_main
 
@@ -31,6 +33,77 @@ def write_manifest(tmp_path, manifest, name="m.json"):
     p = tmp_path / name
     p.write_text(json.dumps(manifest))
     return str(p)
+
+
+def manifest_cfg(m):
+    sb = m["solver"]
+    return sl.SolverConfig(
+        grid=sl.LatticeGrid.from_dict(m["grid"]),
+        model=sl.CorrelationModel.from_dict(m["model"]),
+        sigma=sl.SigmaFunction.from_dict(sb["sigma"]),
+        kappa=sb["kappa"],
+        dt=sb["dt"],
+        u0=sl.U0Spec.from_dict(sb["u0"]),
+    )
+
+
+# Blocks that each break one rule of the library call they reach, on a base
+# of gaussian_h in d = 1 with L = 16 (unless dx changes), dt = 1/256,
+# t_final = 1/16 and 4 replicas.  Each comes with that library call, made
+# directly; it raises the message that validation must report.
+T, R = 1 / 16, 4
+RULE_GAPS = [
+    pytest.param(
+        "localize", {"betas": [12], "k": 2}, 0.25,
+        lambda cfg: an.localization_error_curve(cfg, T, [12], 2, R),
+        id="localize-cutoff-above-half-period",
+    ),
+    pytest.param(
+        "independence", {"beta": 12, "points": [[0.0], [4.0]]}, 0.25,
+        lambda cfg: an.independence_test(cfg, sl.LocalizationConfig(beta=12), T, [[0.0], [4.0]], R),
+        id="independence-cutoff-above-half-period",
+    ),
+    pytest.param(
+        "independence", {"beta": 1.5, "points": [[0.0], [64.0]]}, 2.0,
+        lambda cfg: an.independence_test(cfg, sl.LocalizationConfig(beta=1.5), T, [[0.0], [64.0]], R),
+        id="independence-cutoff-below-one-cell",
+    ),
+    pytest.param(
+        "moments", {"ks": [2], "probes": [[0, 0]]}, 0.25,
+        lambda cfg: an.estimate_moments(an.Scenario(cfg=cfg, t_final=T, probes=((0, 0),)), [2], R),
+        id="moments-probe-dimension",
+    ),
+    pytest.param(
+        "noise_selftest", {"lags": [64], "slices": 4}, 0.25,
+        lambda cfg: sl.covariance_selftest(cfg.model, cfg.grid, cfg.dt, [64], 4),
+        id="selftest-lag-beyond-grid",
+    ),
+    pytest.param(
+        "noise_selftest", {"lags": [0], "slices": 4, "level": 0.5}, 0.25,
+        lambda cfg: sl.covariance_selftest(cfg.model, cfg.grid, cfg.dt, [0], 4, level=0.5),
+        id="selftest-cutoff-below-one",
+    ),
+    pytest.param(
+        "extremes", {"radii": [4, 2]}, 0.25,
+        lambda cfg: an.boundedness_probe(an.Scenario(cfg=cfg, t_final=T), [4, 2], R),
+        id="extremes-radius-ladder",
+    ),
+    pytest.param(
+        "boundedness", {"radii": [2, 2]}, 0.25,
+        lambda cfg: an.boundedness_probe(an.Scenario(cfg=cfg, t_final=T), [2, 2], R),
+        id="boundedness-radius-ladder",
+    ),
+    pytest.param(
+        "localize", {"betas": [4, 2], "k": 2}, 0.25,
+        lambda cfg: an.localization_error_curve(cfg, T, [4, 2], 2, R),
+        id="localize-beta-ladder",
+    ),
+    pytest.param(
+        "extremes", {"radii": [2, 4], "tail_lambdas": [2.0]}, 0.25,
+        lambda cfg: an.tail_estimate(np.full(R, 3.0), 2.0),
+        id="extremes-tail-lambda-not-above-e",
+    ),
+]
 
 
 class TestValidation:
@@ -119,6 +192,21 @@ class TestValidation:
         errs = exp.validate_manifest(m)
         assert any("violates alpha < 1 = min(d, 2)" in e for e in errs)
 
+    @pytest.mark.parametrize("verb, block, dx, library_call", RULE_GAPS)
+    def test_library_rule_fails_validation_not_the_run(self, tmp_path, capsys, verb, block, dx, library_call):
+        m = base_manifest()
+        m["replicas"] = R
+        m["grid"]["dx"] = dx
+        m["solver"].update(dt=1 / 256, t_final=T)
+        m["analysis"] = {verb: block}
+        with pytest.raises(ValueError) as ei:
+            library_call(manifest_cfg(m))
+        assert exp.validate_manifest(m) == [f"{verb}: {ei.value}"]
+        mp = write_manifest(tmp_path, m)
+        assert cli_main([verb.replace("_", "-"), "--manifest", mp, "--out", str(tmp_path / "b")]) == 2
+        assert str(ei.value) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["m.json"]  # no bundle, not even a partial one
+
     def test_manifest_error_carries_list(self, tmp_path):
         m = base_manifest()
         m["replicas"] = 1
@@ -142,8 +230,6 @@ class TestHashing:
 
 class TestSnapshots:
     def test_round_trip(self, tmp_path):
-        import shelab as sl
-
         cfg = sl.SolverConfig(
             grid=sl.LatticeGrid(d=1, m=64, dx=0.25),
             model=sl.CorrelationModel.gaussian_h(d=1, width=1.0, amplitude=1.0),
@@ -207,6 +293,21 @@ class TestRunBundles:
         assert "dalang" not in bundle.summary["failures"]
         # dalang output is still present
         assert os.path.exists(os.path.join(out, "dalang.csv"))
+
+    def test_tails_csv_matches_tail_probability(self, tmp_path):
+        m = base_manifest()
+        m["solver"]["u0"]["level"] = 3.0
+        lams = [4.0, 6.0]
+        m["analysis"] = {"extremes": {"radii": [2.0, 4.0], "tail_lambdas": lams}}
+        exp.run(m, str(tmp_path / "b"))
+        lines = (tmp_path / "b" / "tails.csv").read_text().splitlines()
+        assert lines[1] == "lambda,p_hat,lo,hi,exceedances,n"
+        assert len(lines) == 2 + len(lams)
+        scen = an.Scenario(cfg=manifest_cfg(m), t_final=0.25, radius=4.0)
+        for line, lam in zip(lines[2:], lams):
+            est = an.tail_probability(scen, lam, m["replicas"], seed=m["seed"])
+            assert 0 < est.exceedances < est.n
+            assert [float(v) for v in line.split(",")] == [lam, est.p_hat, est.lo, est.hi, est.exceedances, est.n]
 
     def test_read_bundle_verifies_hash(self, tmp_path):
         out = str(tmp_path / "rt")

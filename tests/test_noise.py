@@ -44,13 +44,6 @@ class TestWhiteSource:
         z = np.stack([a.white_at(j + 1, GRID, DT)[0] for j in range(n)])
         assert abs(np.corrcoef(x, z)[0, 1]) < 4 / math.sqrt(n)
 
-    def test_next_white_advances(self):
-        src = sl.WhiteNoiseSource(seed=11, stream_id=2)
-        first = src.next_white(GRID, DT)
-        second = src.next_white(GRID, DT)
-        assert not np.array_equal(first, second)
-        assert np.array_equal(first, sl.WhiteNoiseSource(seed=11, stream_id=2).white_at(0, GRID, DT))
-
 
 class TestKernelMultiplier:
     def test_effective_covariance_is_periodized_f(self):
@@ -134,14 +127,6 @@ class TestCutoff:
 
 
 class TestCorrelatedSlices:
-    def test_slice_levels_enforced(self):
-        src = sl.WhiteNoiseSource(seed=0, stream_id=0)
-        white = sl.sample_white_slice(src, GRID, DT)
-        corr = sl.correlate_slice(white, GAUSS)
-        assert corr.level == "full"
-        with pytest.raises(NoiseError):
-            sl.correlate_slice(corr, GAUSS)  # already correlated
-
     def test_batch_matches_loop(self):
         src = sl.WhiteNoiseSource(seed=5, stream_id=0)
         w = np.stack([src.white_at(j, GRID, DT) for j in range(4)])

@@ -87,27 +87,17 @@ class TestU0AndConfig:
             make_cfg(sig, model=sl.CorrelationModel.gaussian_h(d=2, width=1.0, amplitude=1.0))
 
 
-class TestStep:
-    def test_rejects_white_slice(self):
-        cfg = make_cfg(sl.SigmaFunction.constant(eps0=1.0))
-        src = sl.WhiteNoiseSource(seed=0, stream_id=0)
-        white = sl.sample_white_slice(src, GRID, DT)
-        state = sl.SolutionField(grid=GRID, t=0.0, values=cfg.u0.render(GRID))
-        with pytest.raises(SolverError):
-            sl.step(state, white, cfg)
-
-    def test_matches_manual_spectral_formula(self):
-        cfg = make_cfg(sl.SigmaFunction.constant(eps0=0.8))
-        src = sl.WhiteNoiseSource(seed=4, stream_id=0)
-        zeta = sl.correlate_slice(sl.sample_white_slice(src, GRID, DT), GAUSS)
-        state = sl.SolutionField(grid=GRID, t=0.0, values=cfg.u0.render(GRID))
-        out = sl.step(state, zeta, cfg)
-        g = state.values + 0.8 * zeta.values
-        manual = np.fft.irfft(
-            np.fft.rfft(g) * sl.propagator_multiplier(GRID, 1.0, DT), n=GRID.m
-        )
-        assert np.allclose(out.values, manual, atol=1e-15)
-        assert out.t == pytest.approx(DT)
+def step_loop(cfg, t, seed, stream_id):
+    """Reference path: one exponential-Euler step at a time,
+    u <- P_dt[u + sigma(u) * zeta_j], with zeta_j the correlated white slice j."""
+    src = sl.WhiteNoiseSource(seed=seed, stream_id=stream_id)
+    u = cfg.u0.render(GRID)
+    for j in range(round(t / cfg.dt)):
+        zeta = sl.correlate_array(src.white_at(j, GRID, cfg.dt), cfg.model, GRID)
+        spec = np.fft.rfftn(u + cfg.sigma(u) * zeta, axes=(0,))
+        spec *= sl.propagator_multiplier(GRID, cfg.kappa, cfg.dt)
+        u = np.fft.irfftn(spec, s=GRID.shape, axes=(0,))
+    return u
 
 
 class TestSolveBatch:
@@ -120,22 +110,12 @@ class TestSolveBatch:
     def test_fast_path_equals_step_loop(self):
         cfg = make_cfg(sl.SigmaFunction.constant(eps0=0.7))
         fast = sl.solve_batch(cfg, 0.25, 13, [2])[0]
-        state = sl.SolutionField(grid=GRID, t=0.0, values=cfg.u0.render(GRID))
-        src = sl.WhiteNoiseSource(seed=13, stream_id=2)
-        for j in range(16):
-            w = sl.NoiseSlice(grid=GRID, dt=DT, values=src.white_at(j, GRID, DT), level="white")
-            state = sl.step(state, sl.correlate_slice(w, GAUSS), cfg)
-        assert np.allclose(fast, state.values, atol=1e-12)
+        assert np.allclose(fast, step_loop(cfg, 0.25, 13, 2), atol=1e-12)
 
     def test_general_path_equals_step_loop(self):
         cfg = make_cfg(sl.SigmaFunction.bounded_both())
         got = sl.solve_batch(cfg, 0.25, 13, [2])[0]
-        state = sl.SolutionField(grid=GRID, t=0.0, values=cfg.u0.render(GRID))
-        src = sl.WhiteNoiseSource(seed=13, stream_id=2)
-        for j in range(16):
-            w = sl.NoiseSlice(grid=GRID, dt=DT, values=src.white_at(j, GRID, DT), level="white")
-            state = sl.step(state, sl.correlate_slice(w, GAUSS), cfg)
-        assert np.array_equal(got, state.values)
+        assert np.array_equal(got, step_loop(cfg, 0.25, 13, 2))
 
     def test_time_step_validation(self):
         cfg = make_cfg(sl.SigmaFunction.constant(eps0=1.0), dt=0.1)
@@ -223,8 +203,8 @@ class TestPicardAndLocalized:
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), u0_kind="gaussian_decay", u0_level=2.0)
         loc = sl.LocalizationConfig(beta=4.0, n_picard=0)
         got = sl.localized_solve_batch(cfg, loc, 0.25, 5, [0])[0]
-        heat = sl.apply_propagator(
-            cfg.u0.render(GRID), sl.HeatPropagator(grid=GRID, kappa=1.0, dt=0.25)
+        heat = np.fft.irfft(
+            np.fft.rfft(cfg.u0.render(GRID)) * sl.propagator_multiplier(GRID, 1.0, 0.25), n=GRID.m
         )
         assert np.allclose(got, heat, atol=1e-14)
 
@@ -252,13 +232,3 @@ class TestPicardAndLocalized:
             got = sl.localized_solve_batch(cfg, loc, 0.25, 8, [0])[0]
             errs.append(float(np.sqrt(np.mean((got - ref) ** 2))))
         assert errs[2] < errs[0]
-
-    def test_localized_wrapper_provenance(self):
-        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
-        loc = sl.LocalizationConfig(beta=4.0)
-        src = sl.WhiteNoiseSource(seed=2, stream_id=9)
-        fld = sl.localized_solve(cfg, loc, 0.25, src)
-        assert fld.provenance["beta"] == 4.0
-        assert fld.provenance["n_picard"] == loc.depth()
-        batch = sl.localized_solve_batch(cfg, loc, 0.25, 2, [9])[0]
-        assert np.array_equal(fld.values, batch)
