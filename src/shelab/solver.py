@@ -273,12 +273,11 @@ def _clamp_negatives(u: np.ndarray, stats: dict):
     return u
 
 
-def _white_batch(cfg: SolverConfig, seed: int, streams: Sequence[int], step_idx: int, refine: int) -> np.ndarray:
+def _white_batch(cfg: SolverConfig, sources: Sequence[WhiteNoiseSource], step_idx: int, refine: int) -> np.ndarray:
     grid = cfg.grid
-    out = np.empty((len(streams),) + grid.shape)
+    out = np.empty((len(sources),) + grid.shape)
     dt_fine = cfg.dt / refine
-    for i, s in enumerate(streams):
-        src = WhiteNoiseSource(seed=seed, stream_id=s)
+    for i, src in enumerate(sources):
         acc = src.white_at(step_idx * refine, grid, dt_fine)
         for r in range(1, refine):
             acc += src.white_at(step_idx * refine + r, grid, dt_fine)
@@ -309,13 +308,15 @@ def solve_batch(
     axes = tuple(range(1, 1 + grid.d))
     stats = collect_stats if collect_stats is not None else {}
 
+    # One source per stream, owned by this call, so no thread shares one.
+    sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
     u0 = cfg.u0.render(grid)
     if cfg.sigma.kind == "constant":
         # sigma does not look at the field, so the whole run can stay spectral.
         uhat = np.broadcast_to(np.fft.rfftn(u0), (len(streams),) + grid.rfft_shape()).copy()
         eps0 = cfg.sigma.eps0
         for j in range(n_steps):
-            w = _white_batch(cfg, seed, streams, j, refine)
+            w = _white_batch(cfg, sources, j, refine)
             what = np.fft.rfftn(w, axes=axes)
             uhat += eps0 * (H * what)
             uhat *= P
@@ -325,7 +326,7 @@ def solve_batch(
 
     u = np.broadcast_to(u0, (len(streams),) + grid.shape).copy()
     for j in range(n_steps):
-        w = _white_batch(cfg, seed, streams, j, refine)
+        w = _white_batch(cfg, sources, j, refine)
         zeta = np.fft.irfftn(np.fft.rfftn(w, axes=axes) * H, s=grid.shape, axes=axes)
         # overflow here is legitimate: it is detected below and escalated
         with np.errstate(over="ignore", invalid="ignore"):
@@ -388,9 +389,10 @@ def _mild_sum_batch(
     fshape = grid.rfft_shape()
 
     # Noise slices, shared-white with any coupled run of the same streams.
+    sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
     zeta_hat = np.empty((n_steps, R) + fshape, dtype=complex)
     for j in range(n_steps):
-        w = _white_batch(cfg, seed, streams, j, refine=1)
+        w = _white_batch(cfg, sources, j, refine=1)
         zeta_hat[j] = np.fft.rfftn(w, axes=axes_b) * H
     zeta = np.fft.irfftn(zeta_hat, s=grid.shape, axes=tuple(range(2, 2 + grid.d)))
     del zeta_hat

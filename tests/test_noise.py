@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -43,6 +44,52 @@ class TestWhiteSource:
         assert abs(np.corrcoef(x, y)[0, 1]) < 4 / math.sqrt(n)
         z = np.stack([a.white_at(j + 1, GRID, DT)[0] for j in range(n)])
         assert abs(np.corrcoef(x, z)[0, 1]) < 4 / math.sqrt(n)
+
+
+def reference_white(seed, stream_id, step, grid, dt):
+    """A slice from a Philox built afresh at counter [0, 0, step, 0]."""
+    bitgen = np.random.Philox(key=[seed, stream_id], counter=[0, 0, step, 0])
+    return np.sqrt(dt / grid.cell_volume) * np.random.Generator(bitgen).standard_normal(grid.shape)
+
+
+class TestGeneratorReset:
+    # a source reuses one Philox and resets it per slice; every slice must
+    # be the bits a freshly built generator at that counter gives
+    def test_steps_out_of_order_match_fresh_generator(self):
+        src = sl.WhiteNoiseSource(seed=3, stream_id=5)
+        for step in (9, 2, 2**40, 0, 17, 1):
+            assert np.array_equal(src.white_at(step, GRID, DT), reference_white(3, 5, step, GRID, DT))
+
+    def test_same_step_twice_on_one_source(self):
+        src = sl.WhiteNoiseSource(seed=11, stream_id=2)
+        first = src.white_at(6, GRID, DT)
+        src.white_at(7, GRID, DT)
+        assert np.array_equal(src.white_at(6, GRID, DT), first)
+        assert np.array_equal(src.white_at(6, GRID, DT), reference_white(11, 2, 6, GRID, DT))
+
+    def test_two_sources_drawn_alternately(self):
+        grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
+        a = sl.WhiteNoiseSource(seed=4, stream_id=0)
+        b = sl.WhiteNoiseSource(seed=4, stream_id=1)
+        for step in (0, 3, 1, 3):
+            for src, grid in ((a, GRID), (b, grid2), (a, grid2), (b, GRID)):
+                want = reference_white(4, src.stream_id, step, grid, DT)
+                assert np.array_equal(src.white_at(step, grid, DT), want)
+
+    def test_equality_and_repr_ignore_generator(self):
+        src = sl.WhiteNoiseSource(seed=3, stream_id=5)
+        src.white_at(4, GRID, DT)
+        assert src == sl.WhiteNoiseSource(seed=3, stream_id=5)
+        assert src != sl.WhiteNoiseSource(seed=3, stream_id=6)
+        assert repr(src) == "WhiteNoiseSource(seed=3, stream_id=5)"
+
+    def test_pickle_round_trip_after_a_draw(self):
+        src = sl.WhiteNoiseSource(seed=8, stream_id=1)
+        src.white_at(12, GRID, DT)
+        copy = pickle.loads(pickle.dumps(src))
+        assert copy == src
+        assert np.array_equal(copy.white_at(13, GRID, DT), src.white_at(13, GRID, DT))
+        assert np.array_equal(copy.white_at(13, GRID, DT), reference_white(8, 1, 13, GRID, DT))
 
 
 class TestKernelMultiplier:

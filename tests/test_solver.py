@@ -189,6 +189,29 @@ class TestSolveBatch:
         assert np.array_equal(fld.values, batch)
 
 
+class TestThreadedFarm:
+    # replica_map runs fixed 256-replica chunks; with 300 replicas two chunks
+    # run at once on two threads, each solver call drawing from its own sources
+    def assert_thread_invariant(self, fn):
+        one = sl.replica_map(fn, 300, threads=1)
+        two = sl.replica_map(fn, 300, threads=2)
+        assert one.shape == (300,) + GRID.shape
+        assert one.tobytes() == two.tobytes()
+
+    def test_spectral_path(self):
+        cfg = make_cfg(sl.SigmaFunction.constant(eps0=1.0))
+        self.assert_thread_invariant(lambda streams: sl.solve_batch(cfg, 0.25, 17, streams))
+
+    def test_general_path_refined(self):
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
+        self.assert_thread_invariant(lambda streams: sl.solve_batch(cfg, 0.25, 17, streams, refine=2))
+
+    def test_localized(self):
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
+        loc = sl.LocalizationConfig(beta=4.0)
+        self.assert_thread_invariant(lambda streams: sl.localized_solve_batch(cfg, loc, 0.25, 17, streams))
+
+
 class TestPicardAndLocalized:
     def test_picard_converges_to_direct_solution(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
