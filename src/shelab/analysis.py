@@ -1,11 +1,11 @@
 """Monte Carlo estimators, the path-integral moment oracle, and probes.
 
 Estimators follow one pattern: replicas are independent solver runs indexed
-by stream id, farmed out in contiguous chunks (optionally across a thread
-pool), and every reduction happens after sorting by stream id, so results
-do not depend on the thread count.  Each estimator first calls its check_*
-function, which raises every rule of the run before any noise is drawn;
-manifest validation calls the same functions.
+by stream id, farmed out in contiguous chunks (optionally across forked
+worker processes), and every reduction happens after sorting by stream id,
+so results do not depend on the worker count.  Each estimator first calls
+its check_* function, which raises every rule of the run before any noise
+is drawn; manifest validation calls the same functions.
 
 The moment oracle estimates E|u_t(x)|^k for flat initial data without
 touching the lattice solver.  For multiplicative noise the k-th moment has
@@ -36,7 +36,6 @@ the independent populations, and their disagreement flags the estimate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence, Union
 
@@ -68,26 +67,57 @@ def _chunks(n: int) -> list:
     return [range(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
 
+# The chunk function of the replica_map that forked this worker; set only
+# in worker processes, never in the calling one.
+_worker_fn = None
+
+
+def _init_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_chunk(chunk: range) -> np.ndarray:
+    return _worker_fn(list(chunk))
+
+
 def replica_map(fn: Callable, n_replicas: int, threads: int = 1) -> np.ndarray:
     """Run fn(list_of_stream_ids) -> array over replica chunks, ordered merge.
 
     fn must return one row per stream id.  Chunk boundaries are fixed (not a
-    function of the thread count) and per-replica noise depends only on
+    function of the worker count) and per-replica noise depends only on
     (seed, stream id), so the concatenated output is invariant to threads.
+
+    ``threads`` is the number of worker processes.  With ``threads > 1`` and
+    more than one chunk, the chunks run in up to ``threads`` processes forked
+    from the caller, so fn need not be picklable (the fork inherits it), but
+    its side effects on the caller's objects are lost: fn must return
+    everything in its rows.  Only the rows and any exception travel back,
+    pickled.  This needs POSIX ``fork``, and replica_map must be called from
+    one thread, since forking a process that runs other threads is unsafe.
+    With one chunk, or ``threads <= 1``, fn runs in the calling process.  An
+    exception raised by fn surfaces from the first failing chunk in stream
+    order, whatever the worker count.
     """
     if n_replicas < 1:
         raise AnalysisError("need at least one replica")
-    parts = {}
     chunks = _chunks(n_replicas)
-    if threads <= 1:
-        for c in chunks:
-            parts[c.start] = fn(list(c))
+    if threads <= 1 or len(chunks) == 1:
+        parts = [fn(list(c)) for c in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {ex.submit(fn, list(c)): c.start for c in chunks}
-            for fut, start in futs.items():
-                parts[start] = fut.result()
-    return np.concatenate([parts[k] for k in sorted(parts)], axis=0)
+        # imported here so that runs without workers do not load (and hold
+        # the memory of) multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=min(threads, len(chunks)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(fn,),
+        ) as ex:
+            parts = list(ex.map(_run_chunk, chunks))
+    return np.concatenate(parts, axis=0)
 
 
 def jackknife_stat(values: np.ndarray, stat: str = "mean"):

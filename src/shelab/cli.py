@@ -41,7 +41,12 @@ def _add_run_flags(p):
     p.add_argument("--manifest", help="path to a manifest JSON")
     p.add_argument("--seed", type=int, help="override the manifest seed")
     p.add_argument("--replicas", type=int, help="override the manifest replica count")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="run replica chunks in up to N worker processes (default 1)",
+    )
     p.add_argument("--out", help="bundle directory to create (must not exist)")
     p.add_argument(
         "--emit-gnuplot",

@@ -18,8 +18,9 @@ comment line in every CSV, and the report reader refuses bundles whose
 manifest no longer matches the recorded hash.
 
 Determinism contract: identical manifests produce bit-identical CSVs,
-regardless of thread count, because every replica's noise is a pure
-function of (seed, stream id) and reductions happen in stream order.
+whatever the number of worker processes (``threads``), because every
+replica's noise is a pure function of (seed, stream id) and reductions
+happen in stream order.
 Wallclock metadata lives only in summary.json.
 """
 

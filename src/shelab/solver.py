@@ -59,6 +59,11 @@ class SolverBlowup(RuntimeError):
             msg += f", streams {list(streams)}"
         super().__init__(msg)
 
+    def __reduce__(self):
+        # args holds only the message; rebuild from the fields instead, so a
+        # blowup raised in a replica_map worker process unpickles in the caller
+        return type(self), (self.t, self.max_abs, self.streams)
+
 
 SIGMA_KINDS = ("constant", "bounded_both", "bounded_below", "linear", "lipschitz_zero")
 

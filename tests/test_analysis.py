@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +46,58 @@ class TestReplicaMap:
         a = an.replica_map(fn, 520, threads=1)
         b = an.replica_map(fn, 520, threads=8)
         assert np.array_equal(a, b)
+
+    def test_unpicklable_closure_runs_in_workers(self):
+        # chunks reach forked workers by inheritance, never by pickling
+        lock = threading.Lock()
+
+        def fn(streams):
+            with lock:
+                return sl.solve_batch(small_cfg(), 0.25, 6, streams)[:, :3]
+
+        one = an.replica_map(fn, 300, threads=1)
+        two = an.replica_map(fn, 300, threads=2)
+        assert one.tobytes() == two.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_single_chunk_runs_in_caller(self):
+        pids = []
+
+        def fn(streams):
+            pids.append(os.getpid())
+            return np.zeros((len(streams), 1))
+
+        an.replica_map(fn, 256, threads=4)
+        assert pids == [os.getpid()]
+
+    def test_blowup_crosses_the_process_boundary(self):
+        cfg = small_cfg(level=1e308)
+
+        def fn(streams):
+            return sl.solve_batch(cfg, 0.25, 2, streams)
+
+        raised = []
+        for threads in (1, 2):
+            with pytest.raises(sl.SolverBlowup) as exc:
+                an.replica_map(fn, 300, threads=threads)
+            raised.append(exc.value)
+        assert raised[0].t == raised[1].t
+        assert raised[0].streams == raised[1].streams
+        assert str(raised[0]) == str(raised[1])
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_chunk_in_stream_order_surfaces(self):
+        # the chunk at 256 fails last in time but first in stream order
+        def fn(streams):
+            if streams[0] == 256:
+                time.sleep(0.5)
+            if streams[0] >= 256:
+                raise an.AnalysisError(f"chunk at stream {streams[0]} failed")
+            return np.zeros((len(streams), 1))
+
+        with pytest.raises(an.AnalysisError, match="chunk at stream 256 failed"):
+            an.replica_map(fn, 600, threads=3)
+        assert multiprocessing.active_children() == []
 
 
 class TestJackknife:

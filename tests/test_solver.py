@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -172,6 +173,13 @@ class TestSolveBatch:
             sl.solve_batch(cfg, 0.5, seed=2, streams=[0, 1])
         assert exc.value.t <= 0.5
 
+    def test_blowup_pickles(self):
+        err = sl.SolverBlowup(0.125, 3.5e307, [4, 7])
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is sl.SolverBlowup
+        assert (back.t, back.max_abs, back.streams) == (0.125, 3.5e307, [4, 7])
+        assert str(back) == str(err)
+
     def test_clamp_statistics_collected(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=6.0))
         stats = {}
@@ -191,7 +199,8 @@ class TestSolveBatch:
 
 class TestThreadedFarm:
     # replica_map runs fixed 256-replica chunks; with 300 replicas two chunks
-    # run at once on two threads, each solver call drawing from its own sources
+    # run at once in two worker processes, each solver call drawing from its
+    # own sources
     def assert_thread_invariant(self, fn):
         one = sl.replica_map(fn, 300, threads=1)
         two = sl.replica_map(fn, 300, threads=2)
