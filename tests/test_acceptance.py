@@ -314,3 +314,37 @@ def test_bundle_determinism(accept, tmp_path):
             blobs.append(fh.read())
     ok = blobs[0] == blobs[1] == blobs[2]
     accept(ok, "moments.csv byte-identical across rerun and threads 1 vs 8")
+
+
+def test_bundle_determinism_across_workers(accept, tmp_path):
+    # 600 replicas make three 256-replica chunks, so at threads=2 the chunks
+    # run in forked workers while threads=1 runs them in this process
+    manifest = {
+        "version": 1,
+        "seed": 23,
+        "replicas": 600,
+        "model": {"kind": "gaussian_h", "d": 1, "width": 1.0, "amplitude": 1.0},
+        "grid": {"d": 1, "m": 64, "dx": 0.25},
+        "solver": {
+            "kappa": 1.0,
+            "dt": 0.015625,
+            "t_final": 0.25,
+            "sigma": {"kind": "linear", "c": 1.0},
+            "u0": {"kind": "constant", "level": 1.0},
+        },
+        "analysis": {
+            "moments": {"ks": [2, 3]},
+            "extremes": {"radii": [2.0, 4.0], "tail_lambdas": [3.0, 4.0]},
+            "localize": {"betas": [2, 4], "k": 2},
+            "independence": {"beta": 2, "points": [[0.0], [6.0]]},
+            "boundedness": {"radii": [1.0, 2.0, 4.0]},
+        },
+    }
+    csvs = []
+    for threads in (1, 2):
+        out = tmp_path / f"w{threads}"
+        assert exp.run(manifest, out, threads=threads).complete
+        csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    names = sorted(csvs[0])
+    ok = len(names) == 6 and csvs[0] == csvs[1]
+    accept(ok, f"{len(names)} CSVs byte-identical at threads 1 vs 2 over 3 chunks: {', '.join(names)}")
