@@ -12,30 +12,20 @@ manifest-driven CLI with deterministic, bit-reproducible outputs.
 from .correlation import (
     CorrelationError,
     CorrelationModel,
-    CutoffConfig,
     DalangResult,
-    compute_a_t,
-    cutoff_kernel_hn,
     dalang_condition,
     evaluate_f,
-    heat_smoothed_f_at_zero,
-    kernel_h,
     kernel_h_hat_radial,
-    regularize_f_at_zero,
-    resolvent_at_zero,
     riesz_spectral_constant,
     sphere_surface,
     spectral_density,
     spectral_density_radial,
-    triangular_taper,
 )
 from .lattice import (
     LatticeError,
     LatticeGrid,
     d_separation,
-    heat_kernel,
     propagator_multiplier,
-    sampled_heat_kernel,
 )
 from .noise import (
     NoiseError,
@@ -43,7 +33,6 @@ from .noise import (
     correlate_array,
     covariance_selftest,
     effective_covariance,
-    gridded_kernel_h,
     kernel_multiplier,
 )
 from .solver import (
@@ -55,7 +44,6 @@ from .solver import (
     SolverError,
     U0Spec,
     localized_solve_batch,
-    picard_solve,
     solve,
     solve_batch,
 )
@@ -79,7 +67,6 @@ from .analysis import (
     localization_error_curve,
     moment_growth_exponent,
     replica_map,
-    spatial_sup,
     tail_estimate,
     tail_probability,
     wilson_interval,

@@ -37,17 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
 from .correlation import RIESZ, CorrelationModel, evaluate_f_radial
-from .lattice import LatticeGrid, d_separation
+from .lattice import d_separation
 from .solver import (
     LocalizationConfig,
-    SolutionField,
     SolverConfig,
     check_localization,
     check_solve,
@@ -156,12 +155,19 @@ def _point_array(points, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A solver setup plus the observation geometry for estimators."""
+    """A solver setup plus the observation geometry for estimators.
+
+    probes defaults to the origin of the grid.
+    """
 
     cfg: SolverConfig
     t_final: float
-    probes: tuple = ((0.0,),)
+    probes: Optional[tuple] = None
     radius: Optional[float] = None
+
+    def __post_init__(self):
+        if self.probes is None:
+            object.__setattr__(self, "probes", ((0.0,) * self.cfg.grid.d,))
 
     def probe_indices(self) -> tuple:
         grid = self.cfg.grid
@@ -177,7 +183,6 @@ class MomentReport:
     n_replicas: int
     t: float
     probes: tuple
-    samples_logmean: Optional[list] = None
 
 
 def _heavy_tail_flag(samples: np.ndarray) -> bool:
@@ -466,19 +471,6 @@ def tail_probability(
     mask = scenario.cfg.grid.ball_mask(scenario.radius)
     sups = _sup_samples(scenario, [mask], n_replicas, seed, threads)
     return tail_estimate(sups[:, 0], lam)
-
-
-def spatial_sup(fld: Union[SolutionField, np.ndarray], R: float, grid: Optional[LatticeGrid] = None) -> float:
-    """sup of |u| over the centered Euclidean ball of radius R (R <= L/2)."""
-    if isinstance(fld, SolutionField):
-        grid = fld.grid
-        values = fld.values
-    else:
-        if grid is None:
-            raise AnalysisError("grid required when passing a bare array")
-        values = fld
-    mask = grid.ball_mask(R)
-    return float(np.max(np.abs(values[..., mask])))
 
 
 @dataclass

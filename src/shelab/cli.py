@@ -15,6 +15,7 @@ import sys
 from . import analysis as an
 from .correlation import CorrelationError, CorrelationModel, dalang_condition
 from .experiments import (
+    _ANALYSES,
     BundleError,
     ManifestError,
     load_manifest,
@@ -24,17 +25,7 @@ from .experiments import (
     run,
 )
 
-VERBS = [
-    "dalang",
-    "noise-selftest",
-    "simulate",
-    "moments",
-    "oracle",
-    "extremes",
-    "localize",
-    "independence",
-    "boundedness",
-]
+VERBS = [verb.replace("_", "-") for verb in _ANALYSES]
 
 
 def _add_run_flags(p):

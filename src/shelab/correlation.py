@@ -34,11 +34,11 @@ Three kinds are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 RIESZ = "riesz"
 GAUSSIAN_H = "gaussian_h"
@@ -99,10 +99,6 @@ class CorrelationModel:
         return cls(kind=CONSTANT, d=d, c=c)
 
     @property
-    def is_bounded(self) -> bool:
-        return self.kind != RIESZ
-
-    @property
     def has_kernel(self) -> bool:
         """Whether the model exposes a convolution kernel h for noise synthesis."""
         if self.kind == CONSTANT:
@@ -142,21 +138,6 @@ class CorrelationModel:
         return cls(**spec)
 
 
-@dataclass(frozen=True)
-class CutoffConfig:
-    """Compact-support taper level for the convolution kernel.
-
-    The tapered kernel is h_n(x) = h(x) * prod_j max(0, 1 - |x_j|/n); its
-    support is the box |x_j| <= n.
-    """
-
-    n: float
-
-    def __post_init__(self):
-        if not (self.n >= 1.0):
-            raise CorrelationError(f"cutoff level must be >= 1, got {self.n}")
-
-
 def sphere_surface(d: int) -> float:
     """Surface measure of the unit sphere in R^d (2 for d=1)."""
     return 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
@@ -192,8 +173,7 @@ def evaluate_f(model: CorrelationModel, x) -> np.ndarray:
 
     Accepts a scalar (d=1), a single point of length d, or an array of
     points with trailing axis d.  For the riesz kind the origin returns
-    inf, the flagged singular value; grid-level work wants
-    regularize_f_at_zero instead.
+    inf, the flagged singular value.
     """
     pts = _as_points(x, model.d)
     vals = evaluate_f_radial(model, np.sqrt(np.sum(pts * pts, axis=-1)))
@@ -252,16 +232,6 @@ def kernel_h_hat_radial(model: CorrelationModel, r) -> np.ndarray:
     return np.sqrt(spectral_density_radial(model, r))
 
 
-def kernel_h(model: CorrelationModel, x) -> np.ndarray:
-    """Real-space kernel h(x), available in closed form for gaussian_h only."""
-    if model.kind != GAUSSIAN_H:
-        raise CorrelationError("closed-form h is only available for gaussian_h")
-    pts = _as_points(x, model.d)
-    r2 = np.sum(pts * pts, axis=-1)
-    vals = model.amplitude * np.exp(-r2 / (2.0 * model.width**2))
-    return vals[0] if vals.shape == (1,) else vals
-
-
 def _radial_spectral_integral(model: CorrelationModel, weight) -> float:
     """(2 pi)^{-d} * integral f_hat(|xi|) weight(|xi|) dxi by radial quadrature.
 
@@ -304,140 +274,3 @@ def dalang_condition(model: CorrelationModel) -> DalangResult:
     val *= (2.0 * math.pi) ** model.d
     reason = "bounded correlation" if model.kind == GAUSSIAN_H else "riesz alpha below min(d,2)"
     return DalangResult(True, val, reason)
-
-
-def resolvent_at_zero(model: CorrelationModel, beta: float, kappa: float) -> float:
-    """Value at the origin of the beta-potential of f for the kappa/2 Laplacian.
-
-    R_beta f (0) = integral_0^inf exp(-beta t) (p_t * f)(0) dt
-                 = (2 pi)^{-d} integral f_hat(xi) / (beta + kappa |xi|^2 / 2) dxi.
-
-    Requires beta > 0, kappa > 0 and a finite Dalang integral; equals
-    c / beta for the constant kind.
-    """
-    if beta <= 0 or kappa <= 0:
-        raise CorrelationError("resolvent needs beta > 0 and kappa > 0")
-    if model.kind == CONSTANT:
-        return model.c / beta
-    verdict = dalang_condition(model)
-    if not verdict.finite:
-        raise CorrelationError(f"beta-potential diverges: {verdict.reason}")
-    return _radial_spectral_integral(model, lambda r: 1.0 / (beta + 0.5 * kappa * r * r))
-
-
-def heat_smoothed_f_at_zero(model: CorrelationModel, s: float, kappa: float) -> float:
-    """(p_s * f)(0) = (2 pi)^{-d} integral f_hat(xi) exp(-kappa s |xi|^2 / 2) dxi."""
-    if s <= 0 or kappa <= 0:
-        raise CorrelationError("heat smoothing needs s > 0 and kappa > 0")
-    if model.kind == CONSTANT:
-        return model.c
-    if model.kind == RIESZ and model.alpha >= model.d:
-        raise CorrelationError("heat-smoothed value unavailable at alpha == d")
-    return _radial_spectral_integral(model, lambda r: np.exp(-0.5 * kappa * s * r * r))
-
-
-def triangular_taper(x: np.ndarray, n: float) -> np.ndarray:
-    """prod_j max(0, 1 - |x_j|/n) over the trailing axis of points x."""
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1)
-    per_axis = np.clip(1.0 - np.abs(pts) / n, 0.0, None)
-    if per_axis.ndim == 1:
-        return per_axis
-    return np.prod(per_axis, axis=-1)
-
-
-def cutoff_kernel_hn(model: CorrelationModel, cfg: CutoffConfig, x, grid=None) -> np.ndarray:
-    """Tapered kernel h_n(x) = h(x) * triangular_taper(x, n).
-
-    gaussian_h evaluates anywhere.  A riesz kernel only exists as a gridded
-    inverse transform of h_hat, so a grid is required and points snap to the
-    nearest lattice site.
-    """
-    if not model.has_kernel:
-        raise CorrelationError(f"model kind {model.kind!r} has no convolution kernel h")
-    pts = _as_points(x, model.d)
-    taper = triangular_taper(pts, cfg.n)
-    if model.kind == GAUSSIAN_H:
-        base = kernel_h(model, pts)
-        base = np.asarray(base).reshape(taper.shape)
-    else:
-        if grid is None:
-            raise CorrelationError("riesz kernel is grid-defined; pass a LatticeGrid")
-        from .noise import gridded_kernel_h
-
-        h_grid = gridded_kernel_h(model, grid)
-        idx = grid.nearest_index(pts)
-        base = h_grid[idx]
-    vals = base * taper
-    return vals[0] if vals.shape == (1,) else vals
-
-
-def compute_a_t(model: CorrelationModel, t: float, kappa: float) -> float:
-    """Lower-bound growth functional
-
-        a_t = sup_{delta > 0} (delta^2 / (4 kappa)) * min(1, 4 kappa t / delta^2)
-                               * inf_{|x| <= delta} f(x).
-
-    The ball infimum is analytic (all models are radial nonincreasing); the
-    sup over delta is a one-dimensional maximization on a log grid refined
-    by bounded scalar minimization.  Equals t*c for the constant kind and
-    c0 * t * (4 kappa t)^{-alpha/2} for riesz.
-    """
-    if t <= 0 or kappa <= 0:
-        raise CorrelationError("compute_a_t needs t > 0 and kappa > 0")
-
-    # All supported correlations are radial and nonincreasing, so the infimum
-    # over a centered ball of radius delta is the value on its boundary.
-    def objective(delta):
-        inf_ball = float(evaluate_f_radial(model, delta))
-        return (delta * delta / (4.0 * kappa)) * min(1.0, 4.0 * kappa * t / (delta * delta)) * inf_ball
-
-    grid = np.logspace(-3, 3, 601)
-    vals = np.array([objective(g) for g in grid])
-    j = int(np.argmax(vals))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    res = optimize.minimize_scalar(
-        lambda s: -objective(math.exp(s)),
-        bounds=(math.log(lo), math.log(hi)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return max(-res.fun, float(vals[j]))
-
-
-def regularize_f_at_zero(model: CorrelationModel, dx: float) -> float:
-    """Average of f over the axis-aligned cube of side dx centered at 0.
-
-    This replaces the singular riesz diagonal on a lattice of spacing dx.
-    Analytic in d=1; a polar reduction handles d=2 and an adaptive nested
-    quadrature d=3.  Bounded kinds return f(0) (the cube average differs by
-    O(dx^2), irrelevant at the tolerances used for the singular diagonal).
-    """
-    if dx <= 0:
-        raise CorrelationError("regularize_f_at_zero needs dx > 0")
-    if model.kind != RIESZ:
-        return model.f_at_zero()
-    a, d = model.alpha, model.d
-    if a >= d:
-        # alpha == d fails Dalang's condition; there is no lattice path there.
-        raise CorrelationError("cube average of |x|^{-alpha} diverges for alpha >= d")
-    half = dx / 2.0
-    if d == 1:
-        return model.c0 * half ** (-a) / (1.0 - a)
-    if d == 2:
-        # integral over [-1,1]^2 of |y|^{-a} = 8/(2-a) * int_0^{pi/4} cos(th)^{a-2} dth
-        ang, _ = integrate.quad(lambda th: math.cos(th) ** (a - 2.0), 0.0, math.pi / 4.0, epsabs=1e-12, epsrel=1e-10)
-        cube = 8.0 / (2.0 - a) * ang
-        return model.c0 * half ** (-a) * cube / 4.0
-    # d == 3: integrate |y|^{-a} over [0,1]^3 (one octant), radial inner integral exact.
-    def inner(y, z):
-        rho2 = y * y + z * z
-        # int_0^1 (x^2 + rho2)^{-a/2} dx via Gauss on a stretched variable
-        nodes, weights = np.polynomial.legendre.leggauss(48)
-        xs = 0.5 * (nodes + 1.0)
-        return 0.5 * np.sum(weights * (xs * xs + rho2) ** (-a / 2.0))
-
-    val, _ = integrate.dblquad(inner, 0.0, 1.0, 0.0, 1.0, epsabs=1e-9, epsrel=1e-7)
-    return model.c0 * half ** (-a) * val

@@ -4,11 +4,13 @@ A manifest is a JSON document naming one model, optionally a grid and
 solver setup, a seed, a replica count, and a set of analyses.  Validation
 is all-at-once: structural errors (JSON schema) and semantic errors are
 collected into a single report.  The semantic rules are the library's own:
-each analysis has one _prepare function that turns its block into library
-arguments and runs the library's checks on them, which raise with the
-violated inequality in the message.  Validation collects what they raise,
-and each runner calls the same function before it computes anything, so a
-manifest that validates does not fail a rule halfway through a run.
+each analysis has one row in the _ANALYSES table, whose _prepare function
+turns its block into library arguments and runs the library's checks on
+them, which raise with the violated inequality in the message.  Validation
+collects what they raise, and _run_one calls the same function before it
+computes anything, so a manifest that validates does not fail a rule
+halfway through a run.  The row also names the CSV the analysis writes and
+how its result becomes CSV rows and a summary entry.
 
 Running a manifest produces a bundle directory written atomically (build
 in a temporary sibling, then rename): a canonical copy of the manifest,
@@ -36,7 +38,7 @@ from dataclasses import astuple, dataclass, field as dc_field
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import jsonschema
@@ -85,16 +87,6 @@ def load_manifest(path) -> dict:
         return json.load(fh)
 
 
-_SOLVER_ANALYSES = {
-    "noise_selftest",
-    "simulate",
-    "moments",
-    "extremes",
-    "localize",
-    "independence",
-    "boundedness",
-}
-
 # What the library raises when a rule of a run is violated.
 _RULE_ERRORS = (CorrelationError, LatticeError, NoiseError, SolverError, an.AnalysisError)
 _FLAT_U0 = {"kind": "constant", "level": 1.0}
@@ -127,10 +119,10 @@ def validate_manifest(manifest: dict) -> list:
             cfg = collect("solver", SolverConfig, grid, model, sigma, sb["kappa"], sb["dt"], u0)
 
     analyses = manifest.get("analysis", {})
-    needs_solver = _SOLVER_ANALYSES & set(analyses)
+    needs_solver = sorted(verb for verb in analyses if _ANALYSES[verb].needs_solver)
     if needs_solver and (grid is None or sb is None):
         errors.append(
-            f"analyses {sorted(needs_solver)} need both a grid and a solver block"
+            f"analyses {needs_solver} need both a grid and a solver block"
         )
     if "oracle" in analyses and sb is None:
         errors.append("oracle: needs a solver block for kappa and t_final")
@@ -138,11 +130,11 @@ def validate_manifest(manifest: dict) -> list:
         for t_rec in analyses["simulate"]["record_times"]:
             if t_rec > sb["t_final"] + 1e-12:
                 errors.append(f"simulate: record time {t_rec} exceeds t_final {sb['t_final']}")
-    for verb in sorted(set(analyses) & set(_PREPARE)):
+    for verb in sorted(analyses):
         # a block is checked once everything it builds on was built
-        built = cfg is not None if verb in _SOLVER_ANALYSES else model is not None and sb is not None
+        built = cfg is not None if _ANALYSES[verb].needs_solver else model is not None and sb is not None
         if built:
-            collect(verb, _PREPARE[verb], manifest, cfg)
+            collect(verb, _ANALYSES[verb].prepare, manifest, cfg)
     return errors
 
 
@@ -165,46 +157,62 @@ def _replicas(manifest: dict) -> int:
 
 
 # One _prepare function per analysis: it turns the block into the arguments
-# of the library call, runs the library's checks on them, returns the call.
+# of the library call, runs the library's checks on them, and returns the
+# call, ready to run its replica chunks in up to `threads` worker processes.
 
 
-def _prepare_noise_selftest(manifest: dict, cfg: SolverConfig):
+def _prepare_dalang(manifest: dict, cfg, threads: int = 1):
+    return partial(dalang_condition, CorrelationModel.from_dict(manifest["model"]))
+
+
+def _prepare_noise_selftest(manifest: dict, cfg: SolverConfig, threads: int = 1):
     blk = manifest["analysis"]["noise_selftest"]
     args = (cfg.model, cfg.grid, cfg.dt, blk["lags"], blk["slices"])
     check_covariance_selftest(cfg.model, cfg.grid, blk["lags"], blk["slices"], blk.get("level"))
     return partial(covariance_selftest, *args, seed=manifest["seed"], level=blk.get("level"))
 
 
-def _prepare_simulate(manifest: dict, cfg: SolverConfig) -> list:
-    calls = []
-    for t_rec in manifest["analysis"]["simulate"]["record_times"]:
+def _prepare_simulate(manifest: dict, cfg: SolverConfig, threads: int = 1):
+    record_times = manifest["analysis"]["simulate"]["record_times"]
+    for t_rec in record_times:
         check_solve(cfg, t_rec)
-        calls.append(partial(solve_batch, cfg, t_rec, manifest["seed"], [0]))
-    return calls
+    return partial(_simulate, cfg, record_times, manifest["seed"])
 
 
-def _prepare_moments(manifest: dict, cfg: SolverConfig):
+def _simulate(cfg: SolverConfig, record_times: list, seed: int) -> list:
+    """The field of stream 0 at each record time."""
+    return [SolutionField(cfg.grid, t_rec, solve_batch(cfg, t_rec, seed, [0])[0]) for t_rec in record_times]
+
+
+def _prepare_moments(manifest: dict, cfg: SolverConfig, threads: int = 1):
     blk = manifest["analysis"]["moments"]
-    probes = tuple(tuple(p) for p in blk.get("probes", [[0.0] * cfg.grid.d]))
+    probes = blk.get("probes")
+    if probes is not None:
+        probes = tuple(tuple(p) for p in probes)
     scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"], probes=probes)
     args = (scen, blk["ks"], _replicas(manifest))
     an.check_moments(*args)
-    return partial(an.estimate_moments, *args, seed=manifest["seed"])
+    return partial(an.estimate_moments, *args, seed=manifest["seed"], threads=threads)
 
 
-def _prepare_oracle(manifest: dict, cfg) -> list:
+def _prepare_oracle(manifest: dict, cfg, threads: int = 1):
     blk = manifest["analysis"]["oracle"]
     model = CorrelationModel.from_dict(manifest["model"])
     an.check_oracle_model(model)
     ocfg = an.FkOracleConfig(blk["walkers"], blk["inner_steps"], blk.get("reg_scale"), manifest["seed"])
     sb = manifest["solver"]
-    return [
+    calls = [
         partial(an.fk_moment_oracle, model, sb["kappa"], sb["t_final"], k, ocfg, u0_level=blk.get("u0_level", 1.0))
         for k in blk.get("ks", [blk["k"]])
     ]
+    return partial(_each, calls)
 
 
-def _prepare_probe(manifest: dict, cfg: SolverConfig, verb: str):
+def _each(calls: list) -> list:
+    return [call() for call in calls]
+
+
+def _prepare_probe(manifest: dict, cfg: SolverConfig, threads: int = 1, *, verb: str):
     """The sup probe that both extremes and boundedness run."""
     blk = manifest["analysis"][verb]
     scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"])
@@ -212,33 +220,174 @@ def _prepare_probe(manifest: dict, cfg: SolverConfig, verb: str):
     an.check_boundedness(*args)
     for lam in blk.get("tail_lambdas", []):
         an.check_tail_threshold(lam)
-    return partial(an.boundedness_probe, *args, seed=manifest["seed"])
+    return partial(an.boundedness_probe, *args, seed=manifest["seed"], threads=threads)
 
 
-def _prepare_localize(manifest: dict, cfg: SolverConfig):
+def _prepare_localize(manifest: dict, cfg: SolverConfig, threads: int = 1):
     blk = manifest["analysis"]["localize"]
     args = (cfg, manifest["solver"]["t_final"], blk["betas"], blk["k"], _replicas(manifest))
     an.check_localization_curve(*args, n_picard=blk.get("n_picard"))
-    return partial(an.localization_error_curve, *args, seed=manifest["seed"], n_picard=blk.get("n_picard"))
+    return partial(
+        an.localization_error_curve, *args, seed=manifest["seed"], threads=threads, n_picard=blk.get("n_picard")
+    )
 
 
-def _prepare_independence(manifest: dict, cfg: SolverConfig):
+def _prepare_independence(manifest: dict, cfg: SolverConfig, threads: int = 1):
     blk = manifest["analysis"]["independence"]
     loc = LocalizationConfig(beta=blk["beta"], n_picard=blk.get("n_picard"))
     args = (cfg, loc, manifest["solver"]["t_final"], blk["points"], _replicas(manifest))
     an.check_independence(*args)
-    return partial(an.independence_test, *args, seed=manifest["seed"])
+    return partial(an.independence_test, *args, seed=manifest["seed"], threads=threads)
 
 
-_PREPARE = {
-    "noise_selftest": _prepare_noise_selftest,
-    "simulate": _prepare_simulate,
-    "moments": _prepare_moments,
-    "oracle": _prepare_oracle,
-    "extremes": partial(_prepare_probe, verb="extremes"),
-    "localize": _prepare_localize,
-    "independence": _prepare_independence,
-    "boundedness": partial(_prepare_probe, verb="boundedness"),
+# The row builders, rows(manifest, result), and summary builders,
+# summary(result), that the table below does not spell out in place.
+
+
+def _attrs(*names):
+    """A summary builder that copies these attributes of the result."""
+    return lambda result: {name: getattr(result, name) for name in names}
+
+
+def _selftest_summary(result) -> dict:
+    rows, cross = result
+    return {
+        "cross_time": cross,
+        "within_3_stderr": all(abs(r["empirical"] - r["target"]) <= 3.0 * r["stderr"] for r in rows),
+        "cross_time_in_band": abs(cross["mean"]) <= 4.0 * cross["stderr"],
+    }
+
+
+def _field_stats_rows(manifest: dict, fields: list) -> list:
+    stats = (np.mean, np.var, np.min, np.max, lambda v: np.max(np.abs(v)))
+    return [[fld.t] + [float(stat(fld.values)) for stat in stats] for fld in fields]
+
+
+def _moments_rows(manifest: dict, rep) -> list:
+    per_k = zip(rep.ks, rep.estimates, rep.stderrs, rep.flags)
+    return [[k, rep.t, est, se, flagged, rep.n_replicas] for k, est, se, flagged in per_k]
+
+
+def _oracle_summary(out: list) -> dict:
+    return {
+        "ks": [r.k for r in out],
+        "log_means": [r.log_mean for r in out],
+        "log_stderrs": [r.log_stderr for r in out],
+        "heavy_tail": [r.heavy_tail for r in out],
+        "resamplings": [r.resamplings for r in out],
+    }
+
+
+def _extremes_summary(probe) -> dict:
+    fit = an.fluctuation_exponent(probe.radii, probe.mean_log_sup)
+    return {"psi_hat": fit.exponent, "psi_stderr": fit.stderr, "r2": fit.r2, "verdict": probe.verdict}
+
+
+def _localize_summary(curve) -> dict:
+    return {
+        "betas": curve.betas,
+        "errors": curve.errors,
+        "monotone_decreasing": all(a > b for a, b in zip(curve.errors, curve.errors[1:])),
+        "decay_rate": None if curve.fit is None else curve.fit.extras["decay_rate"],
+    }
+
+
+def _independence_rows(manifest: dict, res) -> list:
+    n = len(res.points)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return [[a, b, float(res.correlations[a, b]), float(res.separations[a, b])] for a, b in pairs]
+
+
+def _boundedness_rows(manifest: dict, probe) -> list:
+    # the first rung has no increment
+    sups = (probe.radii, probe.mean_sup, probe.stderr_sup, probe.mean_log_sup)
+    return list(zip(*sups, [None] + probe.increments, [None] + probe.increment_stderrs))
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """How one analysis block runs and what it writes into a bundle.
+
+    prepare(manifest, cfg, threads=1) checks the block's rules and returns
+    the library call; cfg is the solver config when needs_solver is set.
+    The call's result becomes rows(manifest, result) of the CSV csv under
+    columns and the summary.json entry summary(result).  plot is the x-axis
+    label and the columns that plots.gp draws against the CSV's first column.
+    """
+
+    prepare: Callable
+    needs_solver: bool
+    csv: str
+    columns: tuple
+    rows: Callable
+    summary: Callable
+    plot: Optional[tuple] = None
+
+
+_SELFTEST_COLUMNS = ("lag_cells", "lag_distance", "target", "empirical", "stderr")
+_ORACLE_COLUMNS = ("k", "t", "estimate", "stderr", "log_mean", "log_stderr", "heavy_tail", "walkers", "reg_scale")
+
+# One row per analysis, in the order of the CLI verbs.
+_ANALYSES = {
+    "dalang": _Analysis(
+        _prepare_dalang, needs_solver=False,
+        csv="dalang.csv", columns=("kind", "finite", "integral", "reason"),
+        rows=lambda manifest, v: [[manifest["model"]["kind"], v.finite, v.integral, v.reason]],
+        summary=_attrs("finite", "integral", "reason"),
+    ),
+    "noise_selftest": _Analysis(
+        _prepare_noise_selftest, needs_solver=True,
+        csv="noise_selftest.csv", columns=_SELFTEST_COLUMNS,
+        rows=lambda manifest, result: [[r[c] for c in _SELFTEST_COLUMNS] for r in result[0]],
+        summary=_selftest_summary,
+        plot=("lag_distance", ("target", "empirical")),
+    ),
+    "simulate": _Analysis(
+        _prepare_simulate, needs_solver=True,
+        csv="field_stats.csv", columns=("t", "mean", "var", "min", "max", "sup"),
+        rows=_field_stats_rows, summary=lambda fields: {"record_times": [fld.t for fld in fields]},
+        plot=("t", ("var",)),
+    ),
+    "moments": _Analysis(
+        _prepare_moments, needs_solver=True,
+        csv="moments.csv", columns=("k", "t", "estimate", "stderr", "flagged", "replicas"),
+        rows=_moments_rows,
+        summary=_attrs("ks", "estimates", "stderrs", "flags"),
+        plot=("k", ("estimate",)),
+    ),
+    "oracle": _Analysis(
+        _prepare_oracle, needs_solver=False,
+        csv="oracle.csv", columns=_ORACLE_COLUMNS,
+        rows=lambda manifest, out: [[getattr(r, c) for c in _ORACLE_COLUMNS] for r in out],
+        summary=_oracle_summary,
+    ),
+    "extremes": _Analysis(
+        partial(_prepare_probe, verb="extremes"), needs_solver=True,
+        csv="sup_stats.csv", columns=("radius", "mean_sup", "stderr", "mean_log_sup"),
+        rows=lambda manifest, p: list(zip(p.radii, p.mean_sup, p.stderr_sup, p.mean_log_sup)),
+        summary=_extremes_summary,
+        plot=("radius", ("mean_sup",)),
+    ),
+    "localize": _Analysis(
+        _prepare_localize, needs_solver=True,
+        csv="localize.csv", columns=("beta", "k", "error", "stderr"),
+        rows=lambda manifest, c: [[b, c.k, e, s] for b, e, s in zip(c.betas, c.errors, c.stderrs)],
+        summary=_localize_summary,
+        plot=("beta", ("error",)),
+    ),
+    "independence": _Analysis(
+        _prepare_independence, needs_solver=True,
+        csv="independence.csv", columns=("i", "j", "corr", "separation"),
+        rows=_independence_rows,
+        summary=_attrs("max_abs_offdiag", "null_band", "required_separation", "passed"),
+    ),
+    "boundedness": _Analysis(
+        partial(_prepare_probe, verb="boundedness"), needs_solver=True,
+        csv="boundedness.csv",
+        columns=("radius", "mean_sup", "stderr", "mean_log_sup", "increment", "increment_stderr"),
+        rows=_boundedness_rows, summary=_attrs("verdict"),
+        plot=("radius", ("mean_sup",)),
+    ),
 }
 
 
@@ -297,196 +446,28 @@ class ResultBundle:
         return bool(self.summary.get("complete"))
 
 
-def _run_dalang(manifest, cfg, mhash, outdir, summary, results, threads):
-    model = CorrelationModel.from_dict(manifest["model"])
-    verdict = dalang_condition(model)
-    results["dalang"] = verdict
-    _write_csv(
-        outdir / "dalang.csv",
-        mhash,
-        ["kind", "finite", "integral", "reason"],
-        [[model.kind, verdict.finite, verdict.integral, verdict.reason]],
-    )
-    summary["dalang"] = {
-        "finite": verdict.finite,
-        "integral": verdict.integral,
-        "reason": verdict.reason,
-        "files": ["dalang.csv"],
-    }
+_TAIL_COLUMNS = ("lambda", "p_hat", "lo", "hi", "exceedances", "n")
 
 
-def _run_noise_selftest(manifest, cfg, mhash, outdir, summary, results, threads):
-    rows, cross = _prepare_noise_selftest(manifest, cfg)()
-    results["noise_selftest"] = (rows, cross)
-    _write_csv(
-        outdir / "noise_selftest.csv",
-        mhash,
-        ["lag_cells", "lag_distance", "target", "empirical", "stderr"],
-        [[r["lag_cells"], r["lag_distance"], r["target"], r["empirical"], r["stderr"]] for r in rows],
-    )
-    in_band = all(abs(r["empirical"] - r["target"]) <= 3.0 * r["stderr"] for r in rows)
-    summary["noise_selftest"] = {
-        "cross_time": cross,
-        "within_3_stderr": in_band,
-        "cross_time_in_band": abs(cross["mean"]) <= 4.0 * cross["stderr"],
-        "files": ["noise_selftest.csv"],
-    }
-
-
-def _run_simulate(manifest, cfg, mhash, outdir, summary, results, threads):
-    blk = manifest["analysis"]["simulate"]
-    seed = manifest["seed"]
-    rows = []
-    files = ["field_stats.csv"]
-    for t_rec, solve in zip(blk["record_times"], _prepare_simulate(manifest, cfg)):
-        vals = solve()[0]
-        rows.append(
-            [
-                t_rec,
-                float(np.mean(vals)),
-                float(np.var(vals)),
-                float(np.min(vals)),
-                float(np.max(vals)),
-                float(np.max(np.abs(vals))),
-            ]
-        )
-        if blk.get("snapshot"):
-            fld = SolutionField(grid=cfg.grid, t=t_rec, values=vals)
-            name = f"snapshot_t{_fmt(float(t_rec))}.field"
-            save_snapshot(outdir / name, fld, cfg.kappa, cfg.sigma.kind, seed)
+def _run_one(verb: str, manifest: dict, cfg, mhash: str, outdir: Path, threads: int) -> tuple:
+    """Run one analysis and write its files; returns (result, summary entry)."""
+    spec = _ANALYSES[verb]
+    blk = manifest["analysis"][verb]
+    result = spec.prepare(manifest, cfg, threads)()
+    summary = spec.summary(result)
+    _write_csv(outdir / spec.csv, mhash, spec.columns, spec.rows(manifest, result))
+    files = [spec.csv]
+    if verb == "simulate" and blk.get("snapshot"):
+        for fld in result:
+            name = f"snapshot_t{_fmt(float(fld.t))}.field"
+            save_snapshot(outdir / name, fld, cfg.kappa, cfg.sigma.kind, manifest["seed"])
             files.append(name)
-    _write_csv(outdir / "field_stats.csv", mhash, ["t", "mean", "var", "min", "max", "sup"], rows)
-    results["simulate"] = rows
-    summary["simulate"] = {"record_times": blk["record_times"], "files": files}
-
-
-def _run_moments(manifest, cfg, mhash, outdir, summary, results, threads):
-    rep = _prepare_moments(manifest, cfg)(threads=threads)
-    results["moments"] = rep
-    _write_csv(
-        outdir / "moments.csv",
-        mhash,
-        ["k", "t", "estimate", "stderr", "flagged", "replicas"],
-        [
-            [k, rep.t, est, se, fl, rep.n_replicas]
-            for k, est, se, fl in zip(rep.ks, rep.estimates, rep.stderrs, rep.flags)
-        ],
-    )
-    summary["moments"] = {
-        "ks": rep.ks,
-        "estimates": rep.estimates,
-        "stderrs": rep.stderrs,
-        "flags": rep.flags,
-        "files": ["moments.csv"],
-    }
-
-
-def _run_oracle(manifest, cfg, mhash, outdir, summary, results, threads):
-    out = [oracle() for oracle in _prepare_oracle(manifest, cfg)]
-    results["oracle"] = out
-    columns = ["k", "t", "estimate", "stderr", "log_mean", "log_stderr", "heavy_tail", "walkers", "reg_scale"]
-    _write_csv(outdir / "oracle.csv", mhash, columns, [[getattr(r, c) for c in columns] for r in out])
-    summary["oracle"] = {
-        "ks": [r.k for r in out],
-        "log_means": [r.log_mean for r in out],
-        "log_stderrs": [r.log_stderr for r in out],
-        "heavy_tail": [r.heavy_tail for r in out],
-        "resamplings": [r.resamplings for r in out],
-        "files": ["oracle.csv"],
-    }
-
-
-def _run_extremes(manifest, cfg, mhash, outdir, summary, results, threads):
-    probe = _prepare_probe(manifest, cfg, "extremes")(threads=threads)
-    fit = an.fluctuation_exponent(probe.radii, probe.mean_log_sup)
-    results["extremes"] = (probe, fit)
-    _write_csv(
-        outdir / "sup_stats.csv",
-        mhash,
-        ["radius", "mean_sup", "stderr", "mean_log_sup"],
-        list(zip(probe.radii, probe.mean_sup, probe.stderr_sup, probe.mean_log_sup)),
-    )
-    files = ["sup_stats.csv"]
-    lams = manifest["analysis"]["extremes"].get("tail_lambdas", [])
-    tails = [astuple(an.tail_estimate(probe.samples[:, -1], lam)) for lam in lams]
-    if tails:
-        _write_csv(outdir / "tails.csv", mhash, ["lambda", "p_hat", "lo", "hi", "exceedances", "n"], tails)
+    if verb == "extremes" and blk.get("tail_lambdas"):
+        # tails of the sup over the largest ball, from the probe's own samples
+        tails = [astuple(an.tail_estimate(result.samples[:, -1], lam)) for lam in blk["tail_lambdas"]]
+        _write_csv(outdir / "tails.csv", mhash, _TAIL_COLUMNS, tails)
         files.append("tails.csv")
-    summary["extremes"] = {
-        "psi_hat": fit.exponent,
-        "psi_stderr": fit.stderr,
-        "r2": fit.r2,
-        "verdict": probe.verdict,
-        "files": files,
-    }
-
-
-def _run_localize(manifest, cfg, mhash, outdir, summary, results, threads):
-    curve = _prepare_localize(manifest, cfg)(threads=threads)
-    results["localize"] = curve
-    _write_csv(
-        outdir / "localize.csv",
-        mhash,
-        ["beta", "k", "error", "stderr"],
-        [[b, curve.k, e, s] for b, e, s in zip(curve.betas, curve.errors, curve.stderrs)],
-    )
-    summary["localize"] = {
-        "betas": curve.betas,
-        "errors": curve.errors,
-        "monotone_decreasing": all(
-            a > b for a, b in zip(curve.errors, curve.errors[1:])
-        ),
-        "decay_rate": None if curve.fit is None else curve.fit.extras["decay_rate"],
-        "files": ["localize.csv"],
-    }
-
-
-def _run_independence(manifest, cfg, mhash, outdir, summary, results, threads):
-    res = _prepare_independence(manifest, cfg)(threads=threads)
-    results["independence"] = res
-    rows = []
-    P = len(res.points)
-    for a in range(P):
-        for b in range(a + 1, P):
-            rows.append([a, b, float(res.correlations[a, b]), float(res.separations[a, b])])
-    _write_csv(outdir / "independence.csv", mhash, ["i", "j", "corr", "separation"], rows)
-    summary["independence"] = {
-        "max_abs_offdiag": res.max_abs_offdiag,
-        "null_band": res.null_band,
-        "required_separation": res.required_separation,
-        "passed": res.passed,
-        "files": ["independence.csv"],
-    }
-
-
-def _run_boundedness(manifest, cfg, mhash, outdir, summary, results, threads):
-    probe = _prepare_probe(manifest, cfg, "boundedness")(threads=threads)
-    results["boundedness"] = probe
-    rows = []
-    for i, r in enumerate(probe.radii):
-        inc = probe.increments[i - 1] if i >= 1 else None
-        inc_se = probe.increment_stderrs[i - 1] if i >= 1 else None
-        rows.append([r, probe.mean_sup[i], probe.stderr_sup[i], probe.mean_log_sup[i], inc, inc_se])
-    _write_csv(
-        outdir / "boundedness.csv",
-        mhash,
-        ["radius", "mean_sup", "stderr", "mean_log_sup", "increment", "increment_stderr"],
-        rows,
-    )
-    summary["boundedness"] = {"verdict": probe.verdict, "files": ["boundedness.csv"]}
-
-
-_RUNNERS = {
-    "dalang": _run_dalang,
-    "noise_selftest": _run_noise_selftest,
-    "simulate": _run_simulate,
-    "moments": _run_moments,
-    "oracle": _run_oracle,
-    "extremes": _run_extremes,
-    "localize": _run_localize,
-    "independence": _run_independence,
-    "boundedness": _run_boundedness,
-}
+    return result, {**summary, "files": files}
 
 
 def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> ResultBundle:
@@ -514,9 +495,8 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
     try:
         (tmp / "manifest.json").write_text(canonical_json(manifest) + "\n")
         for verb in sorted(manifest.get("analysis", {})):
-            runner = _RUNNERS[verb]
             try:
-                runner(manifest, cfg, mhash, tmp, summary, results, threads)
+                results[verb], summary[verb] = _run_one(verb, manifest, cfg, mhash, tmp, threads)
             except Exception as exc:  # partial bundles keep whatever succeeded
                 failures[verb] = f"{type(exc).__name__}: {exc}"
         meta = {
@@ -531,7 +511,7 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
         }
         (tmp / "summary.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         if emit_gnuplot:
-            _emit_gnuplot(tmp, summary)
+            _emit_gnuplot(tmp)
         os.rename(tmp, out)
     except Exception:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -539,29 +519,23 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
     return ResultBundle(path=out, manifest=manifest, manifest_sha=mhash, summary=meta, results=results)
 
 
-def _emit_gnuplot(outdir: Path, summary: dict):
+def _emit_gnuplot(outdir: Path):
     lines = [
         "set datafile separator comma",
         "set datafile commentschars '#'",
         "set key autotitle columnhead",
         "set terminal pngcairo size 900,600",
     ]
-    plots = {
-        "noise_selftest.csv": ("lag_distance", [("target", 3), ("empirical", 4)]),
-        "moments.csv": ("k", [("estimate", 3)]),
-        "sup_stats.csv": ("radius", [("mean_sup", 2)]),
-        "localize.csv": ("beta", [("error", 3)]),
-        "boundedness.csv": ("radius", [("mean_sup", 2)]),
-        "field_stats.csv": ("t", [("var", 3)]),
-    }
-    for fname, (xlabel, cols) in plots.items():
-        if not (outdir / fname).exists():
+    for spec in _ANALYSES.values():
+        if spec.plot is None or not (outdir / spec.csv).exists():
             continue
-        png = fname.replace(".csv", ".png")
-        lines.append(f"set output '{png}'")
+        xlabel, ys = spec.plot
+        lines.append(f"set output '{spec.csv.replace('.csv', '.png')}'")
         lines.append(f"set xlabel '{xlabel}'")
-        spec = ", ".join(f"'{fname}' using 1:{c} with linespoints title '{t}'" for t, c in cols)
-        lines.append(f"plot {spec}")
+        curves = (
+            f"'{spec.csv}' using 1:{spec.columns.index(y) + 1} with linespoints title '{y}'" for y in ys
+        )
+        lines.append(f"plot {', '.join(curves)}")
     (outdir / "plots.gp").write_text("\n".join(lines) + "\n")
 
 

@@ -1,4 +1,4 @@
-"""Periodic lattice, heat kernel, and the spectral heat propagator.
+"""Periodic lattice and the spectral heat propagator.
 
 Fields live on a torus of side L = m * dx per axis with m a power of two.
 The half-Laplacian semigroup exp(t kappa Delta / 2) acts by pointwise
@@ -112,24 +112,6 @@ class LatticeGrid:
         return cls(d=spec["d"], m=spec["m"], dx=spec["dx"])
 
 
-def heat_kernel(t: float, z, kappa: float) -> np.ndarray:
-    """Free-space transition density p_t(z) = (2 pi kappa t)^{-d/2} exp(-|z|^2/(2 kappa t)).
-
-    z may be a scalar (d=1), one point, or an array of points with trailing
-    axis d; t and kappa must be positive.
-    """
-    if t <= 0 or kappa <= 0:
-        raise LatticeError("heat_kernel needs t > 0 and kappa > 0")
-    pts = np.asarray(z, dtype=float)
-    if pts.ndim == 0:
-        d = 1
-        r2 = pts * pts
-    else:
-        d = pts.shape[-1]
-        r2 = np.sum(pts * pts, axis=-1)
-    return (2.0 * math.pi * kappa * t) ** (-d / 2.0) * np.exp(-r2 / (2.0 * kappa * t))
-
-
 @lru_cache(maxsize=128)
 def _freq_sq_cached(grid: LatticeGrid) -> np.ndarray:
     out = grid.freq_sq_mesh()
@@ -145,20 +127,6 @@ def propagator_multiplier(grid: LatticeGrid, kappa: float, tau: float) -> np.nda
     mult = np.exp(-0.5 * kappa * tau * _freq_sq_cached(grid))
     mult.setflags(write=False)
     return mult
-
-
-def sampled_heat_kernel(grid: LatticeGrid, kappa: float, tau: float) -> np.ndarray:
-    """Discrete convolution kernel of the propagator (periodized heat kernel).
-
-    Returned in sum convention: the propagated field
-    irfftn(rfftn(g) * propagator_multiplier) equals the circular
-    convolution sum_j K[i-j] g[j].  Entries are positive up to bandlimit
-    ringing of order exp(-kappa tau (pi/dx)^2 / 2); once the multiplier
-    underflows at the Nyquist frequency the kernel is positive to roundoff.
-    """
-    return np.fft.irfftn(
-        propagator_multiplier(grid, kappa, tau), s=grid.shape, axes=tuple(range(grid.d))
-    )
 
 
 def d_separation(x, y, period: float | None = None) -> float:

@@ -41,14 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .correlation import CorrelationModel, CutoffConfig, kernel_h_hat_radial
+from .correlation import CorrelationModel, kernel_h_hat_radial
 from .lattice import LatticeGrid
-
-FULL_LEVEL = "full"
 
 
 class NoiseError(ValueError):
@@ -108,16 +106,8 @@ def _require_kernel(model: CorrelationModel):
         )
 
 
-def _level_key(level) -> Union[str, float]:
-    if level is None or level == FULL_LEVEL:
-        return FULL_LEVEL
-    if isinstance(level, CutoffConfig):
-        return float(level.n)
-    return float(level)
-
-
 @lru_cache(maxsize=256)
-def _multiplier_cached(model: CorrelationModel, grid: LatticeGrid, level) -> np.ndarray:
+def _multiplier_cached(model: CorrelationModel, grid: LatticeGrid, n: Optional[float]) -> np.ndarray:
     _require_kernel(model)
     if model.d != grid.d:
         raise NoiseError(f"model dimension {model.d} does not match grid dimension {grid.d}")
@@ -128,11 +118,11 @@ def _multiplier_cached(model: CorrelationModel, grid: LatticeGrid, level) -> np.
         # riesz zero mode: substitute the smallest nonzero lattice frequency
         patch = kernel_h_hat_radial(model, 2.0 * np.pi / grid.period)
         full = np.where(np.isfinite(full), full, patch)
-    if level == FULL_LEVEL:
+    if n is None:
         out = full
     else:
-        n = float(level)
-        CutoffConfig(n=n)  # validates n >= 1
+        if not (n >= 1.0):
+            raise NoiseError(f"cutoff level n = {n} violates n >= 1")
         if n < grid.dx:
             raise NoiseError(f"cutoff level {n} is below one grid cell dx = {grid.dx}")
         if n > grid.period / 2.0:
@@ -147,15 +137,13 @@ def _multiplier_cached(model: CorrelationModel, grid: LatticeGrid, level) -> np.
     return out
 
 
-def kernel_multiplier(model: CorrelationModel, grid: LatticeGrid, level=None) -> np.ndarray:
-    """Fourier multiplier of the (possibly tapered) kernel on the rfft grid."""
-    return _multiplier_cached(model, grid, _level_key(level))
+def kernel_multiplier(model: CorrelationModel, grid: LatticeGrid, level: Optional[float] = None) -> np.ndarray:
+    """Fourier multiplier of the kernel on the rfft grid.
 
-
-def gridded_kernel_h(model: CorrelationModel, grid: LatticeGrid, level=None) -> np.ndarray:
-    """Real-space kernel on the lattice, h(x_i), from the multiplier."""
-    mult = kernel_multiplier(model, grid, level)
-    return np.fft.irfftn(mult, s=grid.shape, axes=tuple(range(grid.d))) / grid.cell_volume
+    A float level n >= 1 tapers the kernel to the box |x_j| <= n; None
+    gives the full kernel.
+    """
+    return _multiplier_cached(model, grid, None if level is None else float(level))
 
 
 def correlate_array(white: np.ndarray, model: CorrelationModel, grid: LatticeGrid, level=None) -> np.ndarray:

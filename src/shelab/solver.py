@@ -32,13 +32,12 @@ step), so results are invariant to batch composition and thread count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .correlation import CorrelationModel, CorrelationError
+from .correlation import CorrelationModel
 from .lattice import LatticeGrid, propagator_multiplier
 from .noise import WhiteNoiseSource, kernel_multiplier
 
@@ -70,7 +69,7 @@ SIGMA_KINDS = ("constant", "bounded_both", "bounded_below", "linear", "lipschitz
 
 @dataclass(frozen=True)
 class SigmaFunction:
-    """Noise coefficient sigma(u) with a recorded Lipschitz constant."""
+    """Noise coefficient sigma(u), one of SIGMA_KINDS."""
 
     kind: str
     eps0: Optional[float] = None
@@ -119,16 +118,6 @@ class SigmaFunction:
         if self.kind == "linear":
             return self.c * u
         return self.c * u / (1.0 + u * u)
-
-    @property
-    def lipschitz(self) -> float:
-        return {
-            "constant": 0.0,
-            "bounded_both": 0.5,
-            "bounded_below": 0.6,
-            "linear": self.c or 0.0,
-            "lipschitz_zero": self.c or 0.0,
-        }[self.kind]
 
     @property
     def is_multiplicative(self) -> bool:
@@ -377,14 +366,15 @@ def _mild_sum_batch(
     n_iter: int,
     level,
     window_beta: Optional[float],
-    record_distances: Optional[list] = None,
-    return_trajectory: bool = False,
-):
-    """Picard iterates of the mild equation, optionally windowed and tapered.
+) -> np.ndarray:
+    """Final-time Picard iterate of the mild equation, optionally windowed
+    and tapered; shape (len(streams), *grid.shape).
 
     level selects the noise kernel (None for full, or a cutoff level n).
     window_beta, when set, truncates the heat kernel of every stochastic
     convolution evaluated at time s to the box |z_l| <= window_beta*sqrt(s).
+    With neither, this is the plain Picard iteration, which the tests check
+    against solve_batch.
     """
     grid = cfg.grid
     n_steps = _steps_for(t_final, cfg.dt)
@@ -436,14 +426,9 @@ def _mild_sum_batch(
             acc = np.einsum("jrf,jf->rf", ghat[:i], KH[i, :i][::-1], optimize=True)
             acc += det_hat[i]
             new[i] = np.fft.irfftn(acc, s=grid.shape, axes=axes_b)
-        if record_distances is not None:
-            diff = new[n_steps] - traj[n_steps]
-            record_distances.append(float(np.sqrt(np.mean(diff * diff))))
         traj = new
     if not np.all(np.isfinite(traj[n_steps])):
         raise SolverBlowup(t_final, float(np.nanmax(np.abs(traj[n_steps]))), streams)
-    if return_trajectory:
-        return traj
     return traj[n_steps]
 
 
@@ -475,41 +460,3 @@ def localized_solve_batch(
         level=loc.beta,
         window_beta=loc.beta,
     )
-
-
-def picard_solve(
-    cfg: SolverConfig, t_final: float, iterations: int, src: WhiteNoiseSource
-) -> SolutionField:
-    """Plain (untapered, unwindowed) Picard iteration of the mild equation.
-
-    Successive final-time L2 distances are recorded in the provenance; the
-    scheme contracts at these step sizes, so a non-decreasing distance after
-    iteration 3 triggers a warning.
-    """
-    if iterations < 1:
-        raise SolverError("picard_solve needs iterations >= 1")
-    distances: list = []
-    vals = _mild_sum_batch(
-        cfg,
-        t_final,
-        src.seed,
-        [src.stream_id],
-        n_iter=iterations,
-        level=None,
-        window_beta=None,
-        record_distances=distances,
-    )
-    for a, b in zip(distances[3:], distances[4:]):
-        if b > a > 0:
-            warnings.warn(
-                f"picard iteration stopped contracting: distances {distances}",
-                RuntimeWarning,
-            )
-            break
-    prov = {
-        "seed": src.seed,
-        "stream_id": src.stream_id,
-        "iterations": iterations,
-        "picard_distances": distances,
-    }
-    return SolutionField(grid=cfg.grid, t=t_final, values=vals[0], provenance=prov)

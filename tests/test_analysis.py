@@ -182,6 +182,21 @@ class TestMoments:
         assert r1.estimates == r8.estimates
         assert r1.stderrs == r8.stderrs
 
+    def test_default_probe_is_the_origin_in_2d(self):
+        grid = sl.LatticeGrid(d=2, m=16, dx=0.5)
+        cfg = sl.SolverConfig(
+            grid=grid,
+            model=sl.CorrelationModel.gaussian_h(d=2, width=1.0, amplitude=1.0),
+            sigma=sl.SigmaFunction.linear(c=1.0),
+            kappa=1.0,
+            dt=DT,
+        )
+        scen = an.Scenario(cfg=cfg, t_final=0.25)
+        assert scen.probes == ((0.0, 0.0),)
+        rep = an.estimate_moments(scen, [2], 4, seed=3)
+        origin = an.Scenario(cfg=cfg, t_final=0.25, probes=((0.0, 0.0),))
+        assert rep.estimates == an.estimate_moments(origin, [2], 4, seed=3).estimates
+
 
 class TestFkOracle:
     def test_constant_model_is_exact(self):
@@ -331,15 +346,6 @@ class TestExponentFits:
 
 
 class TestSupAndTails:
-    def test_spatial_sup_is_ball_restricted(self):
-        vals = np.zeros(GRID.shape)
-        xs = GRID.axis_coords()
-        far = int(np.argmin(np.abs(xs - 6.0)))
-        vals[far] = 9.0
-        vals[2] = 3.0
-        assert an.spatial_sup(vals, 2.0, GRID) == pytest.approx(3.0)
-        assert an.spatial_sup(vals, 7.0, GRID) == pytest.approx(9.0)
-
     def test_tail_probability_counts(self):
         cfg = small_cfg(sl.SigmaFunction.constant(eps0=0.5))
         scen = an.Scenario(cfg=cfg, t_final=0.25, radius=4.0)

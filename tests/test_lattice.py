@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import shelab as sl
 from shelab.lattice import LatticeError
@@ -70,27 +69,6 @@ class TestGridGeometry:
         assert np.allclose(g.freq_sq_mesh(), expect, atol=1e-12)
 
 
-class TestHeatKernel:
-    def test_matches_gaussian_formula(self):
-        t, kappa = 0.4, 1.3
-        z = np.array([0.7])
-        val = sl.heat_kernel(t, z, kappa)
-        expect = math.exp(-0.49 / (2 * kappa * t)) / math.sqrt(2 * math.pi * kappa * t)
-        assert val == pytest.approx(expect, rel=1e-12)
-
-    def test_normalizes_to_one(self):
-        t, kappa = 0.25, 0.8
-        total, _ = integrate.quad(lambda z: sl.heat_kernel(t, np.array([z]), kappa), -20, 20)
-        assert total == pytest.approx(1.0, rel=1e-9)
-
-    def test_d2_factorizes(self):
-        t, kappa = 0.3, 1.0
-        val = sl.heat_kernel(t, np.array([0.5, -0.2]), kappa)
-        v1 = sl.heat_kernel(t, np.array([0.5]), kappa)
-        v2 = sl.heat_kernel(t, np.array([-0.2]), kappa)
-        assert val == pytest.approx(v1 * v2, rel=1e-12)
-
-
 def propagate(field, grid, kappa, tau):
     """Heat flow over tau of a field or of a batch over leading axes."""
     axes = tuple(range(field.ndim - grid.d, field.ndim))
@@ -141,20 +119,27 @@ class TestPropagator:
         assert out.mean() == pytest.approx(field.mean(), abs=1e-12)
 
 
+def sampled_kernel(grid, kappa, tau):
+    """Convolution kernel of the propagator, in sum convention: propagating
+    g gives sum_j K[i-j] g[j].  It is the periodized heat kernel times the
+    cell volume, up to bandlimit ringing of order the Nyquist multiplier."""
+    return np.fft.irfftn(sl.propagator_multiplier(grid, kappa, tau), s=grid.shape, axes=tuple(range(grid.d)))
+
+
 class TestSampledKernel:
     def test_positive_and_normalized(self):
         # once the multiplier underflows at Nyquist the kernel is positive
         # to roundoff; before that, ringing is bounded by the Nyquist amplitude
         for d, m, dx, tau in ((1, 128, 0.25, 0.8), (2, 32, 0.5, 3.0)):
             g = sl.LatticeGrid(d=d, m=m, dx=dx)
-            K = sl.sampled_heat_kernel(g, kappa=1.0, tau=tau)
+            K = sampled_kernel(g, kappa=1.0, tau=tau)
             assert K.min() > -1e-14
             assert K.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_ringing_bounded_by_nyquist_amplitude(self):
         g = sl.LatticeGrid(d=1, m=128, dx=0.25)
         kappa, tau = 1.0, 0.1
-        K = sl.sampled_heat_kernel(g, kappa, tau)
+        K = sampled_kernel(g, kappa, tau)
         nyquist = math.exp(-kappa * tau * (math.pi / g.dx) ** 2 / 2)
         assert K.min() > -nyquist
         assert K.sum() == pytest.approx(1.0, abs=1e-12)
@@ -162,13 +147,15 @@ class TestSampledKernel:
     def test_matches_continuum_kernel_with_images(self):
         g = sl.LatticeGrid(d=1, m=128, dx=0.25)
         kappa, tau = 1.0, 0.3
-        K = sl.sampled_heat_kernel(g, kappa, tau)
+        K = sampled_kernel(g, kappa, tau)
         xs = g.axis_coords()
         L = g.period
+
+        def heat(z):
+            return math.exp(-z * z / (2 * kappa * tau)) / math.sqrt(2 * math.pi * kappa * tau)
+
         for i in (0, 3, 17):
-            images = sum(
-                sl.heat_kernel(tau, np.array([xs[i] + k * L]), kappa) for k in range(-4, 5)
-            )
+            images = sum(heat(xs[i] + k * L) for k in range(-4, 5))
             assert K[i] == pytest.approx(images * g.dx, rel=1e-10)
 
 

@@ -132,45 +132,49 @@ class TestKernelMultiplier:
             sl.kernel_multiplier(m2, GRID)
 
 
+def gridded_kernel(model, level=None):
+    """The kernel h on GRID, tapered at a cutoff level, from its multiplier."""
+    return np.fft.irfftn(sl.kernel_multiplier(model, GRID, level), s=GRID.shape, axes=(0,)) / GRID.cell_volume
+
+
 class TestCutoff:
     def test_support_is_exact(self):
         # the tapered kernel vanishes off |x| <= n, hence covariance vanishes
         # for separations beyond 2n: exact lattice independence
         n = 4.0
-        h = sl.gridded_kernel_h(GAUSS, GRID, sl.CutoffConfig(n=n))
+        h = gridded_kernel(GAUSS, n)
         xs = GRID.axis_coords()
         assert np.abs(h[np.abs(xs) > n + 1e-9]).max() < 1e-15
-        f_eff = sl.effective_covariance(GAUSS, GRID, sl.CutoffConfig(n=n))
+        f_eff = sl.effective_covariance(GAUSS, GRID, n)
         torus = np.minimum(np.abs(xs), GRID.period - np.abs(xs))
         far = np.abs(f_eff[torus > 2 * n + 1e-9])
         assert far.max() < 1e-15
 
     def test_taper_ratio_inside_support(self):
         n = 4.0
-        h_full = sl.gridded_kernel_h(GAUSS, GRID)
-        h_cut = sl.gridded_kernel_h(GAUSS, GRID, sl.CutoffConfig(n=n))
         xs = GRID.axis_coords()
         i = int(np.argmin(np.abs(xs - 1.0)))
-        assert h_cut[i] / h_full[i] == pytest.approx(1 - 1.0 / n, rel=1e-10)
+        for model in (GAUSS, RIESZ):
+            h_full = gridded_kernel(model)
+            h_cut = gridded_kernel(model, n)
+            assert h_full[i] > 0
+            assert h_cut[i] / h_full[i] == pytest.approx(1 - 1.0 / n, rel=1e-10)
 
     def test_level_ladder_telescopes(self):
         # H_{n2} - H_{n1} summed along a ladder collapses to the endpoints
         levels = [2.0, 4.0, 8.0, 16.0]
-        mults = [sl.kernel_multiplier(GAUSS, GRID, sl.CutoffConfig(n=n)) for n in levels]
+        mults = [sl.kernel_multiplier(GAUSS, GRID, n) for n in levels]
         tele = mults[0] + sum(b - a for a, b in zip(mults, mults[1:]))
         assert np.allclose(tele, mults[-1], atol=1e-15)
 
-    def test_float_level_equals_config(self):
-        a = sl.kernel_multiplier(GAUSS, GRID, 4.0)
-        b = sl.kernel_multiplier(GAUSS, GRID, sl.CutoffConfig(n=4.0))
-        assert np.array_equal(a, b)
-
     def test_level_bounds(self):
+        with pytest.raises(NoiseError, match="violates n >= 1"):
+            sl.kernel_multiplier(GAUSS, GRID, 0.5)
         with pytest.raises(NoiseError):
-            sl.kernel_multiplier(GAUSS, GRID, sl.CutoffConfig(n=17.0))  # beyond L/2
+            sl.kernel_multiplier(GAUSS, GRID, 17.0)  # beyond L/2
         tiny = sl.LatticeGrid(d=1, m=8, dx=2.0)
         with pytest.raises(NoiseError):
-            sl.kernel_multiplier(GAUSS, tiny, sl.CutoffConfig(n=1.0))  # below one cell
+            sl.kernel_multiplier(GAUSS, tiny, 1.0)  # below one cell
 
 
 class TestCorrelatedSlices:
