@@ -6,6 +6,7 @@ from scipy import integrate
 
 import shelab as sl
 from shelab.correlation import CorrelationError
+from shelab.noise import NoiseError
 
 
 GAUSS = sl.CorrelationModel.gaussian_h(d=1, width=1.0, amplitude=1.0)
@@ -173,6 +174,13 @@ class TestDalang:
     def test_constant_is_finite(self):
         res = sl.dalang_condition(CONST)
         assert res.finite
+
+
+class TestCutoffKernel:
+    def test_cutoff_level_floor(self):
+        grid = sl.LatticeGrid(d=1, m=64, dx=0.5)
+        with pytest.raises(NoiseError, match="violates n >= 1"):
+            sl.kernel_multiplier(GAUSS, grid, 0.5)
 
 
 class TestSphereSurface:

@@ -168,8 +168,6 @@ class TestCutoff:
         assert np.allclose(tele, mults[-1], atol=1e-15)
 
     def test_level_bounds(self):
-        with pytest.raises(NoiseError, match="violates n >= 1"):
-            sl.kernel_multiplier(GAUSS, GRID, 0.5)
         with pytest.raises(NoiseError):
             sl.kernel_multiplier(GAUSS, GRID, 17.0)  # beyond L/2
         tiny = sl.LatticeGrid(d=1, m=8, dx=2.0)
