@@ -45,6 +45,7 @@ from scipy.special import logsumexp
 
 from .correlation import RIESZ, CorrelationModel, evaluate_f_radial
 from .lattice import d_separation
+from .noise import check_seed
 from .solver import (
     LocalizationConfig,
     SolverConfig,
@@ -255,6 +256,9 @@ class FkOracleConfig:
     def __post_init__(self):
         if self.walkers < 2 or self.inner_steps < 2:
             raise AnalysisError("oracle needs walkers >= 2 and inner_steps >= 2")
+        if self.reg_scale is not None and not self.reg_scale > 0:
+            raise AnalysisError(f"oracle reg_scale = {self.reg_scale} violates reg_scale > 0")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -299,12 +303,17 @@ def _systematic_resample(w: np.ndarray, u: float) -> np.ndarray:
     return np.minimum(idx, n - 1)
 
 
-def check_oracle_model(model: CorrelationModel) -> None:
-    """Raise unless the oracle's path integral is finite for this model.
+def check_oracle(model: CorrelationModel, kappa: float, t: float, k: int, u0_level: float) -> None:
+    """Raise unless fk_moment_oracle can run and its path integral is finite.
 
     A riesz kernel needs alpha < min(d, 2): the paper's range, and the range
     where Dalang's condition (and so a solution with finite moments) holds.
     """
+    if k < 2:
+        raise AnalysisError(f"oracle moment order k = {k} violates k >= 2")
+    for name, value in (("kappa", kappa), ("t", t), ("u0_level", u0_level)):
+        if not value > 0:
+            raise AnalysisError(f"oracle {name} = {value} violates {name} > 0")
     if model.kind == RIESZ:
         bound = min(model.d, 2)
         if model.alpha >= bound:
@@ -325,7 +334,7 @@ def fk_moment_oracle(
 
     Exact (zero variance) for the constant correlation, where the exponent
     is k(k-1) c t for every path; equal weights never resample.  Riesz
-    correlations need alpha < min(d, 2) (see check_oracle_model).
+    correlations need alpha < min(d, 2) (see check_oracle).
 
     The walkers form _FK_BLOCKS independent populations.  After every inner
     step but the last, a population whose accumulated weights w = exp(S)
@@ -341,11 +350,7 @@ def fk_moment_oracle(
     is set when they disagree: a relative stderr above 50%, read on the log
     scale as log_stderr > log 1.5.
     """
-    if k < 2:
-        raise AnalysisError("oracle moments need k >= 2")
-    if kappa <= 0 or t <= 0 or u0_level <= 0:
-        raise AnalysisError("oracle needs kappa > 0, t > 0, u0_level > 0")
-    check_oracle_model(model)
+    check_oracle(model, kappa, t, k, u0_level)
     M, n_inner = cfg.walkers, cfg.inner_steps
     dt = t / n_inner
     r_reg = cfg.reg_scale if cfg.reg_scale is not None else math.sqrt(kappa * dt)
@@ -501,6 +506,13 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, intercept, se, r2
 
 
+def check_fluctuation_radii(radii: Sequence[float]) -> None:
+    """Raise unless the radii rise strictly and each has log R > 0, i.e. R > 1."""
+    r = np.asarray(radii, dtype=float)
+    if np.any(np.diff(r) <= 0) or np.any(r <= 1.0):
+        raise AnalysisError(f"radii must be strictly increasing and > 1, got {r.tolist()}")
+
+
 def fluctuation_exponent(radii: Sequence[float], mean_log_sup: Sequence[float]) -> ExponentFit:
     """Fit mean log u*(R) = A (log R)^psi, i.e. a line in log-log-R space.
 
@@ -512,8 +524,7 @@ def fluctuation_exponent(radii: Sequence[float], mean_log_sup: Sequence[float]) 
     y = np.asarray(mean_log_sup, dtype=float)
     if r.size != y.size or r.size < 2:
         raise AnalysisError("need matching radii and ordinates, at least two")
-    if np.any(np.diff(r) <= 0) or np.any(r <= 1.0):
-        raise AnalysisError("radii must be strictly increasing and > 1")
+    check_fluctuation_radii(radii)
     keep = y > 0
     dropped = int(np.count_nonzero(~keep))
     if int(np.count_nonzero(keep)) < 2:

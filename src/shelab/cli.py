@@ -14,6 +14,7 @@ import sys
 
 from . import analysis as an
 from .correlation import CorrelationError, CorrelationModel, dalang_condition
+from .noise import NoiseError
 from .experiments import (
     _ANALYSES,
     BundleError,
@@ -136,7 +137,7 @@ def _oracle_shortcut(args) -> int:
             seed=args.seed if args.seed is not None else 0,
         )
         res = an.fk_moment_oracle(model, args.kappa, args.t, args.k, cfg, u0_level=args.u0)
-    except (CorrelationError, an.AnalysisError, OSError, json.JSONDecodeError) as e:
+    except (CorrelationError, an.AnalysisError, NoiseError, OSError, json.JSONDecodeError) as e:
         print(f"oracle: {e}", file=sys.stderr)
         return 2
     print(f"k: {res.k}")

@@ -232,25 +232,6 @@ def kernel_h_hat_radial(model: CorrelationModel, r) -> np.ndarray:
     return np.sqrt(spectral_density_radial(model, r))
 
 
-def _radial_spectral_integral(model: CorrelationModel, weight) -> float:
-    """(2 pi)^{-d} * integral f_hat(|xi|) weight(|xi|) dxi by radial quadrature.
-
-    Adaptive with absolute tolerance 1e-8 and relative 1e-6 or better; the
-    integrand is split at r = 1 so the riesz endpoint singularity r^{alpha-1}
-    sits at a panel edge.
-    """
-    d = model.d
-    surf = sphere_surface(d)
-
-    def integrand(r):
-        return spectral_density_radial(model, r) * weight(r) * r ** (d - 1)
-
-    opts = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
-    lo, err1 = integrate.quad(integrand, 0.0, 1.0, **opts)
-    hi, err2 = integrate.quad(integrand, 1.0, np.inf, **opts)
-    return (lo + hi) * surf / (2.0 * math.pi) ** d
-
-
 @dataclass(frozen=True)
 class DalangResult:
     finite: bool
@@ -270,7 +251,16 @@ def dalang_condition(model: CorrelationModel) -> DalangResult:
         return DalangResult(True, (2.0 * math.pi) ** model.d * model.c, "bounded correlation (point-mass spectrum)")
     if model.kind == RIESZ and not (model.alpha < min(model.d, 2)):
         return DalangResult(False, None, f"riesz alpha={model.alpha} not below min(d,2)={min(model.d, 2)}")
-    val = _radial_spectral_integral(model, lambda r: 1.0 / (1.0 + r * r))
-    val *= (2.0 * math.pi) ** model.d
+
+    def integrand(r):
+        return spectral_density_radial(model, r) * (1.0 / (1.0 + r * r)) * r ** (model.d - 1)
+
+    # radial quadrature split at r = 1, so the riesz endpoint singularity
+    # r^(alpha-1) sits at a panel edge
+    opts = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
+    lo, _ = integrate.quad(integrand, 0.0, 1.0, **opts)
+    hi, _ = integrate.quad(integrand, 1.0, np.inf, **opts)
+    # the (2 pi)^d round trip keeps the last bit of recorded integrals
+    val = (lo + hi) * sphere_surface(model.d) / (2.0 * math.pi) ** model.d * (2.0 * math.pi) ** model.d
     reason = "bounded correlation" if model.kind == GAUSSIAN_H else "riesz alpha below min(d,2)"
     return DalangResult(True, val, reason)

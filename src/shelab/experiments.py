@@ -1,14 +1,15 @@
 """Experiment manifests and the deterministic bundle runner.
 
 A manifest is a JSON document naming one model, optionally a grid and
-solver setup, a seed, a replica count, and a set of analyses.  Validation
-is all-at-once: structural errors (JSON schema) and semantic errors are
-collected into a single report.  The semantic rules are the library's own:
-each analysis has one row in the _ANALYSES table, whose _prepare function
-turns its block into library arguments and runs the library's checks on
-them, which raise with the violated inequality in the message.  Validation
-collects what they raise, and _run_one calls the same function before it
-computes anything, so a manifest that validates does not fail a rule
+solver setup, a seed, a replica count, and a set of analyses.  The JSON
+schema checks only its shape; every rule on a value is the library's own,
+raised by a constructor or check_* function with the violated inequality
+in the message.  _plan builds the model, grid, sigma, u0 and solver config
+once and prepares each analysis once through its row of the _ANALYSES
+table, whose _prepare function turns the block into library arguments,
+runs the library's checks on them and returns the library call.
+validate_manifest reports every error _plan collects, all at once, and run
+executes its calls, so a manifest that validates does not fail a rule
 halfway through a run.  The row also names the CSV the analysis writes and
 how its result becomes CSV rows and a summary entry.
 
@@ -46,7 +47,7 @@ import jsonschema
 from . import analysis as an
 from .correlation import CorrelationModel, CorrelationError, dalang_condition
 from .lattice import LatticeGrid, LatticeError
-from .noise import NoiseError, check_covariance_selftest, covariance_selftest
+from .noise import NoiseError, check_covariance_selftest, check_seed, covariance_selftest
 from .solver import (
     LocalizationConfig,
     SigmaFunction,
@@ -89,18 +90,19 @@ def load_manifest(path) -> dict:
 
 # What the library raises when a rule of a run is violated.
 _RULE_ERRORS = (CorrelationError, LatticeError, NoiseError, SolverError, an.AnalysisError)
-_FLAT_U0 = {"kind": "constant", "level": 1.0}
 
 
-def validate_manifest(manifest: dict) -> list:
-    """All validation errors for a manifest, empty when runnable."""
+def _plan(manifest: dict, threads: int) -> tuple:
+    """(errors, calls): every validation error of a manifest, and the library
+    call of each analysis, to run its replica chunks in up to `threads`
+    worker processes.  Each object and each call is built once."""
     errors = []
     validator = jsonschema.Draft7Validator(_schema())
     for err in sorted(validator.iter_errors(manifest), key=lambda e: list(e.absolute_path)):
         loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
         errors.append(f"{loc}: {err.message}")
     if errors:
-        return errors
+        return errors, {}
 
     def collect(where, build, *args):
         try:
@@ -108,19 +110,20 @@ def validate_manifest(manifest: dict) -> list:
         except _RULE_ERRORS as e:
             errors.append(f"{where}: {e}")
 
+    seed = collect("seed", check_seed, manifest["seed"])
     model = collect("model", CorrelationModel.from_dict, manifest["model"])
     grid = collect("grid", LatticeGrid.from_dict, manifest["grid"]) if "grid" in manifest else None
     sb = manifest.get("solver")
     cfg = None
     if sb is not None:
         sigma = collect("solver/sigma", SigmaFunction.from_dict, sb["sigma"])
-        u0 = collect("solver/u0", U0Spec.from_dict, sb.get("u0", _FLAT_U0))
+        u0 = collect("solver/u0", U0Spec.from_dict, sb.get("u0", {}))
         if all(x is not None for x in (model, grid, sigma, u0)):
             cfg = collect("solver", SolverConfig, grid, model, sigma, sb["kappa"], sb["dt"], u0)
 
     analyses = manifest.get("analysis", {})
     needs_solver = sorted(verb for verb in analyses if _ANALYSES[verb].needs_solver)
-    if needs_solver and (grid is None or sb is None):
+    if needs_solver and ("grid" not in manifest or sb is None):
         errors.append(
             f"analyses {needs_solver} need both a grid and a solver block"
         )
@@ -130,26 +133,18 @@ def validate_manifest(manifest: dict) -> list:
         for t_rec in analyses["simulate"]["record_times"]:
             if t_rec > sb["t_final"] + 1e-12:
                 errors.append(f"simulate: record time {t_rec} exceeds t_final {sb['t_final']}")
+    calls = {}
     for verb in sorted(analyses):
         # a block is checked once everything it builds on was built
-        built = cfg is not None if _ANALYSES[verb].needs_solver else model is not None and sb is not None
-        if built:
-            collect(verb, _ANALYSES[verb].prepare, manifest, cfg)
-    return errors
+        built = cfg if _ANALYSES[verb].needs_solver else model
+        if seed is not None and built is not None and (verb != "oracle" or sb is not None):
+            calls[verb] = collect(verb, _ANALYSES[verb].prepare, manifest, built, threads)
+    return errors, calls
 
 
-def _build_cfg(manifest: dict) -> SolverConfig:
-    model = CorrelationModel.from_dict(manifest["model"])
-    grid = LatticeGrid.from_dict(manifest["grid"])
-    sb = manifest["solver"]
-    return SolverConfig(
-        grid=grid,
-        model=model,
-        sigma=SigmaFunction.from_dict(sb["sigma"]),
-        kappa=sb["kappa"],
-        dt=sb["dt"],
-        u0=U0Spec.from_dict(sb.get("u0", _FLAT_U0)),
-    )
+def validate_manifest(manifest: dict) -> list:
+    """All validation errors for a manifest, empty when runnable."""
+    return _plan(manifest, 1)[0]
 
 
 def _replicas(manifest: dict) -> int:
@@ -161,8 +156,8 @@ def _replicas(manifest: dict) -> int:
 # call, ready to run its replica chunks in up to `threads` worker processes.
 
 
-def _prepare_dalang(manifest: dict, cfg, threads: int = 1):
-    return partial(dalang_condition, CorrelationModel.from_dict(manifest["model"]))
+def _prepare_dalang(manifest: dict, model: CorrelationModel, threads: int = 1):
+    return partial(dalang_condition, model)
 
 
 def _prepare_noise_selftest(manifest: dict, cfg: SolverConfig, threads: int = 1):
@@ -176,12 +171,8 @@ def _prepare_simulate(manifest: dict, cfg: SolverConfig, threads: int = 1):
     record_times = manifest["analysis"]["simulate"]["record_times"]
     for t_rec in record_times:
         check_solve(cfg, t_rec)
-    return partial(_simulate, cfg, record_times, manifest["seed"])
-
-
-def _simulate(cfg: SolverConfig, record_times: list, seed: int) -> list:
-    """The field of stream 0 at each record time."""
-    return [SolutionField(cfg.grid, t_rec, solve_batch(cfg, t_rec, seed, [0])[0]) for t_rec in record_times]
+    # the field of stream 0 at each record time
+    return lambda: [SolutionField(cfg.grid, t, solve_batch(cfg, t, manifest["seed"], [0])[0]) for t in record_times]
 
 
 def _prepare_moments(manifest: dict, cfg: SolverConfig, threads: int = 1):
@@ -195,21 +186,16 @@ def _prepare_moments(manifest: dict, cfg: SolverConfig, threads: int = 1):
     return partial(an.estimate_moments, *args, seed=manifest["seed"], threads=threads)
 
 
-def _prepare_oracle(manifest: dict, cfg, threads: int = 1):
+def _prepare_oracle(manifest: dict, model: CorrelationModel, threads: int = 1):
     blk = manifest["analysis"]["oracle"]
-    model = CorrelationModel.from_dict(manifest["model"])
-    an.check_oracle_model(model)
     ocfg = an.FkOracleConfig(blk["walkers"], blk["inner_steps"], blk.get("reg_scale"), manifest["seed"])
-    sb = manifest["solver"]
-    calls = [
-        partial(an.fk_moment_oracle, model, sb["kappa"], sb["t_final"], k, ocfg, u0_level=blk.get("u0_level", 1.0))
-        for k in blk.get("ks", [blk["k"]])
-    ]
-    return partial(_each, calls)
-
-
-def _each(calls: list) -> list:
-    return [call() for call in calls]
+    args = (model, manifest["solver"]["kappa"], manifest["solver"]["t_final"])
+    u0_level = blk.get("u0_level", 1.0)
+    calls = []
+    for k in blk.get("ks", [blk["k"]]):
+        an.check_oracle(*args, k, u0_level)
+        calls.append(partial(an.fk_moment_oracle, *args, k, ocfg, u0_level=u0_level))
+    return lambda: [call() for call in calls]
 
 
 def _prepare_probe(manifest: dict, cfg: SolverConfig, threads: int = 1, *, verb: str):
@@ -218,6 +204,8 @@ def _prepare_probe(manifest: dict, cfg: SolverConfig, threads: int = 1, *, verb:
     scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"])
     args = (scen, blk["radii"], _replicas(manifest))
     an.check_boundedness(*args)
+    if verb == "extremes":
+        an.check_fluctuation_radii(blk["radii"])  # the summary fits log log R
     for lam in blk.get("tail_lambdas", []):
         an.check_tail_threshold(lam)
     return partial(an.boundedness_probe, *args, seed=manifest["seed"], threads=threads)
@@ -308,11 +296,12 @@ def _boundedness_rows(manifest: dict, probe) -> list:
 class _Analysis:
     """How one analysis block runs and what it writes into a bundle.
 
-    prepare(manifest, cfg, threads=1) checks the block's rules and returns
-    the library call; cfg is the solver config when needs_solver is set.
+    prepare(manifest, built, threads=1) checks the block's rules and returns
+    the library call; built is the solver config when needs_solver is set,
+    and the model otherwise.
     The call's result becomes rows(manifest, result) of the CSV csv under
-    columns and the summary.json entry summary(result).  plot is the x-axis
-    label and the columns that plots.gp draws against the CSV's first column.
+    columns and the summary.json entry summary(result).  plot names the
+    x column and the y columns that plots.gp draws against it.
     """
 
     prepare: Callable
@@ -449,18 +438,19 @@ class ResultBundle:
 _TAIL_COLUMNS = ("lambda", "p_hat", "lo", "hi", "exceedances", "n")
 
 
-def _run_one(verb: str, manifest: dict, cfg, mhash: str, outdir: Path, threads: int) -> tuple:
-    """Run one analysis and write its files; returns (result, summary entry)."""
+def _run_one(verb: str, call: Callable, manifest: dict, mhash: str, outdir: Path) -> tuple:
+    """Run one prepared analysis and write its files; returns (result, summary entry)."""
     spec = _ANALYSES[verb]
     blk = manifest["analysis"][verb]
-    result = spec.prepare(manifest, cfg, threads)()
+    result = call()
     summary = spec.summary(result)
     _write_csv(outdir / spec.csv, mhash, spec.columns, spec.rows(manifest, result))
     files = [spec.csv]
     if verb == "simulate" and blk.get("snapshot"):
+        sb = manifest["solver"]
         for fld in result:
             name = f"snapshot_t{_fmt(float(fld.t))}.field"
-            save_snapshot(outdir / name, fld, cfg.kappa, cfg.sigma.kind, manifest["seed"])
+            save_snapshot(outdir / name, fld, sb["kappa"], sb["sigma"]["kind"], manifest["seed"])
             files.append(name)
     if verb == "extremes" and blk.get("tail_lambdas"):
         # tails of the sup over the largest ball, from the probe's own samples
@@ -476,7 +466,7 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
     Analyses that raise are recorded as failures and the rest continue; the
     bundle is then marked incomplete.  The output directory must not exist.
     """
-    errors = validate_manifest(manifest)
+    errors, calls = _plan(manifest, threads)
     if errors:
         raise ManifestError(errors)
     out = Path(out)
@@ -484,9 +474,6 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
         raise BundleError(f"output path {out} already exists")
     out.parent.mkdir(parents=True, exist_ok=True)
     mhash = manifest_hash(manifest)
-    cfg = None
-    if "grid" in manifest and "solver" in manifest:
-        cfg = _build_cfg(manifest)
     tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=".bundle-tmp-"))
     t0 = time.perf_counter()
     summary: dict = {}
@@ -494,9 +481,9 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
     failures: dict = {}
     try:
         (tmp / "manifest.json").write_text(canonical_json(manifest) + "\n")
-        for verb in sorted(manifest.get("analysis", {})):
+        for verb, call in calls.items():
             try:
-                results[verb], summary[verb] = _run_one(verb, manifest, cfg, mhash, tmp, threads)
+                results[verb], summary[verb] = _run_one(verb, call, manifest, mhash, tmp)
             except Exception as exc:  # partial bundles keep whatever succeeded
                 failures[verb] = f"{type(exc).__name__}: {exc}"
         meta = {
@@ -532,8 +519,9 @@ def _emit_gnuplot(outdir: Path):
         xlabel, ys = spec.plot
         lines.append(f"set output '{spec.csv.replace('.csv', '.png')}'")
         lines.append(f"set xlabel '{xlabel}'")
+        x = spec.columns.index(xlabel) + 1
         curves = (
-            f"'{spec.csv}' using 1:{spec.columns.index(y) + 1} with linespoints title '{y}'" for y in ys
+            f"'{spec.csv}' using {x}:{spec.columns.index(y) + 1} with linespoints title '{y}'" for y in ys
         )
         lines.append(f"plot {', '.join(curves)}")
     (outdir / "plots.gp").write_text("\n".join(lines) + "\n")

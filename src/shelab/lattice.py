@@ -98,6 +98,8 @@ class LatticeGrid:
 
     def ball_mask(self, radius: float) -> np.ndarray:
         """Boolean mask of sites within Euclidean torus distance radius of 0."""
+        if not radius > 0:
+            raise LatticeError(f"ball radius {radius} violates radius > 0")
         if radius > self.period / 2.0:
             raise LatticeError(
                 f"ball radius {radius} exceeds period/2 = {self.period / 2.0}"

@@ -53,6 +53,13 @@ class NoiseError(ValueError):
     pass
 
 
+def check_seed(seed: int) -> int:
+    """Raise unless 0 <= seed < 2**63; returns the seed as an int."""
+    if not (0 <= int(seed) < 2**63):
+        raise NoiseError("seed must be a nonnegative 63-bit integer")
+    return int(seed)
+
+
 @dataclass
 class WhiteNoiseSource:
     """Counter-based white-noise stream for one replica.
@@ -70,8 +77,7 @@ class WhiteNoiseSource:
     _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**63):
-            raise NoiseError("seed must be a nonnegative 63-bit integer")
+        check_seed(self.seed)
         if not (0 <= int(self.stream_id) < 2**63):
             raise NoiseError("stream_id must be a nonnegative 63-bit integer")
         self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))

@@ -154,9 +154,6 @@ class U0Spec:
             return np.full(grid.shape, float(self.level))
         return self.level * np.exp(-grid.radius_sq_mesh())
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "level": self.level}
-
     @classmethod
     def from_dict(cls, spec: dict) -> "U0Spec":
         return cls(**spec)
@@ -236,6 +233,8 @@ def check_solve(cfg: SolverConfig, t_final: float) -> int:
 def check_localization(cfg: SolverConfig, loc: LocalizationConfig, t_final: float) -> None:
     """Raise unless loc can run on cfg to t_final: window beta*sqrt(t_final)
     <= L/4 and, with Picard iterates, steps and a cutoff dx <= beta <= L/2."""
+    if not t_final > 0:
+        raise SolverError("t_final must be positive")
     window = loc.beta * math.sqrt(t_final)
     quarter = cfg.grid.period / 4.0
     if window > quarter + 1e-12:

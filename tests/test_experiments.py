@@ -1,4 +1,6 @@
+import collections
 import copy
+import dataclasses
 import json
 import os
 
@@ -47,61 +49,132 @@ def manifest_cfg(m):
     )
 
 
-# Blocks that each break one rule of the library call they reach, on a base
-# of gaussian_h in d = 1 with L = 16 (unless dx changes), dt = 1/256,
-# t_final = 1/16 and 4 replicas.  Each comes with that library call, made
-# directly; it raises the message that validation must report.
+# Manifests that each break one rule of the library call they reach, on a
+# base of gaussian_h in d = 1 with L = 16 (unless dx changes), dt = 1/256,
+# t_final = 1/16 and 4 replicas, running the one analysis they name.  Each
+# comes with that library call, made directly; it raises the message that
+# validation must report after `where`.
 T, R = 1 / 16, 4
+DROP = object()  # a change that removes the key
+GAUSS = sl.CorrelationModel.gaussian_h(d=1, width=1.0, amplitude=1.0)
+ORACLE = {"k": 2, "walkers": 16, "inner_steps": 16}
+
+
+def broken(changes):
+    """The base manifest with each "path/to/key": value of changes applied."""
+    m = base_manifest()
+    m["replicas"] = R
+    m["solver"].update(dt=1 / 256, t_final=T)
+    for path, value in changes.items():
+        *parents, key = path.split("/")
+        blk = m
+        for p in parents:
+            blk = blk[p]
+        if value is DROP:
+            del blk[key]
+        else:
+            blk[key] = value
+    return m
+
+
 RULE_GAPS = [
     pytest.param(
-        "localize", {"betas": [12], "k": 2}, 0.25,
-        lambda cfg: an.localization_error_curve(cfg, T, [12], 2, R),
+        "localize", {"analysis": {"localize": {"betas": [12], "k": 2}}},
+        lambda m: an.localization_error_curve(manifest_cfg(m), T, [12], 2, R),
         id="localize-cutoff-above-half-period",
     ),
     pytest.param(
-        "independence", {"beta": 12, "points": [[0.0], [4.0]]}, 0.25,
-        lambda cfg: an.independence_test(cfg, sl.LocalizationConfig(beta=12), T, [[0.0], [4.0]], R),
+        "independence", {"analysis": {"independence": {"beta": 12, "points": [[0.0], [4.0]]}}},
+        lambda m: an.independence_test(manifest_cfg(m), sl.LocalizationConfig(beta=12), T, [[0.0], [4.0]], R),
         id="independence-cutoff-above-half-period",
     ),
     pytest.param(
-        "independence", {"beta": 1.5, "points": [[0.0], [64.0]]}, 2.0,
-        lambda cfg: an.independence_test(cfg, sl.LocalizationConfig(beta=1.5), T, [[0.0], [64.0]], R),
+        "independence", {"grid/dx": 2.0, "analysis": {"independence": {"beta": 1.5, "points": [[0.0], [64.0]]}}},
+        lambda m: an.independence_test(manifest_cfg(m), sl.LocalizationConfig(beta=1.5), T, [[0.0], [64.0]], R),
         id="independence-cutoff-below-one-cell",
     ),
     pytest.param(
-        "moments", {"ks": [2], "probes": [[0, 0]]}, 0.25,
-        lambda cfg: an.estimate_moments(an.Scenario(cfg=cfg, t_final=T, probes=((0, 0),)), [2], R),
+        "moments", {"analysis": {"moments": {"ks": [2], "probes": [[0, 0]]}}},
+        lambda m: an.estimate_moments(an.Scenario(cfg=manifest_cfg(m), t_final=T, probes=((0, 0),)), [2], R),
         id="moments-probe-dimension",
     ),
     pytest.param(
-        "noise_selftest", {"lags": [64], "slices": 4}, 0.25,
-        lambda cfg: sl.covariance_selftest(cfg.model, cfg.grid, cfg.dt, [64], 4),
+        "noise_selftest", {"analysis": {"noise_selftest": {"lags": [64], "slices": 4}}},
+        lambda m: sl.covariance_selftest(GAUSS, manifest_cfg(m).grid, 1 / 256, [64], 4),
         id="selftest-lag-beyond-grid",
     ),
     pytest.param(
-        "noise_selftest", {"lags": [0], "slices": 4, "level": 0.5}, 0.25,
-        lambda cfg: sl.covariance_selftest(cfg.model, cfg.grid, cfg.dt, [0], 4, level=0.5),
+        "noise_selftest", {"analysis": {"noise_selftest": {"lags": [0], "slices": 4, "level": 0.5}}},
+        lambda m: sl.covariance_selftest(GAUSS, manifest_cfg(m).grid, 1 / 256, [0], 4, level=0.5),
         id="selftest-cutoff-below-one",
     ),
     pytest.param(
-        "extremes", {"radii": [4, 2]}, 0.25,
-        lambda cfg: an.boundedness_probe(an.Scenario(cfg=cfg, t_final=T), [4, 2], R),
+        "extremes", {"analysis": {"extremes": {"radii": [4, 2]}}},
+        lambda m: an.boundedness_probe(an.Scenario(cfg=manifest_cfg(m), t_final=T), [4, 2], R),
         id="extremes-radius-ladder",
     ),
     pytest.param(
-        "boundedness", {"radii": [2, 2]}, 0.25,
-        lambda cfg: an.boundedness_probe(an.Scenario(cfg=cfg, t_final=T), [2, 2], R),
+        "boundedness", {"analysis": {"boundedness": {"radii": [2, 2]}}},
+        lambda m: an.boundedness_probe(an.Scenario(cfg=manifest_cfg(m), t_final=T), [2, 2], R),
         id="boundedness-radius-ladder",
     ),
     pytest.param(
-        "localize", {"betas": [4, 2], "k": 2}, 0.25,
-        lambda cfg: an.localization_error_curve(cfg, T, [4, 2], 2, R),
+        "localize", {"analysis": {"localize": {"betas": [4, 2], "k": 2}}},
+        lambda m: an.localization_error_curve(manifest_cfg(m), T, [4, 2], 2, R),
         id="localize-beta-ladder",
     ),
     pytest.param(
-        "extremes", {"radii": [2, 4], "tail_lambdas": [2.0]}, 0.25,
-        lambda cfg: an.tail_estimate(np.full(R, 3.0), 2.0),
+        "extremes", {"analysis": {"extremes": {"radii": [2, 4], "tail_lambdas": [2.0]}}},
+        lambda m: an.tail_estimate(np.full(R, 3.0), 2.0),
         id="extremes-tail-lambda-not-above-e",
+    ),
+    pytest.param(
+        "extremes", {"analysis": {"extremes": {"radii": [0.5, 2.0]}}},
+        lambda m: an.fluctuation_exponent([0.5, 2.0], [1.0, 1.0]),
+        id="extremes-radius-not-above-one",
+    ),
+    pytest.param(
+        "boundedness", {"analysis": {"boundedness": {"radii": [-1.0, 2.0]}}},
+        lambda m: an.boundedness_probe(an.Scenario(cfg=manifest_cfg(m), t_final=T), [-1.0, 2.0], R),
+        id="boundedness-radius-not-positive",
+    ),
+    pytest.param(
+        "seed", {"seed": 2**63},
+        lambda m: an.estimate_moments(an.Scenario(cfg=manifest_cfg(m), t_final=T), [2], R, seed=2**63),
+        id="seed-beyond-63-bits",
+    ),
+    pytest.param(
+        "oracle", {"analysis": {"oracle": {**ORACLE, "k": 1}}},
+        lambda m: an.fk_moment_oracle(GAUSS, 1.0, T, 1, an.FkOracleConfig(16, 16)),
+        id="oracle-k-below-two",
+    ),
+    pytest.param(
+        "oracle", {"analysis": {"oracle": {**ORACLE, "ks": [2, 1]}}},
+        lambda m: an.fk_moment_oracle(GAUSS, 1.0, T, 1, an.FkOracleConfig(16, 16)),
+        id="oracle-ks-below-two",
+    ),
+    pytest.param(
+        "oracle", {"analysis": {"oracle": {**ORACLE, "u0_level": 0.0}}},
+        lambda m: an.fk_moment_oracle(GAUSS, 1.0, T, 2, an.FkOracleConfig(16, 16), u0_level=0.0),
+        id="oracle-u0-level-not-positive",
+    ),
+    pytest.param(
+        "oracle", {"grid": DROP, "solver/kappa": 0.0, "analysis": {"oracle": ORACLE}},
+        lambda m: an.fk_moment_oracle(GAUSS, 0.0, T, 2, an.FkOracleConfig(16, 16)),
+        id="oracle-kappa-not-positive-without-grid",
+    ),
+    pytest.param(
+        "oracle", {"grid": DROP, "solver/t_final": 0.0, "analysis": {"oracle": ORACLE}},
+        lambda m: an.fk_moment_oracle(GAUSS, 1.0, 0.0, 2, an.FkOracleConfig(16, 16)),
+        id="oracle-t-final-not-positive-without-grid",
+    ),
+    pytest.param(
+        "oracle", {"model": {"kind": "riesz", "d": 2, "alpha": 1.0, "c0": 1.0}, "grid": DROP,
+                   "analysis": {"oracle": {**ORACLE, "reg_scale": 0.0}}},
+        lambda m: an.fk_moment_oracle(
+            sl.CorrelationModel.riesz(d=2, alpha=1.0, c0=1.0), 1.0, T, 2, an.FkOracleConfig(16, 16, reg_scale=0.0)
+        ),
+        id="oracle-reg-scale-not-positive",
     ),
 ]
 
@@ -140,6 +213,11 @@ class TestValidation:
         del m["grid"]
         errs = exp.validate_manifest(m)
         assert any("need both a grid and a solver block" in e for e in errs)
+
+    def test_invalid_grid_is_not_a_missing_grid(self):
+        m = base_manifest()
+        m["grid"]["m"] = 12
+        assert exp.validate_manifest(m) == ["grid: m must be a power of two >= 8, got 12"]
 
     def test_constant_model_cannot_drive_solver(self):
         m = base_manifest()
@@ -192,20 +270,46 @@ class TestValidation:
         errs = exp.validate_manifest(m)
         assert any("violates alpha < 1 = min(d, 2)" in e for e in errs)
 
-    @pytest.mark.parametrize("verb, block, dx, library_call", RULE_GAPS)
-    def test_library_rule_fails_validation_not_the_run(self, tmp_path, capsys, verb, block, dx, library_call):
-        m = base_manifest()
-        m["replicas"] = R
-        m["grid"]["dx"] = dx
-        m["solver"].update(dt=1 / 256, t_final=T)
-        m["analysis"] = {verb: block}
+    @pytest.mark.parametrize("where, changes, library_call", RULE_GAPS)
+    def test_library_rule_fails_validation_not_the_run(self, tmp_path, capsys, where, changes, library_call):
+        m = broken(changes)
         with pytest.raises(ValueError) as ei:
-            library_call(manifest_cfg(m))
-        assert exp.validate_manifest(m) == [f"{verb}: {ei.value}"]
+            library_call(m)
+        assert exp.validate_manifest(m) == [f"{where}: {ei.value}"]
         mp = write_manifest(tmp_path, m)
+        (verb,) = m["analysis"]
         assert cli_main([verb.replace("_", "-"), "--manifest", mp, "--out", str(tmp_path / "b")]) == 2
         assert str(ei.value) in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["m.json"]  # no bundle, not even a partial one
+
+    def test_rules_of_different_blocks_are_reported_together(self):
+        m = broken({"solver/dt": 1 / 8, "analysis": {"moments": {"ks": [2]}, "localize": {"betas": [2], "k": 0},
+                                                     "oracle": {**ORACLE, "k": 1}}})
+        expected = []
+        for where, call in (
+            ("localize", lambda: an.localization_error_curve(manifest_cfg(m), T, [2], 0, R)),
+            ("moments", lambda: an.estimate_moments(an.Scenario(cfg=manifest_cfg(m), t_final=T), [2], R)),
+            ("oracle", lambda: an.fk_moment_oracle(GAUSS, 1.0, T, 1, an.FkOracleConfig(16, 16))),
+        ):
+            with pytest.raises(ValueError) as ei:
+                call()
+            expected.append(f"{where}: {ei.value}")
+        assert exp.validate_manifest(m) == expected
+        assert "dt=0.125 too coarse" in expected[1]
+
+    def test_schema_holds_no_value_rule(self):
+        # value rules live in the library; a bound here would be a second
+        # source with its own message
+        bounds = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "enum"}
+
+        def keys(node):
+            if isinstance(node, dict):
+                return set(node) | set().union(*(keys(v) for v in node.values()))
+            if isinstance(node, list):
+                return set().union(*(keys(v) for v in node))
+            return set()
+
+        assert keys(exp._schema()) & bounds == set()
 
     def test_manifest_error_carries_list(self, tmp_path):
         m = base_manifest()
@@ -262,6 +366,39 @@ class TestRunBundles:
         assert summary["failures"] == {}
         first = open(os.path.join(out, "moments.csv")).readline().strip()
         assert first == f"# manifest_hash={exp.manifest_hash(m)}"
+
+    def test_run_builds_the_model_and_prepares_each_analysis_once(self, tmp_path, monkeypatch):
+        m = base_manifest()
+        m["replicas"] = 4
+        m["analysis"] = {
+            "dalang": {},
+            "noise_selftest": {"lags": [0], "slices": 4},
+            "simulate": {"record_times": [0.25]},
+            "moments": {"ks": [2]},
+            "oracle": ORACLE,
+            "extremes": {"radii": [2.0, 4.0]},
+            "localize": {"betas": [2], "k": 2},
+            "independence": {"beta": 2, "points": [[0.0], [6.0]]},
+            "boundedness": {"radii": [1.0, 2.0]},
+        }
+        calls = collections.Counter()
+        from_dict = sl.CorrelationModel.from_dict.__func__
+
+        def counted_from_dict(cls, spec):
+            calls["from_dict"] += 1
+            return from_dict(cls, spec)
+
+        def counted(verb, prepare):
+            def wrapper(*args, **kwargs):
+                calls[verb] += 1
+                return prepare(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sl.CorrelationModel, "from_dict", classmethod(counted_from_dict))
+        for verb, spec in exp._ANALYSES.items():
+            monkeypatch.setitem(exp._ANALYSES, verb, dataclasses.replace(spec, prepare=counted(verb, spec.prepare)))
+        assert exp.run(m, tmp_path / "b").complete
+        assert calls == {"from_dict": 1, **{verb: 1 for verb in exp._ANALYSES}}
 
     def test_rerun_is_byte_identical_and_thread_invariant(self, tmp_path):
         m = base_manifest()
@@ -322,10 +459,15 @@ class TestRunBundles:
             exp.read_bundle(out)
 
     def test_gnuplot_emission(self, tmp_path):
+        m = base_manifest()
+        m["analysis"]["noise_selftest"] = {"lags": [0, 1], "slices": 16}
         out = str(tmp_path / "gp")
-        exp.run(base_manifest(), out, emit_gnuplot=True)
+        exp.run(m, out, emit_gnuplot=True)
         text = open(os.path.join(out, "plots.gp")).read()
-        assert "moments.csv" in text
+        assert "'moments.csv' using 1:3 " in text
+        # x is lag_distance, column 2, as the axis label says
+        assert "set xlabel 'lag_distance'" in text
+        assert "'noise_selftest.csv' using 2:3 " in text and "'noise_selftest.csv' using 2:4 " in text
 
     def test_report_renders(self, tmp_path):
         out = str(tmp_path / "rep")
@@ -407,6 +549,12 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "estimate" in out
+
+    def test_oracle_shortcut_rejects_seed_beyond_63_bits(self, tmp_path, capsys):
+        mp = tmp_path / "model.json"
+        mp.write_text(json.dumps({"kind": "constant", "d": 1, "c": 0.3}))
+        assert cli_main(["oracle", "--model", str(mp), "--seed", str(2**63)]) == 2
+        assert "seed must be a nonnegative 63-bit integer" in capsys.readouterr().err
 
     def test_missing_manifest_is_validation_error(self, capsys):
         assert cli_main(["simulate"]) == 2
