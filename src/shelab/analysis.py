@@ -49,6 +49,7 @@ from .noise import check_seed
 from .solver import (
     LocalizationConfig,
     SolverConfig,
+    _coupled_batch,
     check_localization,
     check_solve,
     localized_solve_batch,
@@ -728,10 +729,10 @@ def localization_error_curve(
     blist = [loc.beta for loc in locs]
 
     def batch(streams):
-        full = solve_batch(cfg, t_final, seed, streams)
+        solves = _coupled_batch(cfg, locs, t_final, seed, streams)
+        full = next(solves)
         rows = np.empty((len(streams), len(blist)))
-        for bi, loc in enumerate(locs):
-            approx = localized_solve_batch(cfg, loc, t_final, seed, streams)
+        for bi, approx in enumerate(solves):
             diff = np.abs(full - approx) ** k
             rows[:, bi] = diff.reshape(len(streams), -1).mean(axis=1)
         return rows

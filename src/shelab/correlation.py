@@ -75,15 +75,15 @@ class CorrelationModel:
                 raise CorrelationError(
                     f"riesz exponent must satisfy 0 < alpha <= d, got alpha={self.alpha}, d={self.d}"
                 )
-            if self.c0 <= 0:
+            if not self.c0 > 0:
                 raise CorrelationError("riesz strength c0 must be positive")
         elif self.kind == GAUSSIAN_H:
             if self.width is None or self.amplitude is None:
                 raise CorrelationError("gaussian_h model needs width and amplitude")
-            if self.width <= 0 or self.amplitude <= 0:
+            if not (self.width > 0 and self.amplitude > 0):
                 raise CorrelationError("gaussian_h width and amplitude must be positive")
         else:
-            if self.c is None or self.c <= 0:
+            if self.c is None or not self.c > 0:
                 raise CorrelationError("constant model needs a positive level c")
 
     @classmethod
@@ -114,18 +114,6 @@ class CorrelationModel:
         if self.kind == GAUSSIAN_H:
             return self.amplitude**2 * (math.sqrt(math.pi) * self.width) ** self.d
         return self.c
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "d": self.d}
-        if self.kind == RIESZ:
-            out["alpha"] = self.alpha
-            out["c0"] = self.c0
-        elif self.kind == GAUSSIAN_H:
-            out["width"] = self.width
-            out["amplitude"] = self.amplitude
-        else:
-            out["c"] = self.c
-        return out
 
     @classmethod
     def from_dict(cls, spec: dict) -> "CorrelationModel":

@@ -124,7 +124,7 @@ def _freq_sq_cached(grid: LatticeGrid) -> np.ndarray:
 @lru_cache(maxsize=256)
 def propagator_multiplier(grid: LatticeGrid, kappa: float, tau: float) -> np.ndarray:
     """exp(-kappa tau |xi|^2 / 2) on the real-FFT grid."""
-    if tau < 0 or kappa <= 0:
+    if not (tau >= 0 and kappa > 0):
         raise LatticeError("propagator needs tau >= 0 and kappa > 0")
     mult = np.exp(-0.5 * kappa * tau * _freq_sq_cached(grid))
     mult.setflags(write=False)

@@ -96,7 +96,7 @@ class WhiteNoiseSource:
 
     def white_at(self, step: int, grid: LatticeGrid, dt: float) -> np.ndarray:
         """White-noise array for one step, independent of earlier draws."""
-        if dt <= 0:
+        if not dt > 0:
             raise NoiseError("dt must be positive")
         scale = np.sqrt(dt / grid.cell_volume)
         self._state["state"]["counter"][2] = step

@@ -24,6 +24,14 @@ support on the lattice, so fields at sites separated by more than
 2 * n_picard * beta * (1 + sqrt(t)) in every coordinate are exactly
 independent.
 
+In Fourier space the sum is a causal time convolution: a lower-triangular
+kernel K[f, i, j] (age i - j, window of time i) is built once per call,
+and each Picard pass is one matrix-vector product K[f] @ g[r, f] per
+replica r and frequency f.  It is computed per replica, not as one
+matrix-matrix product over the batch, because BLAS may sum a product in
+a different order when the batch holds one replica than when it holds
+many; per replica, each row's bits do not depend on the batch.
+
 Replica batches: the batch entry points evolve many replicas at once with
 the grid axes last; each replica's noise depends only on (seed, stream_id,
 step), so results are invariant to batch composition and thread count.
@@ -78,9 +86,9 @@ class SigmaFunction:
     def __post_init__(self):
         if self.kind not in SIGMA_KINDS:
             raise SolverError(f"unknown sigma kind {self.kind!r}")
-        if self.kind == "constant" and (self.eps0 is None or self.eps0 <= 0):
+        if self.kind == "constant" and (self.eps0 is None or not self.eps0 > 0):
             raise SolverError("constant sigma needs eps0 > 0")
-        if self.kind in ("linear", "lipschitz_zero") and (self.c is None or self.c <= 0):
+        if self.kind in ("linear", "lipschitz_zero") and (self.c is None or not self.c > 0):
             raise SolverError(f"{self.kind} sigma needs c > 0")
 
     @classmethod
@@ -123,14 +131,6 @@ class SigmaFunction:
     def is_multiplicative(self) -> bool:
         return self.kind == "linear"
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.eps0 is not None:
-            out["eps0"] = self.eps0
-        if self.c is not None:
-            out["c"] = self.c
-        return out
-
     @classmethod
     def from_dict(cls, spec: dict) -> "SigmaFunction":
         return cls(**spec)
@@ -146,7 +146,7 @@ class U0Spec:
     def __post_init__(self):
         if self.kind not in ("constant", "gaussian_decay"):
             raise SolverError(f"unknown u0 kind {self.kind!r}")
-        if self.level <= 0:
+        if not self.level > 0:
             raise SolverError("u0 level must be positive")
 
     def render(self, grid: LatticeGrid) -> np.ndarray:
@@ -169,9 +169,9 @@ class SolverConfig:
     u0: U0Spec = U0Spec()
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise SolverError("kappa must be positive")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise SolverError("dt must be positive")
         if self.model.d != self.grid.d:
             raise SolverError("model and grid dimensions differ")
@@ -197,9 +197,9 @@ class LocalizationConfig:
     n_picard: Optional[int] = None
 
     def __post_init__(self):
-        if self.beta < 1.0:
+        if not self.beta >= 1.0:
             raise SolverError("beta must be >= 1")
-        if self.n_picard is not None and self.n_picard < 0:
+        if self.n_picard is not None and not self.n_picard >= 0:
             raise SolverError("n_picard must be >= 0")
 
     def depth(self) -> int:
@@ -209,7 +209,7 @@ class LocalizationConfig:
 
 
 def _steps_for(t_final: float, dt: float) -> int:
-    if t_final <= 0:
+    if not t_final > 0:
         raise SolverError("t_final must be positive")
     n = t_final / dt
     n_round = round(n)
@@ -266,16 +266,22 @@ def _clamp_negatives(u: np.ndarray, stats: dict):
     return u
 
 
-def _white_batch(cfg: SolverConfig, sources: Sequence[WhiteNoiseSource], step_idx: int, refine: int) -> np.ndarray:
-    grid = cfg.grid
-    out = np.empty((len(sources),) + grid.shape)
-    dt_fine = cfg.dt / refine
-    for i, src in enumerate(sources):
-        acc = src.white_at(step_idx * refine, grid, dt_fine)
-        for r in range(1, refine):
-            acc += src.white_at(step_idx * refine + r, grid, dt_fine)
-        out[i] = acc
-    return out
+def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int], refine: int = 1):
+    """Step j -> transform of every stream's white-noise slice of step j,
+    summed over its refine sub-steps of size dt / refine."""
+    # One source per stream, owned by this call, so no thread shares one.
+    sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
+    axes = tuple(range(1, 1 + cfg.grid.d))
+
+    def draw(j):
+        w = np.empty((len(sources),) + cfg.grid.shape)
+        for i, src in enumerate(sources):
+            w[i] = src.white_at(j * refine, cfg.grid, cfg.dt / refine)
+            for r in range(1, refine):
+                w[i] += src.white_at(j * refine + r, cfg.grid, cfg.dt / refine)
+        return np.fft.rfftn(w, axes=axes)
+
+    return draw
 
 
 def solve_batch(
@@ -292,26 +298,27 @@ def solve_batch(
     dt / refine and sums sub-increments, so a run at (dt, refine=2) is
     driven by exactly the same noise as a run at (dt/2, refine=1).
     """
-    grid = cfg.grid
     n_steps = _steps_for(t_final, cfg.dt)
     if refine < 1:
         raise SolverError("refine must be >= 1")
+    return _solve_batch(cfg, n_steps, streams, _white_hat(cfg, seed, streams, refine), collect_stats)
+
+
+def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_hat, collect_stats=None) -> np.ndarray:
+    """solve_batch driven by white_hat(j), the transformed white slices of step j."""
+    grid = cfg.grid
     H = kernel_multiplier(cfg.model, grid, None)
     P = propagator_multiplier(grid, cfg.kappa, cfg.dt)
     axes = tuple(range(1, 1 + grid.d))
     stats = collect_stats if collect_stats is not None else {}
 
-    # One source per stream, owned by this call, so no thread shares one.
-    sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
     u0 = cfg.u0.render(grid)
     if cfg.sigma.kind == "constant":
         # sigma does not look at the field, so the whole run can stay spectral.
         uhat = np.broadcast_to(np.fft.rfftn(u0), (len(streams),) + grid.rfft_shape()).copy()
         eps0 = cfg.sigma.eps0
         for j in range(n_steps):
-            w = _white_batch(cfg, sources, j, refine)
-            what = np.fft.rfftn(w, axes=axes)
-            uhat += eps0 * (H * what)
+            uhat += eps0 * (H * white_hat(j))
             uhat *= P
             if not np.all(np.isfinite(uhat)):
                 raise SolverBlowup((j + 1) * cfg.dt, math.inf, streams)
@@ -319,8 +326,7 @@ def solve_batch(
 
     u = np.broadcast_to(u0, (len(streams),) + grid.shape).copy()
     for j in range(n_steps):
-        w = _white_batch(cfg, sources, j, refine)
-        zeta = np.fft.irfftn(np.fft.rfftn(w, axes=axes) * H, s=grid.shape, axes=axes)
+        zeta = np.fft.irfftn(white_hat(j) * H, s=grid.shape, axes=axes)
         # overflow here is legitimate: it is detected below and escalated
         with np.errstate(over="ignore", invalid="ignore"):
             g = u + cfg.sigma(u) * zeta
@@ -350,85 +356,94 @@ def solve(cfg: SolverConfig, t_final: float, src: WhiteNoiseSource, refine: int 
     return SolutionField(grid=cfg.grid, t=t_final, values=vals[0], provenance=prov)
 
 
-def _window_mask(grid: LatticeGrid, half_width: float) -> np.ndarray:
-    mask = np.ones(grid.shape)
-    for c in grid.coordinate_mesh():
-        mask = mask * (np.abs(c) <= half_width + 1e-12)
-    return mask
-
-
 def _mild_sum_batch(
     cfg: SolverConfig,
     t_final: float,
-    seed: int,
     streams: Sequence[int],
     n_iter: int,
     level,
     window_beta: Optional[float],
+    white_hat,
 ) -> np.ndarray:
     """Final-time Picard iterate of the mild equation, optionally windowed
-    and tapered; shape (len(streams), *grid.shape).
+    and tapered; shape (len(streams), *grid.shape).  n_iter >= 1.
 
     level selects the noise kernel (None for full, or a cutoff level n).
     window_beta, when set, truncates the heat kernel of every stochastic
-    convolution evaluated at time s to the box |z_l| <= window_beta*sqrt(s).
-    With neither, this is the plain Picard iteration, which the tests check
-    against solve_batch.
+    convolution evaluated at time s to the box |z_l| <= window_beta*sqrt(s);
+    None is a window that covers the torus.  With neither, this is the plain
+    Picard iteration, which the tests check against solve_batch.  white_hat
+    is the noise, as for _solve_batch.
     """
     grid = cfg.grid
-    n_steps = _steps_for(t_final, cfg.dt)
+    n = _steps_for(t_final, cfg.dt)
     R = len(streams)
-    axes_b = tuple(range(1, 1 + grid.d))
-    H = kernel_multiplier(cfg.model, grid, level)
+    axes = tuple(range(1, 1 + grid.d))
     fshape = grid.rfft_shape()
+    F = math.prod(fshape)
+    H = kernel_multiplier(cfg.model, grid, level)
 
-    # Noise slices, shared-white with any coupled run of the same streams.
-    sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
-    zeta_hat = np.empty((n_steps, R) + fshape, dtype=complex)
-    for j in range(n_steps):
-        w = _white_batch(cfg, sources, j, refine=1)
-        zeta_hat[j] = np.fft.rfftn(w, axes=axes_b) * H
-    zeta = np.fft.irfftn(zeta_hat, s=grid.shape, axes=tuple(range(2, 2 + grid.d)))
-    del zeta_hat
+    zeta = np.empty((n, R) + grid.shape)
+    for j in range(n):
+        np.fft.irfftn(white_hat(j) * H, s=grid.shape, axes=axes, out=zeta[j])
 
-    # Stochastic-term kernels: KH[i, delta-1] is the transform of the heat
-    # kernel of age delta*dt, truncated to the window of evaluation time i*dt.
-    KH = np.zeros((n_steps + 1, n_steps) + fshape, dtype=complex)
-    for i in range(1, n_steps + 1):
-        if window_beta is None:
-            for delta in range(1, i + 1):
-                KH[i, delta - 1] = propagator_multiplier(grid, cfg.kappa, delta * cfg.dt)
-        else:
-            mask = _window_mask(grid, window_beta * math.sqrt(i * cfg.dt))
-            for delta in range(1, i + 1):
-                kern = np.fft.irfftn(
-                    propagator_multiplier(grid, cfg.kappa, delta * cfg.dt),
-                    s=grid.shape,
-                    axes=tuple(range(grid.d)),
-                )
-                KH[i, delta - 1] = np.fft.rfftn(kern * mask)
+    # Row r of K holds evaluation time i = rows[r]: K[f, r, j] is the
+    # transform of the heat kernel of age (i - j) * dt truncated to the
+    # window of time i * dt, for j < i, and zero for j >= i.  One pass needs
+    # only the final time.
+    ages = np.fft.irfftn(
+        [propagator_multiplier(grid, cfg.kappa, a * cfg.dt) for a in range(1, n + 1)], s=grid.shape, axes=axes
+    )
+    rows = range(1, n + 1) if n_iter > 1 else range(n, n + 1)
+    K = np.zeros((F, len(rows), n), dtype=complex)
+    for r, i in enumerate(rows):
+        half = math.inf if window_beta is None else window_beta * math.sqrt(i * cfg.dt)
+        box = np.ones(grid.shape, dtype=bool)
+        for c in grid.coordinate_mesh():
+            box &= np.abs(c) <= half + 1e-12
+        K[:, r, :i] = np.fft.rfftn(ages[:i] * box, axes=axes)[::-1].reshape(i, F).T
 
     u0 = cfg.u0.render(grid)
     u0hat = np.fft.rfftn(u0)
-    det_hat = np.array(
-        [u0hat * propagator_multiplier(grid, cfg.kappa, i * cfg.dt) for i in range(n_steps + 1)]
-    )
+    det_hat = [u0hat * propagator_multiplier(grid, cfg.kappa, i * cfg.dt) for i in range(n + 1)]
 
-    traj = np.broadcast_to(u0, (n_steps + 1, R) + grid.shape).copy()
+    # Each pass fills G[r, f, j] with the transform of sigma(U_j) zeta_j for
+    # the current iterate U, then takes one matrix-vector product per
+    # (replica, frequency): traj[r, f, i - 1] is the stochastic term of the
+    # next iterate at time i * dt, i < n, kept in place across passes.  The
+    # last pass computes the final time only.
+    G = np.empty((R, F, n, 1), dtype=complex)
+    traj = np.empty((R, F, n - 1, 1), dtype=complex)
+    G_grid = G.reshape((R,) + fshape + (n,))
+    traj_grid = traj.reshape((R,) + fshape + (n - 1,))
+    u0_batch = np.broadcast_to(u0, (R,) + grid.shape)
     for it in range(n_iter):
-        ghat = np.empty((n_steps, R) + fshape, dtype=complex)
-        for j in range(n_steps):
-            ghat[j] = np.fft.rfftn(cfg.sigma(traj[j]) * zeta[j], axes=axes_b)
-        new = np.empty_like(traj)
-        new[0] = u0
-        for i in range(1, n_steps + 1):
-            acc = np.einsum("jrf,jf->rf", ghat[:i], KH[i, :i][::-1], optimize=True)
-            acc += det_hat[i]
-            new[i] = np.fft.irfftn(acc, s=grid.shape, axes=axes_b)
-        traj = new
-    if not np.all(np.isfinite(traj[n_steps])):
-        raise SolverBlowup(t_final, float(np.nanmax(np.abs(traj[n_steps]))), streams)
-    return traj[n_steps]
+        last = it == n_iter - 1
+        for j in range(n if last else n - 1):
+            u = u0_batch
+            if it > 0 and j > 0:
+                u = np.fft.irfftn(traj_grid[..., j - 1] + det_hat[j], s=grid.shape, axes=axes)
+            np.fft.rfftn(cfg.sigma(u) * zeta[j], axes=axes, out=G_grid[..., j])
+        if not last:
+            np.matmul(K[:, : n - 1, : n - 1], G[:, :, : n - 1], out=traj)
+    acc = np.matmul(K[:, -1:], G).reshape((R,) + fshape)
+    final = np.fft.irfftn(acc + det_hat[n], s=grid.shape, axes=axes)
+    if not np.all(np.isfinite(final)):
+        raise SolverBlowup(t_final, float(np.nanmax(np.abs(final))), streams)
+    return final
+
+
+def _localized(cfg: SolverConfig, loc: LocalizationConfig, t_final: float, streams: Sequence[int], white_hat):
+    """localized_solve_batch driven by white_hat, as for _solve_batch."""
+    depth = loc.depth()
+    if depth == 0:
+        # Iterate zero followed by the deterministic term only: heat flow of u0.
+        u0hat = np.fft.rfftn(cfg.u0.render(cfg.grid))
+        heat = np.fft.irfftn(
+            u0hat * propagator_multiplier(cfg.grid, cfg.kappa, t_final), s=cfg.grid.shape, axes=range(cfg.grid.d)
+        )
+        return np.broadcast_to(heat, (len(streams),) + cfg.grid.shape).copy()
+    return _mild_sum_batch(cfg, t_final, streams, depth, loc.beta, loc.beta, white_hat)
 
 
 def localized_solve_batch(
@@ -440,22 +455,17 @@ def localized_solve_batch(
 ) -> np.ndarray:
     """Localized Picard approximation for a batch of replicas."""
     check_localization(cfg, loc, t_final)
-    depth = loc.depth()
-    if depth == 0:
-        # Iterate zero followed by the deterministic term only: heat flow of u0.
-        u0hat = np.fft.rfftn(cfg.u0.render(cfg.grid))
-        out = np.fft.irfftn(
-            u0hat * propagator_multiplier(cfg.grid, cfg.kappa, t_final),
-            s=cfg.grid.shape,
-            axes=tuple(range(cfg.grid.d)),
-        )
-        return np.broadcast_to(out, (len(streams),) + cfg.grid.shape).copy()
-    return _mild_sum_batch(
-        cfg,
-        t_final,
-        seed,
-        streams,
-        n_iter=depth,
-        level=loc.beta,
-        window_beta=loc.beta,
-    )
+    return _localized(cfg, loc, t_final, streams, _white_hat(cfg, seed, streams))
+
+
+def _coupled_batch(cfg: SolverConfig, locs: Sequence[LocalizationConfig], t_final: float, seed: int, streams):
+    """Yield the full solution of streams, then its localized iterate for
+    each of locs, all driven by one draw of the streams' white noise."""
+    n_steps = _steps_for(t_final, cfg.dt)
+    draw = _white_hat(cfg, seed, streams)
+    what = np.empty((n_steps, len(streams)) + cfg.grid.rfft_shape(), dtype=complex)
+    for j in range(n_steps):
+        what[j] = draw(j)
+    yield _solve_batch(cfg, n_steps, streams, what.__getitem__)
+    for loc in locs:
+        yield _localized(cfg, loc, t_final, streams, what.__getitem__)

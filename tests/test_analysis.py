@@ -396,6 +396,19 @@ class TestLocalizationCurve:
         assert curve.fit is not None
         assert curve.fit.extras["decay_rate"] > 0
 
+    def test_one_noise_draw_per_chunk(self, monkeypatch):
+        # the full solve and every beta share one draw of the chunk's noise
+        calls = []
+        white_at = sl.WhiteNoiseSource.white_at
+
+        def counted(self, step, grid, dt):
+            calls.append((self.stream_id, step))
+            return white_at(self, step, grid, dt)
+
+        monkeypatch.setattr(sl.WhiteNoiseSource, "white_at", counted)
+        an.localization_error_curve(small_cfg(), 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=6, seed=17)
+        assert sorted(calls) == [(s, j) for s in range(6) for j in range(round(0.25 / DT))]
+
     def test_beta_ladder_validation(self):
         cfg = small_cfg()
         with pytest.raises(an.AnalysisError):

@@ -2,6 +2,7 @@ import collections
 import copy
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -175,6 +176,29 @@ RULE_GAPS = [
             sl.CorrelationModel.riesz(d=2, alpha=1.0, c0=1.0), 1.0, T, 2, an.FkOracleConfig(16, 16, reg_scale=0.0)
         ),
         id="oracle-reg-scale-not-positive",
+    ),
+    # a rule written as x <= 0 lets NaN through; json reads NaN
+    pytest.param(
+        "solver", {"solver/kappa": math.nan}, manifest_cfg, id="solver-kappa-nan",
+    ),
+    pytest.param(
+        "solver", {"solver/dt": math.nan}, manifest_cfg, id="solver-dt-nan",
+    ),
+    pytest.param(
+        "model", {"model/width": math.nan}, lambda m: sl.CorrelationModel.from_dict(m["model"]), id="model-width-nan",
+    ),
+    pytest.param(
+        "solver/sigma", {"solver/sigma/c": math.nan}, lambda m: sl.SigmaFunction.linear(c=math.nan),
+        id="sigma-c-nan",
+    ),
+    pytest.param(
+        "solver/u0", {"solver/u0/level": math.nan}, lambda m: sl.U0Spec.from_dict(m["solver"]["u0"]),
+        id="u0-level-nan",
+    ),
+    pytest.param(
+        "localize", {"analysis": {"localize": {"betas": [math.nan], "k": 2}}},
+        lambda m: an.localization_error_curve(manifest_cfg(m), T, [math.nan], 2, R),
+        id="localize-beta-nan",
     ),
 ]
 
@@ -416,6 +440,22 @@ class TestRunBundles:
         out.mkdir()
         with pytest.raises(exp.BundleError):
             exp.run(base_manifest(), str(out))
+
+    def test_two_dimensional_localized_bundles(self, tmp_path):
+        m = base_manifest()
+        m["model"] = {"kind": "gaussian_h", "d": 2, "width": 1.0, "amplitude": 1.0}
+        m["grid"] = {"d": 2, "m": 32, "dx": 0.5}
+        m["analysis"] = {
+            "localize": {"betas": [2, 4], "k": 2},
+            "independence": {"beta": 2, "points": [[0.0, 0.0], [8.0, 8.0]]},
+        }
+        mp = write_manifest(tmp_path, m)
+        for verb in ("localize", "independence"):
+            out = tmp_path / verb
+            assert cli_main([verb, "--manifest", mp, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["complete"] is True and summary["failures"] == {}
+            assert (out / f"{verb}.csv").is_file()
 
     def test_partial_failure_recorded(self, tmp_path):
         m = base_manifest()

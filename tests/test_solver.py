@@ -1,11 +1,17 @@
+import hashlib
 import math
+import os
 import pickle
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shelab as sl
-from shelab.solver import SolverError, _mild_sum_batch
+from shelab.solver import SolverError, _mild_sum_batch, _white_hat
 
 
 GRID = sl.LatticeGrid(d=1, m=128, dx=0.25)
@@ -50,14 +56,6 @@ class TestSigmaFunction:
             sl.SigmaFunction.constant(eps0=-1.0)
         with pytest.raises(SolverError):
             sl.SigmaFunction.linear(c=0.0)
-
-    def test_dict_round_trip(self):
-        for s in (
-            sl.SigmaFunction.constant(eps0=0.3),
-            sl.SigmaFunction.bounded_both(),
-            sl.SigmaFunction.linear(c=2.0),
-        ):
-            assert sl.SigmaFunction.from_dict(s.to_dict()) == s
 
 
 class TestU0AndConfig:
@@ -221,12 +219,21 @@ class TestThreadedFarm:
 
 def picard(cfg, t, iterations, seed, stream_id):
     """Plain Picard iterate of the mild equation: full kernel, no window."""
-    return _mild_sum_batch(cfg, t, seed, [stream_id], n_iter=iterations, level=None, window_beta=None)[0]
+    streams = [stream_id]
+    return _mild_sum_batch(cfg, t, streams, iterations, None, None, _white_hat(cfg, seed, streams))[0]
 
 
 class TestPicardAndLocalized:
     def test_picard_converges_to_direct_solution(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
+        pic = picard(cfg, 0.25, 14, seed=5, stream_id=3)
+        direct = sl.solve_batch(cfg, 0.25, 5, [3])[0]
+        assert np.abs(pic - direct).max() < 1e-8
+
+    def test_picard_converges_in_two_dimensions(self):
+        grid = sl.LatticeGrid(d=2, m=16, dx=0.25)
+        model = sl.CorrelationModel.gaussian_h(d=2, width=1.0, amplitude=1.0)
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), grid=grid, model=model)
         pic = picard(cfg, 0.25, 14, seed=5, stream_id=3)
         direct = sl.solve_batch(cfg, 0.25, 5, [3])[0]
         assert np.abs(pic - direct).max() < 1e-8
@@ -264,3 +271,54 @@ class TestPicardAndLocalized:
             got = sl.localized_solve_batch(cfg, loc, 0.25, 8, [0])[0]
             errs.append(float(np.sqrt(np.mean((got - ref) ** 2))))
         assert errs[2] < errs[0]
+
+
+# 128 steps at depth 2, so each Picard pass contracts 127 x 127 kernel rows:
+# large enough for OpenBLAS to split a matrix-vector product across threads
+ENGINE_GRID = sl.LatticeGrid(d=1, m=32, dx=0.5)
+ENGINE_LOC = sl.LocalizationConfig(beta=4.0)
+ENGINE_SCRIPT = """
+import hashlib, sys
+import shelab as sl
+grid = sl.LatticeGrid(d=1, m=32, dx=0.5)
+cfg = sl.SolverConfig(grid=grid, model=sl.CorrelationModel.gaussian_h(d=1, width=1.0),
+                      sigma=sl.SigmaFunction.linear(c=1.0), kappa=1.0, dt=1 / 256)
+vals = sl.localized_solve_batch(cfg, sl.LocalizationConfig(beta=4.0), 0.5, 11, range(32))
+sys.stdout.write(hashlib.sha256(vals.tobytes()).hexdigest())
+"""
+
+
+class TestLocalizedEngine:
+    def test_batch_composition_invariance(self):
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), grid=ENGINE_GRID, dt=1 / 256)
+        solo = sl.localized_solve_batch(cfg, ENGINE_LOC, 0.5, 11, [5])[0]
+        window = sl.localized_solve_batch(cfg, ENGINE_LOC, 0.5, 11, range(3, 10))[2]
+        full = sl.localized_solve_batch(cfg, ENGINE_LOC, 0.5, 11, range(32))[5]
+        assert solo.tobytes() == window.tobytes() == full.tobytes()
+
+    def test_bytes_independent_of_blas_threads(self):
+        src = str(Path(sl.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", ENGINE_SCRIPT], env=env, capture_output=True, text=True, check=True
+            )
+            digests.add(done.stdout)
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), grid=ENGINE_GRID, dt=1 / 256)
+        here = sl.localized_solve_batch(cfg, ENGINE_LOC, 0.5, 11, range(32))
+        assert digests == {hashlib.sha256(here.tobytes()).hexdigest()}
+
+    def test_peak_memory_of_one_chunk(self):
+        # the floor is the noise, the iterate and its products held at once,
+        # about one n * R * sites array each, plus the kernel stack
+        grid = sl.LatticeGrid(d=1, m=512, dx=0.25)
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), grid=grid, dt=1 / 128)
+        n_steps, replicas = 32, 32
+        tracemalloc.start()
+        try:
+            sl.localized_solve_batch(cfg, sl.LocalizationConfig(beta=8.0), 0.25, 1, range(replicas))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * n_steps * replicas * grid.n_sites * 8
