@@ -350,6 +350,10 @@ def fk_moment_oracle(
     jackknife runs over the independent populations instead, and heavy_tail
     is set when they disagree: a relative stderr above 50%, read on the log
     scale as log_stderr > log 1.5.
+
+    Positions are walkers-last (pos[i, c, m]: motion i, coordinate c, walker
+    m). A step works in reused (pairs, M) buffers, adding squares coordinate
+    by coordinate and pair terms pair by pair, the order seeded bits rely on.
     """
     check_oracle(model, kappa, t, k, u0_level)
     M, n_inner = cfg.walkers, cfg.inner_steps
@@ -362,21 +366,30 @@ def fk_moment_oracle(
     resample_rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, 0x726573616D70], dtype=np.uint64))
     )
-    ii, jj = np.triu_indices(k, 1)
-    pos = np.zeros((M, k, d))
+    pos = np.zeros((k, d, M))
+    step_noise = np.empty((M, k, d))
     scale = math.sqrt(dt)
+    # Pairs (i, j), i < j, in row-major order: pairs (i, .) are rows rows[i]:rows[i + 1].
+    rows = np.cumsum([0] + list(range(k - 1, 0, -1)))
+    diff, r = np.empty((2, rows[-1], M))
     # Each population holds at least one walker; a single walker never resamples.
     starts = np.linspace(0, M, min(_FK_BLOCKS, M) + 1).astype(int)
     sizes = np.diff(starts)
     log_norm = np.zeros(sizes.size)
     resamplings = 0
 
-    def pair_sum(p):
-        diff = p[:, ii, :] - p[:, jj, :]
-        r = math.sqrt(kappa) * np.sqrt(np.sum(diff * diff, axis=-1))
+    def pair_sum():
+        r.fill(0.0)
+        for c in range(d):
+            for i in range(k - 1):
+                np.subtract(pos[i, c], pos[i + 1 :, c], out=diff[rows[i] : rows[i + 1]])
+            np.multiply(diff, diff, out=diff)
+            np.add(r, diff, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(r, math.sqrt(kappa), out=r)
         if model.kind == RIESZ:
-            r = np.maximum(r, r_reg)
-        return 2.0 * np.sum(evaluate_f_radial(model, r), axis=1)
+            np.maximum(r, r_reg, out=r)
+        return 2.0 * np.sum(evaluate_f_radial(model, r), axis=0)
 
     def block_weights():
         """Weights exp(S) scaled per population, their sums, log mean weights."""
@@ -385,11 +398,13 @@ def fk_moment_oracle(
         tot = np.add.reduceat(e, starts[:-1])
         return e, tot, top + np.log(tot / sizes)
 
-    S = 0.5 * dt * pair_sum(pos)
+    S = 0.5 * dt * pair_sum()
     for step in range(1, n_inner + 1):
-        pos += scale * rng.standard_normal((M, k, d))
+        rng.standard_normal(out=step_noise)
+        step_noise *= scale
+        pos += step_noise.transpose(1, 2, 0)
         w = dt if step < n_inner else 0.5 * dt
-        S += w * pair_sum(pos)
+        S += w * pair_sum()
         if step == n_inner or np.ptp(S) <= _FK_SAFE_LOG_SPREAD:
             continue
         e, tot, log_w = block_weights()
@@ -397,7 +412,7 @@ def fk_moment_oracle(
         for b in np.flatnonzero(low):
             lo, hi = starts[b], starts[b + 1]
             log_norm[b] += log_w[b]
-            pos[lo:hi] = pos[lo + _systematic_resample(e[lo:hi], resample_rng.random())]
+            pos[..., lo:hi] = pos[..., lo + _systematic_resample(e[lo:hi], resample_rng.random())]
             S[lo:hi] = 0.0
             resamplings += 1
 

@@ -34,11 +34,13 @@ drawing its predecessors.  Each source builds its Philox once and, before
 every slice, resets it to the state a freshly built generator at counter
 [0, 0, step, 0] would have: the step in the counter, an empty output buffer
 and no cached half-word.  A reset costs a small fraction of rebuilding the
-generator, and the numbers drawn are the same bits.
+generator, and the numbers drawn are the same bits, also when white_at
+draws into a caller's buffer (out=).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -94,14 +96,21 @@ class WhiteNoiseSource:
             "uinteger": 0,
         }
 
-    def white_at(self, step: int, grid: LatticeGrid, dt: float) -> np.ndarray:
-        """White-noise array for one step, independent of earlier draws."""
+    def white_at(self, step: int, grid: LatticeGrid, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """White-noise array for one step, independent of earlier draws;
+        drawn into out, a C-contiguous float64 array of grid.shape, if given."""
         if not dt > 0:
             raise NoiseError("dt must be positive")
-        scale = np.sqrt(dt / grid.cell_volume)
+        if out is None:
+            out = np.empty(grid.shape)
+        elif not (isinstance(out, np.ndarray) and out.shape == grid.shape and out.dtype == np.float64
+                  and out.flags.c_contiguous):
+            raise NoiseError(f"out must be a C-contiguous float64 array of shape {grid.shape}, got {np.shape(out)}")
         self._state["state"]["counter"][2] = step
         self._bitgen.state = self._state
-        return scale * self._rng.standard_normal(grid.shape)
+        self._rng.standard_normal(out=out)
+        out *= math.sqrt(dt / grid.cell_volume)
+        return out
 
 
 def _require_kernel(model: CorrelationModel):
@@ -218,7 +227,7 @@ def covariance_selftest(
         stop = min(start + chunk, n_slices)
         w = np.empty((stop - start,) + grid.shape)
         for j in range(start, stop):
-            w[j - start] = src.white_at(j, grid, dt)
+            src.white_at(j, grid, dt, out=w[j - start])
         zeta = correlate_array(w, model, grid, level)
         flat_mean_axes = tuple(range(1, 1 + grid.d))
         for li, lag in enumerate(lags):

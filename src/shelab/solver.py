@@ -35,6 +35,9 @@ many; per replica, each row's bits do not depend on the batch.
 Replica batches: the batch entry points evolve many replicas at once with
 the grid axes last; each replica's noise depends only on (seed, stream_id,
 step), so results are invariant to batch composition and thread count.
+
+Buffers: a call allocates its buffers once and steps in place; the noise
+white_hat(j) is read-only and valid until the next draw overwrites it.
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ def check_localization(cfg: SolverConfig, loc: LocalizationConfig, t_final: floa
 
 
 def _clamp_negatives(u: np.ndarray, stats: dict):
-    """Zero out negative sites for multiplicative runs.
+    """Zero out negative sites of u in place, for multiplicative runs.
 
     Roundoff-scale dips (above -1e-12 * max|u|) are expected from the
     spectral convolution; anything below -1e-8 counts as an excursion and
@@ -255,7 +258,7 @@ def _clamp_negatives(u: np.ndarray, stats: dict):
     """
     neg = u < 0.0
     if not np.any(neg):
-        return u
+        return
     stats["excursions"] = stats.get("excursions", 0) + int(np.count_nonzero(u < -1e-8))
     floor = -1e-12 * float(np.max(np.abs(u)))
     stats["clamped"] = stats.get("clamped", 0) + int(np.count_nonzero(neg))
@@ -263,23 +266,27 @@ def _clamp_negatives(u: np.ndarray, stats: dict):
     if float(u.min()) < floor:
         stats["below_floor"] = stats.get("below_floor", 0) + int(np.count_nonzero(u < floor))
     np.maximum(u, 0.0, out=u)
-    return u
 
 
 def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int], refine: int = 1):
     """Step j -> transform of every stream's white-noise slice of step j,
-    summed over its refine sub-steps of size dt / refine."""
+    summed over its refine sub-steps of size dt / refine, in a buffer that
+    the next call overwrites."""
     # One source per stream, owned by this call, so no thread shares one.
     sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
-    axes = tuple(range(1, 1 + cfg.grid.d))
+    grid = cfg.grid
+    axes = tuple(range(1, 1 + grid.d))
+    w = np.empty((len(sources),) + grid.shape)
+    what = np.empty((len(sources),) + grid.rfft_shape(), dtype=complex)
+    sub = np.empty(grid.shape) if refine > 1 else None
+    dt = cfg.dt / refine
 
     def draw(j):
-        w = np.empty((len(sources),) + cfg.grid.shape)
-        for i, src in enumerate(sources):
-            w[i] = src.white_at(j * refine, cfg.grid, cfg.dt / refine)
+        for src, wi in zip(sources, w):
+            src.white_at(j * refine, grid, dt, out=wi)
             for r in range(1, refine):
-                w[i] += src.white_at(j * refine + r, cfg.grid, cfg.dt / refine)
-        return np.fft.rfftn(w, axes=axes)
+                wi += src.white_at(j * refine + r, grid, dt, out=sub)
+        return np.fft.rfftn(w, axes=axes, out=what)
 
     return draw
 
@@ -313,26 +320,34 @@ def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_
     stats = collect_stats if collect_stats is not None else {}
 
     u0 = cfg.u0.render(grid)
+    spec = np.empty((len(streams),) + grid.rfft_shape(), dtype=complex)
     if cfg.sigma.kind == "constant":
         # sigma does not look at the field, so the whole run can stay spectral.
-        uhat = np.broadcast_to(np.fft.rfftn(u0), (len(streams),) + grid.rfft_shape()).copy()
+        uhat = np.broadcast_to(np.fft.rfftn(u0), spec.shape).copy()
         eps0 = cfg.sigma.eps0
         for j in range(n_steps):
-            uhat += eps0 * (H * white_hat(j))
+            np.multiply(H, white_hat(j), out=spec)
+            spec *= eps0
+            uhat += spec
             uhat *= P
             if not np.all(np.isfinite(uhat)):
                 raise SolverBlowup((j + 1) * cfg.dt, math.inf, streams)
         return np.fft.irfftn(uhat, s=grid.shape, axes=axes)
 
     u = np.broadcast_to(u0, (len(streams),) + grid.shape).copy()
+    g = np.empty_like(u)
     for j in range(n_steps):
-        zeta = np.fft.irfftn(white_hat(j) * H, s=grid.shape, axes=axes)
-        # overflow here is legitimate: it is detected below and escalated
+        np.multiply(white_hat(j), H, out=spec)
+        np.fft.irfftn(spec, s=grid.shape, axes=axes, out=g)
+        # g holds zeta, then u + sigma(u) zeta; overflow is detected below
         with np.errstate(over="ignore", invalid="ignore"):
-            g = u + cfg.sigma(u) * zeta
-            u = np.fft.irfftn(np.fft.rfftn(g, axes=axes) * P, s=grid.shape, axes=axes)
+            g *= cfg.sigma(u)
+            g += u
+            np.fft.rfftn(g, axes=axes, out=spec)
+            spec *= P
+            np.fft.irfftn(spec, s=grid.shape, axes=axes, out=u)
         if cfg.sigma.is_multiplicative:
-            u = _clamp_negatives(u, stats)
+            _clamp_negatives(u, stats)
         if not np.all(np.isfinite(u)):
             bad = [s for i, s in enumerate(streams) if not np.all(np.isfinite(u[i]))]
             finite = u[np.isfinite(u)]

@@ -275,6 +275,31 @@ class TestFkOracle:
         z = abs(res.log_mean - target) / res.log_stderr
         assert z < 4.0, (res.log_mean, target, res.log_stderr)
 
+    @pytest.mark.parametrize(
+        "kind, d, k, t, seed, log_mean, log_stderr, resamplings",
+        [
+            ("riesz", 1, 2, 1.0, 5, 2.2498135473221392, 0.020663187697096144, 0),
+            ("riesz", 1, 5, 1.0, 2, 23.628019627457597, 0.20760913734888628, 11),
+            ("riesz", 1, 9, 1.0, 5, 90.40740840798472, 0.8774415372774652, 32),
+            ("riesz", 2, 5, 1.0, 4, 29.608964167498975, 0.20651886995237922, 31),
+            ("riesz", 2, 9, 0.5, 8, 83.9742079524217, 0.8216737787162948, 57),
+            ("gaussian_h", 3, 2, 1.0, 5, 3.164470918999722, 0.043704275886429236, 2),
+            ("gaussian_h", 3, 5, 1.0, 5, 36.376076895729575, 0.41556900706420796, 19),
+            ("gaussian_h", 3, 9, 1.0, 8, 141.45882828131428, 0.8646289146367437, 45),
+        ],
+    )
+    def test_seeded_bits_pinned(self, kind, d, k, t, seed, log_mean, log_stderr, resamplings):
+        # Exact values of the walker step that gathered an (M, pairs, d)
+        # difference array.  The seeds are ones where summing the pairs
+        # pairwise, as numpy does along a contiguous axis of 8 or more, in
+        # place of one pair after another changes the result.
+        if kind == "riesz":
+            model = sl.CorrelationModel.riesz(d=d, alpha=0.5 if d == 1 else 1.0, c0=0.7)
+        else:
+            model = sl.CorrelationModel.gaussian_h(d=d, width=0.8, amplitude=1.0)
+        res = an.fk_moment_oracle(model, 1.0, t, k, an.FkOracleConfig(walkers=600, inner_steps=48, seed=seed))
+        assert (res.log_mean, res.log_stderr, res.resamplings) == (log_mean, log_stderr, resamplings)
+
     def test_order_validation(self):
         c = sl.CorrelationModel.constant(d=1, c=0.3)
         with pytest.raises(an.AnalysisError):
@@ -401,13 +426,30 @@ class TestLocalizationCurve:
         calls = []
         white_at = sl.WhiteNoiseSource.white_at
 
-        def counted(self, step, grid, dt):
+        def counted(self, step, grid, dt, out=None):
             calls.append((self.stream_id, step))
-            return white_at(self, step, grid, dt)
+            return white_at(self, step, grid, dt, out=out)
 
         monkeypatch.setattr(sl.WhiteNoiseSource, "white_at", counted)
         an.localization_error_curve(small_cfg(), 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=6, seed=17)
         assert sorted(calls) == [(s, j) for s in range(6) for j in range(round(0.25 / DT))]
+
+    def test_shared_noise_matches_separate_solves(self):
+        # the full solve and the localized iterates read one draw of the
+        # noise; none of them may write into it
+        cfg, betas, streams = small_cfg(), [2.0, 4.0, 7.9], range(5)
+        locs = [sl.LocalizationConfig(beta=b) for b in betas]
+        full = sl.solve_batch(cfg, 0.25, 17, streams)
+        rows = [sl.localized_solve_batch(cfg, loc, 0.25, 17, streams) for loc in locs]
+        coupled = list(an._coupled_batch(cfg, locs, 0.25, 17, streams))
+        assert coupled[0].tobytes() == full.tobytes()
+        for got, want in zip(coupled[1:], rows):
+            assert got.tobytes() == want.tobytes()
+        curve = an.localization_error_curve(cfg, 0.25, betas, k=2, n_replicas=5, seed=17)
+        for bi, approx in enumerate(rows):
+            moment = (np.abs(full - approx) ** 2).reshape(5, -1).mean(axis=1)
+            err = an.jackknife_stat(moment, "mean")[0] ** 0.5
+            assert curve.errors[bi] == err
 
     def test_beta_ladder_validation(self):
         cfg = small_cfg()

@@ -91,6 +91,24 @@ class TestGeneratorReset:
         assert np.array_equal(copy.white_at(13, GRID, DT), src.white_at(13, GRID, DT))
         assert np.array_equal(copy.white_at(13, GRID, DT), reference_white(8, 1, 13, GRID, DT))
 
+    def test_draw_into_buffer_gives_same_bytes(self):
+        src = sl.WhiteNoiseSource(seed=6, stream_id=3)
+        grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
+        for grid in (GRID, grid2):
+            buf = np.full(grid.shape, np.nan)
+            assert src.white_at(5, grid, DT, out=buf) is buf
+            assert buf.tobytes() == src.white_at(5, grid, DT).tobytes()
+            assert buf.tobytes() == reference_white(6, 3, 5, grid, DT).tobytes()
+
+    def test_wrong_buffer_refused(self):
+        src = sl.WhiteNoiseSource(seed=6, stream_id=3)
+        m = GRID.m
+        with pytest.raises(NoiseError, match=r"of shape \(128,\), got \(129,\)"):
+            src.white_at(5, GRID, DT, out=np.empty(m + 1))
+        for bad in (np.empty(m, dtype=np.float32), np.empty(2 * m)[::2]):
+            with pytest.raises(NoiseError):
+                src.white_at(5, GRID, DT, out=bad)
+
 
 class TestKernelMultiplier:
     def test_effective_covariance_is_periodized_f(self):
