@@ -34,8 +34,9 @@ drawing its predecessors.  Each source builds its Philox once and, before
 every slice, resets it to the state a freshly built generator at counter
 [0, 0, step, 0] would have: the step in the counter, an empty output buffer
 and no cached half-word.  A reset costs a small fraction of rebuilding the
-generator, and the numbers drawn are the same bits, also when white_at
-draws into a caller's buffer (out=).
+generator, and the numbers drawn are the same bits.  white_batch resets
+each source of a batch in turn and scales the whole batch once, which keeps
+each row's bits, since the scaling multiplies every value by one scalar.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,9 +68,10 @@ class WhiteNoiseSource:
     """Counter-based white-noise stream for one replica.
 
     A source holds mutable generator state: one Philox keyed by
-    (seed, stream_id) that each white_at call resets.  Slices do not depend
-    on that state, but two threads drawing from one source at once would
-    interleave their resets, so each thread uses its own sources.
+    (seed, stream_id) that each draw resets; a batch draw (white_batch)
+    resets each of its sources in turn and scales the batch once.  Slices
+    do not depend on that state, but two threads drawing from one source at
+    once would interleave their resets, so each thread uses its own sources.
     """
 
     seed: int
@@ -99,18 +101,31 @@ class WhiteNoiseSource:
     def white_at(self, step: int, grid: LatticeGrid, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """White-noise array for one step, independent of earlier draws;
         drawn into out, a C-contiguous float64 array of grid.shape, if given."""
-        if not dt > 0:
-            raise NoiseError("dt must be positive")
         if out is None:
             out = np.empty(grid.shape)
         elif not (isinstance(out, np.ndarray) and out.shape == grid.shape and out.dtype == np.float64
                   and out.flags.c_contiguous):
             raise NoiseError(f"out must be a C-contiguous float64 array of shape {grid.shape}, got {np.shape(out)}")
-        self._state["state"]["counter"][2] = step
-        self._bitgen.state = self._state
-        self._rng.standard_normal(out=out)
-        out *= math.sqrt(dt / grid.cell_volume)
+        white_batch([self], step, grid, dt, out[None])
         return out
+
+
+def white_batch(sources: Sequence[WhiteNoiseSource], step: int, grid: LatticeGrid, dt: float, out: np.ndarray):
+    """Draw step's slice of every source into out, a C-contiguous float64
+    array of shape (len(sources), *grid.shape); row i holds the bits of
+    sources[i].white_at(step, grid, dt)."""
+    if not dt > 0:
+        raise NoiseError("dt must be positive")
+    shape = (len(sources),) + grid.shape
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+            and out.flags.c_contiguous):
+        raise NoiseError(f"out must be a C-contiguous float64 array of shape {shape}, got {np.shape(out)}")
+    for src, row in zip(sources, out):
+        src._state["state"]["counter"][2] = step
+        src._bitgen.state = src._state
+        src._rng.standard_normal(out=row)
+    out *= math.sqrt(dt / grid.cell_volume)
+    return out
 
 
 def _require_kernel(model: CorrelationModel):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .correlation import CorrelationModel
 from .lattice import LatticeGrid, propagator_multiplier
-from .noise import WhiteNoiseSource, kernel_multiplier
+from .noise import WhiteNoiseSource, kernel_multiplier, white_batch
 
 
 class SolverError(ValueError):
@@ -271,21 +271,21 @@ def _clamp_negatives(u: np.ndarray, stats: dict):
 def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int], refine: int = 1):
     """Step j -> transform of every stream's white-noise slice of step j,
     summed over its refine sub-steps of size dt / refine, in a buffer that
-    the next call overwrites."""
+    the next call overwrites.  refine > 1 draws each sub-step into a second
+    (R, *shape) buffer, which an estimate of a run's memory must count."""
     # One source per stream, owned by this call, so no thread shares one.
     sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
     grid = cfg.grid
     axes = tuple(range(1, 1 + grid.d))
     w = np.empty((len(sources),) + grid.shape)
     what = np.empty((len(sources),) + grid.rfft_shape(), dtype=complex)
-    sub = np.empty(grid.shape) if refine > 1 else None
+    sub = np.empty_like(w) if refine > 1 else None
     dt = cfg.dt / refine
 
     def draw(j):
-        for src, wi in zip(sources, w):
-            src.white_at(j * refine, grid, dt, out=wi)
-            for r in range(1, refine):
-                wi += src.white_at(j * refine + r, grid, dt, out=sub)
+        white_batch(sources, j * refine, grid, dt, w)
+        for r in range(1, refine):
+            np.add(w, white_batch(sources, j * refine + r, grid, dt, sub), out=w)
         return np.fft.rfftn(w, axes=axes, out=what)
 
     return draw

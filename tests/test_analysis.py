@@ -11,6 +11,7 @@ from scipy.sparse import linalg as splinalg
 
 import shelab as sl
 import shelab.analysis as an
+from shelab import noise, solver
 
 
 GRID = sl.LatticeGrid(d=1, m=64, dx=0.25)
@@ -424,13 +425,15 @@ class TestLocalizationCurve:
     def test_one_noise_draw_per_chunk(self, monkeypatch):
         # the full solve and every beta share one draw of the chunk's noise
         calls = []
-        white_at = sl.WhiteNoiseSource.white_at
+        white_batch = noise.white_batch
 
-        def counted(self, step, grid, dt, out=None):
-            calls.append((self.stream_id, step))
-            return white_at(self, step, grid, dt, out=out)
+        def counted(sources, step, grid, dt, out):
+            calls.extend((src.stream_id, step) for src in sources)
+            return white_batch(sources, step, grid, dt, out)
 
-        monkeypatch.setattr(sl.WhiteNoiseSource, "white_at", counted)
+        # the solver holds its own reference to white_batch
+        for module in (noise, solver):
+            monkeypatch.setattr(module, "white_batch", counted)
         an.localization_error_curve(small_cfg(), 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=6, seed=17)
         assert sorted(calls) == [(s, j) for s in range(6) for j in range(round(0.25 / DT))]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import shelab as sl
-from shelab.noise import NoiseError
+from shelab.noise import NoiseError, white_batch
 
 
 GRID = sl.LatticeGrid(d=1, m=128, dx=0.25)
@@ -108,6 +108,42 @@ class TestGeneratorReset:
         for bad in (np.empty(m, dtype=np.float32), np.empty(2 * m)[::2]):
             with pytest.raises(NoiseError):
                 src.white_at(5, GRID, DT, out=bad)
+
+
+class TestWhiteBatch:
+    # one call draws a step for many sources; row i must be the bits of
+    # sources[i].white_at, and so of a freshly built generator
+    def test_rows_match_white_at_and_fresh_generator(self):
+        grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
+        for grid in (GRID, grid2):
+            sources = [sl.WhiteNoiseSource(seed=3, stream_id=s) for s in (5, 0, 9)]
+            out = np.full((3,) + grid.shape, np.nan)
+            for step in (9, 2, 2**40, 0, 17, 2):
+                assert white_batch(sources, step, grid, DT, out) is out
+                for src, row in zip(sources, out):
+                    assert row.tobytes() == src.white_at(step, grid, DT).tobytes()
+                    assert row.tobytes() == reference_white(3, src.stream_id, step, grid, DT).tobytes()
+
+    def test_bad_dt_refused(self):
+        out = np.empty((1,) + GRID.shape)
+        for dt in (0.0, -DT, math.nan):
+            with pytest.raises(NoiseError, match="dt must be positive"):
+                white_batch([sl.WhiteNoiseSource(seed=1)], 0, GRID, dt, out)
+
+    def test_wrong_buffer_refused(self):
+        sources = [sl.WhiteNoiseSource(seed=1, stream_id=s) for s in range(2)]
+        m = GRID.m
+        with pytest.raises(NoiseError, match=r"of shape \(2, 128\), got \(2, 129\)"):
+            white_batch(sources, 0, GRID, DT, np.empty((2, m + 1)))
+        for bad in (np.empty((2, m), dtype=np.float32), np.empty((2, 2 * m))[:, ::2], np.empty((m, 2)).T,
+                    [[0.0] * m] * 2):
+            with pytest.raises(NoiseError, match=r"C-contiguous float64 array of shape \(2, 128\)"):
+                white_batch(sources, 0, GRID, DT, bad)
+        # a row count other than the number of sources: zip over sources and
+        # rows would stop at the shorter one and leave rows undrawn
+        for rows in (1, 3):
+            with pytest.raises(NoiseError, match=rf"of shape \(2, 128\), got \({rows}, 128\)"):
+                white_batch(sources, 0, GRID, DT, np.zeros((rows, m)))
 
 
 class TestKernelMultiplier:

@@ -163,6 +163,22 @@ class TestSolveBatch:
         independent = sl.solve_batch(cfg, 0.25, 9, streams, refine=1)
         assert e_coarse < float(np.sqrt(np.mean((independent - c) ** 2)))
 
+    @pytest.mark.parametrize(
+        "sigma, refine, digest",
+        [
+            (sl.SigmaFunction.constant(eps0=0.5), 2, "f7df0fe61ad62d88e02f7a9c4d6a4bc1ee80f01c92c3251159d89a3a87196bc7"),
+            (sl.SigmaFunction.linear(c=1.0), 2, "184c0fd87a239eaf4ecc7725ac760966e6944a2f18e88cd35c32ae4012628019"),
+            (sl.SigmaFunction.linear(c=1.0), 3, "b33330d4149c4210e5fd0a94489c736294ba4f9513708601348f3b6d3c60d174"),
+        ],
+        ids=["constant-refine2", "linear-refine2", "linear-refine3"],
+    )
+    def test_refined_bits_pinned(self, sigma, refine, digest):
+        # Exact bytes of the refined draw that scaled and added each stream's
+        # sub-steps one slice at a time, w = s*a; w += s*b, on the spectral
+        # (constant sigma) and the real-space (linear sigma) path
+        vals = sl.solve_batch(make_cfg(sigma), 0.25, 9, range(3), refine=refine)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
+
     def test_blowup_reported_with_streams(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), u0_level=1e308)
         with pytest.raises(sl.SolverBlowup) as exc:
