@@ -2,8 +2,9 @@
 Spatially correlated noise from a convolution kernel
 ====================================================
 
-Builds the three correlation models, shows their pointwise covariance and
-spectral density, then generates correlated white-in-time slices on a
+Builds the three correlation models, shows their covariance f and spectral
+density f_hat as functions of the radius |x| and |xi| (every model is
+isotropic), then generates correlated white-in-time slices on a
 lattice and checks the empirical lag covariance against dt * f_eff.
 """
 
@@ -21,14 +22,17 @@ flat = sl.CorrelationModel.constant(d=1, c=0.3)
 print("pointwise covariance f(x):")
 for x in (0.5, 1.0, 2.0, 4.0):
     print(
-        f"  x={x:.1f}  gaussian_h={sl.evaluate_f(gauss, x):.4f}"
-        f"  riesz={sl.evaluate_f(riesz, x):.4f}  constant={sl.evaluate_f(flat, x):.4f}"
+        f"  x={x:.1f}  gaussian_h={sl.evaluate_f_radial(gauss, x):.4f}"
+        f"  riesz={sl.evaluate_f_radial(riesz, x):.4f}  constant={sl.evaluate_f_radial(flat, x):.4f}"
     )
-print(f"riesz f(0) is infinite: {sl.evaluate_f(riesz, 0.0)}")
+print(f"riesz f(0) is infinite: {sl.evaluate_f_radial(riesz, 0.0)}")
 
 print("\nspectral density f_hat(xi):")
 for xi in (0.5, 1.0, 2.0):
-    print(f"  xi={xi:.1f}  gaussian_h={sl.spectral_density(gauss, xi):.4f}  riesz={sl.spectral_density(riesz, xi):.4f}")
+    print(
+        f"  xi={xi:.1f}  gaussian_h={sl.spectral_density_radial(gauss, xi):.4f}"
+        f"  riesz={sl.spectral_density_radial(riesz, xi):.4f}"
+    )
 
 # The existence question for the driving field: the resolvent integral
 # int f_hat(xi) / (1 + |xi|^2) dxi must be finite.

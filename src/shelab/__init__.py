@@ -14,11 +14,10 @@ from .correlation import (
     CorrelationModel,
     DalangResult,
     dalang_condition,
-    evaluate_f,
+    evaluate_f_radial,
     kernel_h_hat_radial,
     riesz_spectral_constant,
     sphere_surface,
-    spectral_density,
     spectral_density_radial,
 )
 from .lattice import (
@@ -44,7 +43,6 @@ from .solver import (
     SolverError,
     U0Spec,
     localized_solve_batch,
-    solve,
     solve_batch,
 )
 from .analysis import (
@@ -68,7 +66,6 @@ from .analysis import (
     moment_growth_exponent,
     replica_map,
     tail_estimate,
-    tail_probability,
     wilson_interval,
 )
 from .experiments import (

@@ -125,8 +125,9 @@ def jackknife_stat(values: np.ndarray, stat: str = "mean"):
     """Delete-one jackknife estimate and stderr for the mean or variance."""
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < 2:
-        raise AnalysisError("jackknife needs at least two values")
+    need = 3 if stat == "var" else 2  # a delete-one variance needs two values left
+    if n < need:
+        raise AnalysisError(f"jackknife {stat} needs n >= {need} values, got n = {n}")
     if stat == "mean":
         est = float(np.mean(x))
         loo = (np.sum(x) - x) / (n - 1)
@@ -157,15 +158,11 @@ def _point_array(points, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A solver setup plus the observation geometry for estimators.
-
-    probes defaults to the origin of the grid.
-    """
+    """A solver setup plus the probe sites of estimators, by default the grid's origin."""
 
     cfg: SolverConfig
     t_final: float
     probes: Optional[tuple] = None
-    radius: Optional[float] = None
 
     def __post_init__(self):
         if self.probes is None:
@@ -475,25 +472,6 @@ def tail_estimate(sups: np.ndarray, lam: float) -> TailEstimate:
     return TailEstimate(lam=lam, p_hat=x / sups.size, lo=lo, hi=hi, exceedances=x, n=sups.size)
 
 
-def tail_probability(
-    scenario: Scenario,
-    lam: float,
-    n_replicas: int,
-    seed: int = 0,
-    threads: int = 1,
-) -> TailEstimate:
-    """P( sup_{|x| <= R} |u_t(x)| > lam ) by tail_estimate over replicas.
-
-    Requires lam > e and a radius R on the scenario.
-    """
-    check_tail_threshold(lam)
-    if scenario.radius is None:
-        raise AnalysisError("scenario.radius is required for tail probabilities")
-    mask = scenario.cfg.grid.ball_mask(scenario.radius)
-    sups = _sup_samples(scenario, [mask], n_replicas, seed, threads)
-    return tail_estimate(sups[:, 0], lam)
-
-
 @dataclass
 class ExponentFit:
     abscissae: list
@@ -784,7 +762,7 @@ class BoundednessProbe:
     increment_stderrs: list
     verdict: str
     dropped_nonpositive: int
-    samples: Optional[np.ndarray] = None  # (n_replicas, n_radii) raw sups
+    samples: np.ndarray  # (n_replicas, n_radii) raw sups, the input of tail_estimate
 
 
 def check_boundedness(scenario: Scenario, radii: Sequence[float], n_replicas: int) -> list:
@@ -795,20 +773,6 @@ def check_boundedness(scenario: Scenario, radii: Sequence[float], n_replicas: in
     _check_replicas(n_replicas)
     check_solve(scenario.cfg, scenario.t_final)
     return [scenario.cfg.grid.ball_mask(r) for r in rl]
-
-
-def _sup_samples(scenario: Scenario, masks: list, n_replicas: int, seed: int, threads: int) -> np.ndarray:
-    """(n_replicas, len(masks)) sups of |u_t| over each mask."""
-    cfg = scenario.cfg
-
-    def batch(streams):
-        vals = solve_batch(cfg, scenario.t_final, seed, streams)
-        out = np.empty((len(streams), len(masks)))
-        for i, mask in enumerate(masks):
-            out[:, i] = np.max(np.abs(vals[:, mask]), axis=1)
-        return out
-
-    return replica_map(batch, n_replicas, threads)
 
 
 def boundedness_probe(
@@ -827,7 +791,16 @@ def boundedness_probe(
     """
     masks = check_boundedness(scenario, radii, n_replicas)
     rl = [float(r) for r in radii]
-    sups = _sup_samples(scenario, masks, n_replicas, seed, threads)  # (N, n_radii)
+    cfg = scenario.cfg
+
+    def batch(streams):
+        vals = solve_batch(cfg, scenario.t_final, seed, streams)
+        out = np.empty((len(streams), len(masks)))
+        for i, mask in enumerate(masks):
+            out[:, i] = np.max(np.abs(vals[:, mask]), axis=1)
+        return out
+
+    sups = replica_map(batch, n_replicas, threads)  # (N, n_radii): sup of |u_t| over each ball
     mean_sup, se_sup, mean_log = [], [], []
     dropped = 0
     for i in range(len(rl)):

@@ -138,36 +138,6 @@ def riesz_spectral_constant(d: int, p: float) -> float:
     return math.pi ** (d / 2.0) * 2.0 ** (d - p) * special.gamma((d - p) / 2.0) / special.gamma(p / 2.0)
 
 
-def _as_points(x, d: int) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0:
-        if d != 1:
-            raise CorrelationError(f"scalar point given for d={d}")
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        if d == 1:
-            pts = pts.reshape(-1, 1)
-        elif pts.shape[0] == d:
-            pts = pts.reshape(1, d)
-        else:
-            raise CorrelationError(f"point shape {pts.shape} incompatible with d={d}")
-    elif pts.shape[-1] != d:
-        raise CorrelationError(f"point shape {pts.shape} incompatible with d={d}")
-    return pts
-
-
-def evaluate_f(model: CorrelationModel, x) -> np.ndarray:
-    """Pointwise correlation f(x).
-
-    Accepts a scalar (d=1), a single point of length d, or an array of
-    points with trailing axis d.  For the riesz kind the origin returns
-    inf, the flagged singular value.
-    """
-    pts = _as_points(x, model.d)
-    vals = evaluate_f_radial(model, np.sqrt(np.sum(pts * pts, axis=-1)))
-    return vals[0] if vals.shape == (1,) else vals
-
-
 def evaluate_f_radial(model: CorrelationModel, r) -> np.ndarray:
     """f as a function of the radius |x|; riesz is infinite at r = 0."""
     r = np.asarray(r, dtype=float)
@@ -179,23 +149,9 @@ def evaluate_f_radial(model: CorrelationModel, r) -> np.ndarray:
     return np.full_like(r, model.c)
 
 
-def spectral_density(model: CorrelationModel, xi) -> np.ndarray:
-    """Spectral density f_hat(xi); radial in |xi|.
-
-    Errors for the constant kind (point-mass spectral measure) and for a
-    riesz model at alpha == d (Gamma pole in the normalizing constant).
-    The riesz density is infinite at xi = 0.
-    """
-    if model.kind == CONSTANT:
-        raise CorrelationError("constant correlation has no spectral density function")
-    pts = _as_points(xi, model.d)
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-    vals = spectral_density_radial(model, r)
-    return vals[0] if vals.shape == (1,) else vals
-
-
 def spectral_density_radial(model: CorrelationModel, r) -> np.ndarray:
-    """f_hat as a function of the radial frequency |xi|."""
+    """f_hat as a function of the radial frequency |xi|, infinite at 0 for riesz.
+    The constant kind (point-mass spectrum) and riesz at alpha == d (Gamma pole) raise."""
     r = np.asarray(r, dtype=float)
     if model.kind == CONSTANT:
         raise CorrelationError("constant correlation has no spectral density function")

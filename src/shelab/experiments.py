@@ -170,7 +170,10 @@ def _prepare_noise_selftest(manifest: dict, cfg: SolverConfig, threads: int = 1)
 def _prepare_simulate(manifest: dict, cfg: SolverConfig, threads: int = 1):
     record_times = manifest["analysis"]["simulate"]["record_times"]
     for t_rec in record_times:
-        check_solve(cfg, t_rec)
+        try:
+            check_solve(cfg, t_rec)
+        except SolverError as e:  # a record time is the t_final of its own solve
+            raise SolverError(str(e).replace("t_final", "record time")) from None
     # the field of stream 0 at each record time
     return lambda: [SolutionField(cfg.grid, t, solve_batch(cfg, t, manifest["seed"], [0])[0]) for t in record_times]
 

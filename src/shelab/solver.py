@@ -43,7 +43,7 @@ white_hat(j) is read-only and valid until the next draw overwrites it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -185,7 +185,6 @@ class SolutionField:
     grid: LatticeGrid
     t: float
     values: np.ndarray
-    provenance: dict = dc_field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def _steps_for(t_final: float, dt: float) -> int:
     if n_round < 1 or abs(n - n_round) > 1e-9 * max(1.0, n_round):
         broken.append(f"t_final={t_final} is not an integer multiple of dt={dt}")
     if dt > t_final / 16.0 + 1e-15:
-        broken.append(f"dt={dt} too coarse: need dt <= t_final/16 = {t_final / 16.0}")
+        broken.append(f"dt={dt} too coarse for t_final={t_final}: need dt <= t_final/16 = {t_final / 16.0}")
     if broken:
         raise SolverError("; ".join(broken))
     return int(n_round)
@@ -268,24 +267,30 @@ def _clamp_negatives(u: np.ndarray, stats: dict):
     np.maximum(u, 0.0, out=u)
 
 
-def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int], refine: int = 1):
-    """Step j -> transform of every stream's white-noise slice of step j,
-    summed over its refine sub-steps of size dt / refine, in a buffer that
-    the next call overwrites.  refine > 1 draws each sub-step into a second
-    (R, *shape) buffer, which an estimate of a run's memory must count."""
+def _check_finite(t: float, u: np.ndarray, streams: Sequence[int]) -> None:
+    """Raise SolverBlowup at time t unless u is finite, naming the streams of
+    its non-finite rows and the largest finite |u| (inf when there is none)."""
+    finite = np.isfinite(u)
+    if finite.all():
+        return
+    rows_ok = finite.reshape(len(u), -1).all(axis=1)
+    bad = [s for s, ok in zip(streams, rows_ok) if not ok]
+    peak = float(np.abs(u[finite]).max()) if finite.any() else math.inf
+    raise SolverBlowup(t, peak, bad)
+
+
+def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int]):
+    """Step j -> transform of every stream's white-noise slice of step j, in a
+    buffer that the next call overwrites."""
     # One source per stream, owned by this call, so no thread shares one.
     sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
     grid = cfg.grid
     axes = tuple(range(1, 1 + grid.d))
     w = np.empty((len(sources),) + grid.shape)
     what = np.empty((len(sources),) + grid.rfft_shape(), dtype=complex)
-    sub = np.empty_like(w) if refine > 1 else None
-    dt = cfg.dt / refine
 
     def draw(j):
-        white_batch(sources, j * refine, grid, dt, w)
-        for r in range(1, refine):
-            np.add(w, white_batch(sources, j * refine + r, grid, dt, sub), out=w)
+        white_batch(sources, j, grid, cfg.dt, w)
         return np.fft.rfftn(w, axes=axes, out=what)
 
     return draw
@@ -296,19 +301,11 @@ def solve_batch(
     t_final: float,
     seed: int,
     streams: Sequence[int],
-    refine: int = 1,
     collect_stats: Optional[dict] = None,
 ) -> np.ndarray:
-    """Evolve a batch of replicas to t_final; returns values (n_rep, *grid.shape).
-
-    refine > 1 consumes the white-noise stream at step granularity
-    dt / refine and sums sub-increments, so a run at (dt, refine=2) is
-    driven by exactly the same noise as a run at (dt/2, refine=1).
-    """
+    """Evolve a batch of replicas to t_final; returns values (n_rep, *grid.shape)."""
     n_steps = _steps_for(t_final, cfg.dt)
-    if refine < 1:
-        raise SolverError("refine must be >= 1")
-    return _solve_batch(cfg, n_steps, streams, _white_hat(cfg, seed, streams, refine), collect_stats)
+    return _solve_batch(cfg, n_steps, streams, _white_hat(cfg, seed, streams), collect_stats)
 
 
 def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_hat, collect_stats=None) -> np.ndarray:
@@ -348,47 +345,28 @@ def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_
             np.fft.irfftn(spec, s=grid.shape, axes=axes, out=u)
         if cfg.sigma.is_multiplicative:
             _clamp_negatives(u, stats)
-        if not np.all(np.isfinite(u)):
-            bad = [s for i, s in enumerate(streams) if not np.all(np.isfinite(u[i]))]
-            finite = u[np.isfinite(u)]
-            peak = float(np.abs(finite).max()) if finite.size else math.inf
-            raise SolverBlowup((j + 1) * cfg.dt, peak, bad)
+        _check_finite((j + 1) * cfg.dt, u, streams)
     return u
 
 
-def solve(cfg: SolverConfig, t_final: float, src: WhiteNoiseSource, refine: int = 1) -> SolutionField:
-    """Single-replica convenience wrapper around solve_batch."""
-    stats: dict = {}
-    vals = solve_batch(cfg, t_final, src.seed, [src.stream_id], refine=refine, collect_stats=stats)
-    prov = {
-        "seed": src.seed,
-        "stream_id": src.stream_id,
-        "steps": _steps_for(t_final, cfg.dt),
-        "dt": cfg.dt,
-        "refine": refine,
-        **stats,
-    }
-    return SolutionField(grid=cfg.grid, t=t_final, values=vals[0], provenance=prov)
-
-
+# overflow is detected on the final field
+@np.errstate(over="ignore", invalid="ignore")
 def _mild_sum_batch(
     cfg: SolverConfig,
     t_final: float,
     streams: Sequence[int],
     n_iter: int,
-    level,
-    window_beta: Optional[float],
+    beta: Optional[float],
     white_hat,
 ) -> np.ndarray:
     """Final-time Picard iterate of the mild equation, optionally windowed
     and tapered; shape (len(streams), *grid.shape).  n_iter >= 1.
 
-    level selects the noise kernel (None for full, or a cutoff level n).
-    window_beta, when set, truncates the heat kernel of every stochastic
-    convolution evaluated at time s to the box |z_l| <= window_beta*sqrt(s);
-    None is a window that covers the torus.  With neither, this is the plain
-    Picard iteration, which the tests check against solve_batch.  white_hat
-    is the noise, as for _solve_batch.
+    beta, when set, is the cutoff level of the noise kernel and truncates the
+    heat kernel of every stochastic convolution evaluated at time s to the
+    box |z_l| <= beta*sqrt(s).  None keeps the full kernel and a window that
+    covers the torus: the plain Picard iteration, which the tests check
+    against solve_batch.  white_hat is the noise, as for _solve_batch.
     """
     grid = cfg.grid
     n = _steps_for(t_final, cfg.dt)
@@ -396,7 +374,7 @@ def _mild_sum_batch(
     axes = tuple(range(1, 1 + grid.d))
     fshape = grid.rfft_shape()
     F = math.prod(fshape)
-    H = kernel_multiplier(cfg.model, grid, level)
+    H = kernel_multiplier(cfg.model, grid, beta)
 
     zeta = np.empty((n, R) + grid.shape)
     for j in range(n):
@@ -412,7 +390,7 @@ def _mild_sum_batch(
     rows = range(1, n + 1) if n_iter > 1 else range(n, n + 1)
     K = np.zeros((F, len(rows), n), dtype=complex)
     for r, i in enumerate(rows):
-        half = math.inf if window_beta is None else window_beta * math.sqrt(i * cfg.dt)
+        half = math.inf if beta is None else beta * math.sqrt(i * cfg.dt)
         box = np.ones(grid.shape, dtype=bool)
         for c in grid.coordinate_mesh():
             box &= np.abs(c) <= half + 1e-12
@@ -443,8 +421,7 @@ def _mild_sum_batch(
             np.matmul(K[:, : n - 1, : n - 1], G[:, :, : n - 1], out=traj)
     acc = np.matmul(K[:, -1:], G).reshape((R,) + fshape)
     final = np.fft.irfftn(acc + det_hat[n], s=grid.shape, axes=axes)
-    if not np.all(np.isfinite(final)):
-        raise SolverBlowup(t_final, float(np.nanmax(np.abs(final))), streams)
+    _check_finite(t_final, final, streams)
     return final
 
 
@@ -458,7 +435,7 @@ def _localized(cfg: SolverConfig, loc: LocalizationConfig, t_final: float, strea
             u0hat * propagator_multiplier(cfg.grid, cfg.kappa, t_final), s=cfg.grid.shape, axes=range(cfg.grid.d)
         )
         return np.broadcast_to(heat, (len(streams),) + cfg.grid.shape).copy()
-    return _mild_sum_batch(cfg, t_final, streams, depth, loc.beta, loc.beta, white_hat)
+    return _mild_sum_batch(cfg, t_final, streams, depth, loc.beta, white_hat)
 
 
 def localized_solve_batch(

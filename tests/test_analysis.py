@@ -127,6 +127,9 @@ class TestJackknife:
     def test_needs_enough_samples(self):
         with pytest.raises(an.AnalysisError):
             an.jackknife_stat(np.array([1.0]), "mean")
+        # a delete-one variance of one value is not defined
+        with pytest.raises(an.AnalysisError, match="n >= 3"):
+            an.jackknife_stat(np.array([1.0, 2.0]), "var")
 
 
 class TestWilson:
@@ -374,23 +377,15 @@ class TestExponentFits:
 class TestSupAndTails:
     def test_tail_probability_counts(self):
         cfg = small_cfg(sl.SigmaFunction.constant(eps0=0.5))
-        scen = an.Scenario(cfg=cfg, t_final=0.25, radius=4.0)
-        est = an.tail_probability(scen, 2.72, 200, seed=3)
+        probe = an.boundedness_probe(an.Scenario(cfg=cfg, t_final=0.25), [2.0, 4.0], 200, seed=3)
+        est = an.tail_estimate(probe.samples[:, -1], 2.72)
         assert 0.0 <= est.p_hat <= 1.0
         assert est.n == 200
         assert est.lo <= est.p_hat <= est.hi
 
     def test_tail_threshold_floor(self):
-        cfg = small_cfg()
-        scen = an.Scenario(cfg=cfg, t_final=0.25, radius=4.0)
         with pytest.raises(an.AnalysisError):
-            an.tail_probability(scen, 2.0, 10)
-
-    def test_tail_needs_radius(self):
-        cfg = small_cfg()
-        scen = an.Scenario(cfg=cfg, t_final=0.25)
-        with pytest.raises(an.AnalysisError):
-            an.tail_probability(scen, 3.0, 10)
+            an.tail_estimate(np.ones(10), 2.0)
 
 
 class TestBoundednessProbe:

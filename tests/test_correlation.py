@@ -68,7 +68,7 @@ class TestPointwiseF:
 
         for x in (0.0, 0.5, 2.0):
             oracle, _ = integrate.quad(lambda y: h(y) * h(x + y), -30, 30, limit=200)
-            assert sl.evaluate_f(m, np.array([x])) == pytest.approx(oracle, rel=1e-10)
+            assert sl.evaluate_f_radial(m, x) == pytest.approx(oracle, rel=1e-10)
 
     def test_gaussian_f_zero_closed_form(self):
         w, a = 1.3, 0.7
@@ -78,13 +78,12 @@ class TestPointwiseF:
 
     def test_riesz_f_values_and_origin(self):
         m = sl.CorrelationModel.riesz(d=2, alpha=0.8, c0=1.7)
-        pt = np.array([3.0, 4.0])  # radius 5
-        assert sl.evaluate_f(m, pt) == pytest.approx(1.7 * 5.0**-0.8, rel=1e-14)
-        assert sl.evaluate_f(m, np.zeros(2)) == math.inf
+        assert sl.evaluate_f_radial(m, 5.0) == pytest.approx(1.7 * 5.0**-0.8, rel=1e-14)
+        assert sl.evaluate_f_radial(m, 0.0) == math.inf
 
     def test_constant_f(self):
-        vals = sl.evaluate_f(CONST, np.array([[0.0], [4.0]]))
-        assert np.all(vals == 0.3)
+        vals = sl.evaluate_f_radial(CONST, np.array([0.0, 4.0]))
+        assert vals.shape == (2,) and np.all(vals == 0.3)
 
 
 class TestSpectralDensity:

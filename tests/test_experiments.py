@@ -262,6 +262,14 @@ class TestValidation:
         assert any("integer multiple" in e for e in errs)  # 0.1/dt = 6.4
         assert any("exceeds t_final" in e for e in errs)
 
+    def test_coarse_dt_names_the_record_time(self):
+        # dt = 1/64 is fine for t_final = 0.25 but too coarse for a record at 0.125
+        m = base_manifest()
+        m["analysis"] = {"simulate": {"record_times": [0.125]}}
+        assert exp.validate_manifest(m) == [
+            "simulate: dt=0.015625 too coarse for record time=0.125: need dt <= record time/16 = 0.0078125"
+        ]
+
     def test_radius_beyond_half_period(self):
         m = base_manifest()
         m["analysis"] = {"boundedness": {"radii": [2.0, 40.0]}}
@@ -366,7 +374,7 @@ class TestSnapshots:
             dt=0.015625,
             u0=sl.U0Spec(kind="constant", level=1.0),
         )
-        fld = sl.solve(cfg, 0.25, sl.WhiteNoiseSource(seed=7, stream_id=0))
+        fld = sl.SolutionField(cfg.grid, 0.25, sl.solve_batch(cfg, 0.25, 7, [0])[0])
         p = tmp_path / "snap.field"
         exp.save_snapshot(str(p), fld, cfg.kappa, cfg.sigma.kind, 7)
         header, data = exp.load_snapshot(str(p))
@@ -480,9 +488,11 @@ class TestRunBundles:
         lines = (tmp_path / "b" / "tails.csv").read_text().splitlines()
         assert lines[1] == "lambda,p_hat,lo,hi,exceedances,n"
         assert len(lines) == 2 + len(lams)
-        scen = an.Scenario(cfg=manifest_cfg(m), t_final=0.25, radius=4.0)
+        # the sup over the largest ball alone, from an independent probe
+        scen = an.Scenario(cfg=manifest_cfg(m), t_final=0.25)
+        probe = an.boundedness_probe(scen, [1.0, 4.0], m["replicas"], seed=m["seed"])
         for line, lam in zip(lines[2:], lams):
-            est = an.tail_probability(scen, lam, m["replicas"], seed=m["seed"])
+            est = an.tail_estimate(probe.samples[:, -1], lam)
             assert 0 < est.exceedances < est.n
             assert [float(v) for v in line.split(",")] == [lam, est.p_hat, est.lo, est.hi, est.exceedances, est.n]
 
