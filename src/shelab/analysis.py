@@ -248,14 +248,11 @@ def estimate_moments(
 class FkOracleConfig:
     walkers: int = 10_000
     inner_steps: int = 256
-    reg_scale: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
         if self.walkers < 2 or self.inner_steps < 2:
             raise AnalysisError("oracle needs walkers >= 2 and inner_steps >= 2")
-        if self.reg_scale is not None and not self.reg_scale > 0:
-            raise AnalysisError(f"oracle reg_scale = {self.reg_scale} violates reg_scale > 0")
         check_seed(self.seed)
 
 
@@ -269,7 +266,7 @@ class FkOracleResult:
     stderr: float
     heavy_tail: bool
     walkers: int
-    reg_scale: float
+    reg_scale: float  # r_reg = sqrt(kappa * t / inner_steps), where riesz kernels are cut off
     resamplings: int
 
 
@@ -355,7 +352,7 @@ def fk_moment_oracle(
     check_oracle(model, kappa, t, k, u0_level)
     M, n_inner = cfg.walkers, cfg.inner_steps
     dt = t / n_inner
-    r_reg = cfg.reg_scale if cfg.reg_scale is not None else math.sqrt(kappa * dt)
+    r_reg = math.sqrt(kappa * dt)
     d = model.d
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, 0x6F7261636C65], dtype=np.uint64))
@@ -642,7 +639,7 @@ def independence_test(
 
     The null band is 4 / sqrt(N).  Exact independence is expected when the
     pairwise per-coordinate torus separation D is at least
-    2 * n_picard * beta * (1 + sqrt(t)).
+    2 * depth * beta * (1 + sqrt(t)), depth = loc.depth().
     """
     grid = cfg.grid
     pts = check_independence(cfg, loc, t_final, points, n_replicas)
@@ -685,7 +682,7 @@ class LocalizationCurve:
 
 
 def check_localization_curve(
-    cfg: SolverConfig, t_final: float, betas: Sequence[float], k: int, n_replicas: int, n_picard: Optional[int] = None
+    cfg: SolverConfig, t_final: float, betas: Sequence[float], k: int, n_replicas: int
 ) -> list:
     """Raise unless localization_error_curve can run; returns one config per beta."""
     if k < 1:
@@ -695,7 +692,7 @@ def check_localization_curve(
         raise AnalysisError("beta ladder must be strictly increasing")
     _check_replicas(n_replicas)
     check_solve(cfg, t_final)
-    locs = [LocalizationConfig(beta=beta, n_picard=n_picard) for beta in blist]
+    locs = [LocalizationConfig(beta=beta) for beta in blist]
     for loc in locs:
         check_localization(cfg, loc, t_final)
     return locs
@@ -709,7 +706,6 @@ def localization_error_curve(
     n_replicas: int,
     seed: int = 0,
     threads: int = 1,
-    n_picard: Optional[int] = None,
 ) -> LocalizationCurve:
     """Coupled L^k error between the full solution and localized iterates.
 
@@ -718,7 +714,7 @@ def localization_error_curve(
     Monte Carlo noise.  Errors are (E |u - U^{beta}|^k)^{1/k} with the
     spatial mean inside the expectation.
     """
-    locs = check_localization_curve(cfg, t_final, betas, k, n_replicas, n_picard)
+    locs = check_localization_curve(cfg, t_final, betas, k, n_replicas)
     blist = [loc.beta for loc in locs]
 
     def batch(streams):

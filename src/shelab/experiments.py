@@ -35,7 +35,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import astuple, dataclass, field as dc_field
+from dataclasses import astuple, dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -191,13 +191,15 @@ def _prepare_moments(manifest: dict, cfg: SolverConfig, threads: int = 1):
 
 def _prepare_oracle(manifest: dict, model: CorrelationModel, threads: int = 1):
     blk = manifest["analysis"]["oracle"]
-    ocfg = an.FkOracleConfig(blk["walkers"], blk["inner_steps"], blk.get("reg_scale"), manifest["seed"])
+    ocfg = an.FkOracleConfig(blk["walkers"], blk["inner_steps"], manifest["seed"])
     args = (model, manifest["solver"]["kappa"], manifest["solver"]["t_final"])
     u0_level = blk.get("u0_level", 1.0)
-    calls = []
-    for k in blk.get("ks", [blk["k"]]):
-        an.check_oracle(*args, k, u0_level)
-        calls.append(partial(an.fk_moment_oracle, *args, k, ocfg, u0_level=u0_level))
+    # the block names k, ks or both; every order it names is checked, and ks runs when given
+    named = [blk["k"]] if "k" in blk else []
+    ks = blk.get("ks", named)
+    for order in named + ks:
+        an.check_oracle(*args, order, u0_level)
+    calls = [partial(an.fk_moment_oracle, *args, order, ocfg, u0_level=u0_level) for order in ks]
     return lambda: [call() for call in calls]
 
 
@@ -217,15 +219,13 @@ def _prepare_probe(manifest: dict, cfg: SolverConfig, threads: int = 1, *, verb:
 def _prepare_localize(manifest: dict, cfg: SolverConfig, threads: int = 1):
     blk = manifest["analysis"]["localize"]
     args = (cfg, manifest["solver"]["t_final"], blk["betas"], blk["k"], _replicas(manifest))
-    an.check_localization_curve(*args, n_picard=blk.get("n_picard"))
-    return partial(
-        an.localization_error_curve, *args, seed=manifest["seed"], threads=threads, n_picard=blk.get("n_picard")
-    )
+    an.check_localization_curve(*args)
+    return partial(an.localization_error_curve, *args, seed=manifest["seed"], threads=threads)
 
 
 def _prepare_independence(manifest: dict, cfg: SolverConfig, threads: int = 1):
     blk = manifest["analysis"]["independence"]
-    loc = LocalizationConfig(beta=blk["beta"], n_picard=blk.get("n_picard"))
+    loc = LocalizationConfig(beta=blk["beta"])
     args = (cfg, loc, manifest["solver"]["t_final"], blk["points"], _replicas(manifest))
     an.check_independence(*args)
     return partial(an.independence_test, *args, seed=manifest["seed"], threads=threads)
@@ -431,7 +431,6 @@ class ResultBundle:
     manifest: dict
     manifest_sha: str
     summary: dict
-    results: dict = dc_field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
@@ -441,8 +440,8 @@ class ResultBundle:
 _TAIL_COLUMNS = ("lambda", "p_hat", "lo", "hi", "exceedances", "n")
 
 
-def _run_one(verb: str, call: Callable, manifest: dict, mhash: str, outdir: Path) -> tuple:
-    """Run one prepared analysis and write its files; returns (result, summary entry)."""
+def _run_one(verb: str, call: Callable, manifest: dict, mhash: str, outdir: Path) -> dict:
+    """Run one prepared analysis and write its files; returns its summary entry."""
     spec = _ANALYSES[verb]
     blk = manifest["analysis"][verb]
     result = call()
@@ -460,7 +459,7 @@ def _run_one(verb: str, call: Callable, manifest: dict, mhash: str, outdir: Path
         tails = [astuple(an.tail_estimate(result.samples[:, -1], lam)) for lam in blk["tail_lambdas"]]
         _write_csv(outdir / "tails.csv", mhash, _TAIL_COLUMNS, tails)
         files.append("tails.csv")
-    return result, {**summary, "files": files}
+    return {**summary, "files": files}
 
 
 def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> ResultBundle:
@@ -480,13 +479,12 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
     tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=".bundle-tmp-"))
     t0 = time.perf_counter()
     summary: dict = {}
-    results: dict = {}
     failures: dict = {}
     try:
         (tmp / "manifest.json").write_text(canonical_json(manifest) + "\n")
         for verb, call in calls.items():
             try:
-                results[verb], summary[verb] = _run_one(verb, call, manifest, mhash, tmp)
+                summary[verb] = _run_one(verb, call, manifest, mhash, tmp)
             except Exception as exc:  # partial bundles keep whatever succeeded
                 failures[verb] = f"{type(exc).__name__}: {exc}"
         meta = {
@@ -506,7 +504,7 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
     except Exception:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    return ResultBundle(path=out, manifest=manifest, manifest_sha=mhash, summary=meta, results=results)
+    return ResultBundle(path=out, manifest=manifest, manifest_sha=mhash, summary=meta)
 
 
 def _emit_gnuplot(outdir: Path):

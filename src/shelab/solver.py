@@ -21,8 +21,8 @@ per-axis half-width beta * sqrt(s) around each site at evaluation time s:
 where T^{(s)}_tau convolves with the periodized heat kernel of age tau
 truncated to the window box.  Truncation and kernel taper both have exact
 support on the lattice, so fields at sites separated by more than
-2 * n_picard * beta * (1 + sqrt(t)) in every coordinate are exactly
-independent.
+2 * depth * beta * (1 + sqrt(t)) in every coordinate are exactly
+independent, where depth = floor(log beta) + 1 is the Picard depth.
 
 In Fourier space the sum is a causal time convolution: a lower-triangular
 kernel K[f, i, j] (age i - j, window of time i) is built once per call,
@@ -189,24 +189,17 @@ class SolutionField:
 
 @dataclass(frozen=True)
 class LocalizationConfig:
-    """Cutoff level and window factor beta, with Picard depth n_picard.
-
-    n_picard defaults to floor(log beta) + 1 (natural log), the depth at
-    which the localization error bounds kick in.
-    """
+    """Cutoff level and window factor beta >= 1."""
 
     beta: float
-    n_picard: Optional[int] = None
 
     def __post_init__(self):
         if not self.beta >= 1.0:
             raise SolverError("beta must be >= 1")
-        if self.n_picard is not None and not self.n_picard >= 0:
-            raise SolverError("n_picard must be >= 0")
 
     def depth(self) -> int:
-        if self.n_picard is not None:
-            return self.n_picard
+        """Picard depth floor(log beta) + 1 (natural log), at least 1: the
+        depth at which the localization error bounds kick in."""
         return int(math.floor(math.log(self.beta))) + 1
 
 
@@ -234,7 +227,7 @@ def check_solve(cfg: SolverConfig, t_final: float) -> int:
 
 def check_localization(cfg: SolverConfig, loc: LocalizationConfig, t_final: float) -> None:
     """Raise unless loc can run on cfg to t_final: window beta*sqrt(t_final)
-    <= L/4 and, with Picard iterates, steps and a cutoff dx <= beta <= L/2."""
+    <= L/4, steps and a cutoff dx <= beta <= L/2."""
     if not t_final > 0:
         raise SolverError("t_final must be positive")
     window = loc.beta * math.sqrt(t_final)
@@ -243,9 +236,8 @@ def check_localization(cfg: SolverConfig, loc: LocalizationConfig, t_final: floa
         raise SolverError(
             f"window beta*sqrt(t_final) = {window:.6g} exceeds period/4 = {quarter:.6g}"
         )
-    if loc.depth() > 0:
-        _steps_for(t_final, cfg.dt)
-        kernel_multiplier(cfg.model, cfg.grid, loc.beta)
+    _steps_for(t_final, cfg.dt)
+    kernel_multiplier(cfg.model, cfg.grid, loc.beta)
 
 
 def _clamp_negatives(u: np.ndarray, stats: dict):
@@ -319,17 +311,19 @@ def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_
     u0 = cfg.u0.render(grid)
     spec = np.empty((len(streams),) + grid.rfft_shape(), dtype=complex)
     if cfg.sigma.kind == "constant":
-        # sigma does not look at the field, so the whole run can stay spectral.
+        # sigma does not look at the field, so the whole run can stay spectral;
+        # overflow is detected on the final field
         uhat = np.broadcast_to(np.fft.rfftn(u0), spec.shape).copy()
         eps0 = cfg.sigma.eps0
-        for j in range(n_steps):
-            np.multiply(H, white_hat(j), out=spec)
-            spec *= eps0
-            uhat += spec
-            uhat *= P
-            if not np.all(np.isfinite(uhat)):
-                raise SolverBlowup((j + 1) * cfg.dt, math.inf, streams)
-        return np.fft.irfftn(uhat, s=grid.shape, axes=axes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n_steps):
+                np.multiply(H, white_hat(j), out=spec)
+                spec *= eps0
+                uhat += spec
+                uhat *= P
+            u = np.fft.irfftn(uhat, s=grid.shape, axes=axes)
+        _check_finite(n_steps * cfg.dt, u, streams)
+        return u
 
     u = np.broadcast_to(u0, (len(streams),) + grid.shape).copy()
     g = np.empty_like(u)
@@ -425,19 +419,6 @@ def _mild_sum_batch(
     return final
 
 
-def _localized(cfg: SolverConfig, loc: LocalizationConfig, t_final: float, streams: Sequence[int], white_hat):
-    """localized_solve_batch driven by white_hat, as for _solve_batch."""
-    depth = loc.depth()
-    if depth == 0:
-        # Iterate zero followed by the deterministic term only: heat flow of u0.
-        u0hat = np.fft.rfftn(cfg.u0.render(cfg.grid))
-        heat = np.fft.irfftn(
-            u0hat * propagator_multiplier(cfg.grid, cfg.kappa, t_final), s=cfg.grid.shape, axes=range(cfg.grid.d)
-        )
-        return np.broadcast_to(heat, (len(streams),) + cfg.grid.shape).copy()
-    return _mild_sum_batch(cfg, t_final, streams, depth, loc.beta, white_hat)
-
-
 def localized_solve_batch(
     cfg: SolverConfig,
     loc: LocalizationConfig,
@@ -445,9 +426,9 @@ def localized_solve_batch(
     seed: int,
     streams: Sequence[int],
 ) -> np.ndarray:
-    """Localized Picard approximation for a batch of replicas."""
+    """Localized Picard approximation of depth loc.depth() for a batch of replicas."""
     check_localization(cfg, loc, t_final)
-    return _localized(cfg, loc, t_final, streams, _white_hat(cfg, seed, streams))
+    return _mild_sum_batch(cfg, t_final, streams, loc.depth(), loc.beta, _white_hat(cfg, seed, streams))
 
 
 def _coupled_batch(cfg: SolverConfig, locs: Sequence[LocalizationConfig], t_final: float, seed: int, streams):
@@ -460,4 +441,4 @@ def _coupled_batch(cfg: SolverConfig, locs: Sequence[LocalizationConfig], t_fina
         what[j] = draw(j)
     yield _solve_batch(cfg, n_steps, streams, what.__getitem__)
     for loc in locs:
-        yield _localized(cfg, loc, t_final, streams, what.__getitem__)
+        yield _mild_sum_batch(cfg, t_final, streams, loc.depth(), loc.beta, what.__getitem__)

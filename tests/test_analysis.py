@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -417,6 +418,14 @@ class TestLocalizationCurve:
         assert curve.fit is not None
         assert curve.fit.extras["decay_rate"] > 0
 
+    def test_rows_pinned(self):
+        # exact bytes of a three-beta curve (depths 1, 2 and 3); a change to
+        # any seeded number shows here
+        curve = an.localization_error_curve(small_cfg(), 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=48, seed=17)
+        assert hashlib.sha256(np.array([curve.errors, curve.stderrs]).tobytes()).hexdigest() == (
+            "eabc3b6ce48046beb0e216cac5934db286ec66b153b7a5caedd4fb0d15287933"
+        )
+
     def test_one_noise_draw_per_chunk(self, monkeypatch):
         # the full solve and every beta share one draw of the chunk's noise
         calls = []
@@ -460,17 +469,17 @@ class TestLocalizationCurve:
 class TestIndependence:
     def test_far_points_pass_on_cutoff_noise(self):
         cfg = small_cfg()
-        loc = sl.LocalizationConfig(beta=2.0, n_picard=2)
-        # required separation: 2 * 2 * 2 * (1 + 0.5) = 12; points 16 cells apart
+        loc = sl.LocalizationConfig(beta=3.0)
+        # required separation: 2 * depth 2 * beta 3 * (1 + sqrt(0.25)) = 18
         res = an.independence_test(cfg, loc, 0.25, [(-8.0,), (0.0,)], 400, seed=23)
-        assert res.required_separation == pytest.approx(2 * 2 * 2.0 * 1.5)
+        assert res.required_separation == pytest.approx(2 * 2 * 3.0 * 1.5)
         assert res.null_band == pytest.approx(4 / math.sqrt(400))
         assert res.passed
         assert res.max_abs_offdiag < res.null_band
 
     def test_close_points_fail(self):
         cfg = small_cfg()
-        loc = sl.LocalizationConfig(beta=2.0, n_picard=2)
+        loc = sl.LocalizationConfig(beta=3.0)  # depth 2
         res = an.independence_test(cfg, loc, 0.25, [(0.0,), (0.5,)], 400, seed=23)
         assert not res.passed
         assert res.max_abs_offdiag > res.null_band

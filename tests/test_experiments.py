@@ -169,14 +169,6 @@ RULE_GAPS = [
         lambda m: an.fk_moment_oracle(GAUSS, 1.0, 0.0, 2, an.FkOracleConfig(16, 16)),
         id="oracle-t-final-not-positive-without-grid",
     ),
-    pytest.param(
-        "oracle", {"model": {"kind": "riesz", "d": 2, "alpha": 1.0, "c0": 1.0}, "grid": DROP,
-                   "analysis": {"oracle": {**ORACLE, "reg_scale": 0.0}}},
-        lambda m: an.fk_moment_oracle(
-            sl.CorrelationModel.riesz(d=2, alpha=1.0, c0=1.0), 1.0, T, 2, an.FkOracleConfig(16, 16, reg_scale=0.0)
-        ),
-        id="oracle-reg-scale-not-positive",
-    ),
     # a rule written as x <= 0 lets NaN through; json reads NaN
     pytest.param(
         "solver", {"solver/kappa": math.nan}, manifest_cfg, id="solver-kappa-nan",
@@ -301,6 +293,36 @@ class TestValidation:
         m["analysis"] = {"oracle": {"k": 2, "walkers": 16, "inner_steps": 16}}
         errs = exp.validate_manifest(m)
         assert any("violates alpha < 1 = min(d, 2)" in e for e in errs)
+
+    def test_oracle_runs_ks_when_given(self, tmp_path):
+        # k, ks or both may be named; ks runs when it is given
+        for block, ks in (({"ks": [2, 3]}, [2, 3]), ({"k": 2, "ks": [2, 3, 4]}, [2, 3, 4]), ({"k": 3}, [3])):
+            m = broken({"analysis": {"oracle": {"walkers": 16, "inner_steps": 16, **block}}})
+            assert exp.validate_manifest(m) == []
+            out = tmp_path / "_".join(map(str, ks))
+            assert exp.run(m, out).summary["analyses"]["oracle"]["ks"] == ks
+
+    def test_oracle_checks_every_order_it_names(self):
+        m = broken({"analysis": {"oracle": {**ORACLE, "k": 0, "ks": [2, 3]}}})
+        assert exp.validate_manifest(m) == ["oracle: oracle moment order k = 0 violates k >= 2"]
+        m = broken({"analysis": {"oracle": {"walkers": 16, "inner_steps": 16}}})
+        assert exp.validate_manifest(m) == [
+            "analysis/oracle: {'walkers': 16, 'inner_steps': 16} is not valid under any of the given schemas"
+        ]
+
+    @pytest.mark.parametrize(
+        "verb, key", [("localize", "n_picard"), ("independence", "n_picard"), ("oracle", "reg_scale")]
+    )
+    def test_derived_values_are_not_settable(self, tmp_path, capsys, verb, key):
+        # the Picard depth follows from beta and the oracle cutoff from kappa * t / inner_steps
+        blocks = {"localize": {"betas": [2], "k": 2}, "independence": {"beta": 2, "points": [[0.0], [6.0]]},
+                  "oracle": ORACLE}
+        m = broken({"analysis": {verb: {**blocks[verb], key: 1}}})
+        assert exp.validate_manifest(m) == [
+            f"analysis/{verb}: Additional properties are not allowed ('{key}' was unexpected)"
+        ]
+        assert cli_main([verb, "--manifest", write_manifest(tmp_path, m), "--out", str(tmp_path / "b")]) == 2
+        assert f"'{key}' was unexpected" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where, changes, library_call", RULE_GAPS)
     def test_library_rule_fails_validation_not_the_run(self, tmp_path, capsys, where, changes, library_call):

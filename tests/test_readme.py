@@ -1,14 +1,35 @@
-"""The python blocks of README.md run as written, in order, in one namespace."""
+"""The examples of README.md work as written: its python blocks run, in
+order, in one namespace, its JSON manifest validates, and its shelab
+command lines parse."""
 
+import json
 import re
+import shlex
 from pathlib import Path
+
+from shelab import cli, experiments
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), flags=re.S)
+
+
 def test_python_blocks_run_as_written():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
-    assert blocks
+    assert blocks("python")
     namespace = {"__name__": "readme"}
-    for block in blocks:
+    for block in blocks("python"):
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_json_manifest_validates():
+    (manifest,) = blocks("json")
+    assert experiments.validate_manifest(json.loads(manifest)) == []
+
+
+def test_command_lines_parse():
+    lines = [line for block in blocks("sh") for line in block.splitlines() if line.startswith("shelab ")]
+    assert lines
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
