@@ -43,7 +43,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from .correlation import RIESZ, CorrelationModel, evaluate_f_radial
+from .correlation import GAUSSIAN_H, RIESZ, CorrelationModel
 from .lattice import d_separation
 from .noise import check_seed
 from .solver import (
@@ -366,6 +366,7 @@ def fk_moment_oracle(
     # Pairs (i, j), i < j, in row-major order: pairs (i, .) are rows rows[i]:rows[i + 1].
     rows = np.cumsum([0] + list(range(k - 1, 0, -1)))
     diff, r = np.empty((2, rows[-1], M))
+    acc = np.empty(M)
     # Each population holds at least one walker; a single walker never resamples.
     starts = np.linspace(0, M, min(_FK_BLOCKS, M) + 1).astype(int)
     sizes = np.diff(starts)
@@ -373,6 +374,8 @@ def fk_moment_oracle(
     resamplings = 0
 
     def pair_sum():
+        """2 * sum over pairs of f, in acc; the same operations as
+        evaluate_f_radial, done in place."""
         r.fill(0.0)
         for c in range(d):
             for i in range(k - 1):
@@ -383,7 +386,17 @@ def fk_moment_oracle(
         np.multiply(r, math.sqrt(kappa), out=r)
         if model.kind == RIESZ:
             np.maximum(r, r_reg, out=r)
-        return 2.0 * np.sum(evaluate_f_radial(model, r), axis=0)
+            np.power(r, -model.alpha, out=r)
+            np.multiply(r, model.c0, out=r)
+        elif model.kind == GAUSSIAN_H:
+            np.multiply(r, r, out=r)
+            np.divide(r, -4.0 * model.width**2, out=r)
+            np.exp(r, out=r)
+            np.multiply(r, model.f_at_zero(), out=r)
+        else:
+            r.fill(model.c)
+        np.sum(r, axis=0, out=acc)
+        return np.multiply(acc, 2.0, out=acc)
 
     def block_weights():
         """Weights exp(S) scaled per population, their sums, log mean weights."""
@@ -397,8 +410,9 @@ def fk_moment_oracle(
         rng.standard_normal(out=step_noise)
         step_noise *= scale
         pos += step_noise.transpose(1, 2, 0)
-        w = dt if step < n_inner else 0.5 * dt
-        S += w * pair_sum()
+        pair_sum()
+        acc *= dt if step < n_inner else 0.5 * dt
+        S += acc
         if step == n_inner or np.ptp(S) <= _FK_SAFE_LOG_SPREAD:
             continue
         e, tot, log_w = block_weights()
