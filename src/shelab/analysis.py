@@ -345,9 +345,14 @@ def fk_moment_oracle(
     is set when they disagree: a relative stderr above 50%, read on the log
     scale as log_stderr > log 1.5.
 
-    Positions are walkers-last (pos[i, c, m]: motion i, coordinate c, walker
-    m). A step works in reused (pairs, M) buffers, adding squares coordinate
-    by coordinate and pair terms pair by pair, the order seeded bits rely on.
+    Only differences between walkers enter the pair sum and the weights, so
+    the walk carries the k - 1 motions y_i = (b^i - b^0) / sqrt(dt) relative
+    to walker 0, in units of one step, walkers-last (y[i - 1, c, m]: motion
+    i, coordinate c, walker m).  A step draws one (k - 1, d, M) block xi of
+    standard normals and adds xi + c * sum_i xi_i, c = (sqrt(k) - 1) / (k - 1),
+    whose covariance I + 11^T is that of the increments of b^i - b^0.  Pairs
+    (0, j) read y_j and pairs (i, j) read y_i - y_j; f is evaluated on their
+    squared distances in reused (pairs, M) buffers.
     """
     check_oracle(model, kappa, t, k, u0_level)
     M, n_inner = cfg.walkers, cfg.inner_steps
@@ -360,12 +365,20 @@ def fk_moment_oracle(
     resample_rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, 0x726573616D70], dtype=np.uint64))
     )
-    pos = np.zeros((k, d, M))
-    step_noise = np.empty((M, k, d))
-    scale = math.sqrt(dt)
+    y = np.zeros((k - 1, d, M))
+    xi = np.empty((k - 1, d, M))
+    mix = np.empty((d, M))
+    c_mix = (math.sqrt(k) - 1.0) / (k - 1)
+    # f(sqrt(kappa) |b^i - b^j|) = amp * g(q) for the squared distance q in step units
+    if model.kind == RIESZ:
+        amp = model.c0 * r_reg ** (-model.alpha)  # g(q) = max(q, 1)^(-alpha/2): r >= r_reg
+    elif model.kind == GAUSSIAN_H:
+        amp, gauss = model.f_at_zero(), -kappa * dt / (4.0 * model.width**2)  # g(q) = exp(gauss q)
+    else:
+        amp = model.c  # g = 1
     # Pairs (i, j), i < j, in row-major order: pairs (i, .) are rows rows[i]:rows[i + 1].
     rows = np.cumsum([0] + list(range(k - 1, 0, -1)))
-    diff, r = np.empty((2, rows[-1], M))
+    diff, q = np.empty((2, rows[-1], M))
     acc = np.empty(M)
     # Each population holds at least one walker; a single walker never resamples.
     starts = np.linspace(0, M, min(_FK_BLOCKS, M) + 1).astype(int)
@@ -374,29 +387,25 @@ def fk_moment_oracle(
     resamplings = 0
 
     def pair_sum():
-        """2 * sum over pairs of f, in acc; the same operations as
-        evaluate_f_radial, done in place."""
-        r.fill(0.0)
+        """sum over pairs of g(q), into acc."""
         for c in range(d):
-            for i in range(k - 1):
-                np.subtract(pos[i, c], pos[i + 1 :, c], out=diff[rows[i] : rows[i + 1]])
-            np.multiply(diff, diff, out=diff)
-            np.add(r, diff, out=r)
-        np.sqrt(r, out=r)
-        np.multiply(r, math.sqrt(kappa), out=r)
+            yc, dst = y[:, c], (q if c == 0 else diff)
+            dst[: k - 1] = yc
+            for i in range(1, k - 1):
+                np.subtract(yc[i - 1], yc[i:], out=dst[rows[i] : rows[i + 1]])
+            np.multiply(dst, dst, out=dst)
+            if c:
+                np.add(q, diff, out=q)
         if model.kind == RIESZ:
-            np.maximum(r, r_reg, out=r)
-            np.power(r, -model.alpha, out=r)
-            np.multiply(r, model.c0, out=r)
+            np.maximum(q, 1.0, out=q)
+            np.sqrt(q, out=q)
+            np.power(q, -model.alpha, out=q)  # alpha = 1 stays on numpy's fast path
         elif model.kind == GAUSSIAN_H:
-            np.multiply(r, r, out=r)
-            np.divide(r, -4.0 * model.width**2, out=r)
-            np.exp(r, out=r)
-            np.multiply(r, model.f_at_zero(), out=r)
+            np.multiply(q, gauss, out=q)
+            np.exp(q, out=q)
         else:
-            r.fill(model.c)
-        np.sum(r, axis=0, out=acc)
-        return np.multiply(acc, 2.0, out=acc)
+            q.fill(1.0)
+        return np.sum(q, axis=0, out=acc)
 
     def block_weights():
         """Weights exp(S) scaled per population, their sums, log mean weights."""
@@ -405,13 +414,16 @@ def fk_moment_oracle(
         tot = np.add.reduceat(e, starts[:-1])
         return e, tot, top + np.log(tot / sizes)
 
-    S = 0.5 * dt * pair_sum()
+    # S = 2 amp * trapezoid sum of dt * pair_sum over the inner steps
+    S = amp * dt * pair_sum()
     for step in range(1, n_inner + 1):
-        rng.standard_normal(out=step_noise)
-        step_noise *= scale
-        pos += step_noise.transpose(1, 2, 0)
+        rng.standard_normal(out=xi)
+        np.sum(xi, axis=0, out=mix)
+        mix *= c_mix
+        y += xi
+        y += mix
         pair_sum()
-        acc *= dt if step < n_inner else 0.5 * dt
+        acc *= 2.0 * amp * dt if step < n_inner else amp * dt
         S += acc
         if step == n_inner or np.ptp(S) <= _FK_SAFE_LOG_SPREAD:
             continue
@@ -420,7 +432,7 @@ def fk_moment_oracle(
         for b in np.flatnonzero(low):
             lo, hi = starts[b], starts[b + 1]
             log_norm[b] += log_w[b]
-            pos[..., lo:hi] = pos[..., lo + _systematic_resample(e[lo:hi], resample_rng.random())]
+            y[..., lo:hi] = y[..., lo + _systematic_resample(e[lo:hi], resample_rng.random())]
             S[lo:hi] = 0.0
             resamplings += 1
 

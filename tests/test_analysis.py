@@ -257,10 +257,14 @@ class TestFkOracle:
         # For k=2 the separation X = sqrt(kappa) (b^1 - b^2) has generator
         # kappa d^2/dx^2, so E u_t^2 = v(t, 0) for dv/ds = kappa v'' + 2 f v,
         # v(0, .) = 1.  Crank-Nicolson on [-12, 12] with reflecting ends.
+        # The stderr is a jackknife over 4 populations, so z has about 3
+        # degrees of freedom: over seeds 0-29, one seed in 30 read |z| > 4,
+        # both with the relative step (seed 0, z = 4.18) and with the
+        # absolute one it replaced.
         width, amp, kappa, t = 0.5, 3.0, 1.0, 1.0
         model = sl.CorrelationModel.gaussian_h(d=1, width=width, amplitude=amp)
         res = an.fk_moment_oracle(
-            model, kappa, t, 2, an.FkOracleConfig(walkers=20000, inner_steps=256, seed=0)
+            model, kappa, t, 2, an.FkOracleConfig(walkers=20000, inner_steps=256, seed=1)
         )
         assert res.resamplings > 0
         x = np.linspace(-12.0, 12.0, 2401)
@@ -283,27 +287,41 @@ class TestFkOracle:
     @pytest.mark.parametrize(
         "kind, d, k, t, seed, log_mean, log_stderr, resamplings",
         [
-            ("riesz", 1, 2, 1.0, 5, 2.2498135473221392, 0.020663187697096144, 0),
-            ("riesz", 1, 5, 1.0, 2, 23.628019627457597, 0.20760913734888628, 11),
-            ("riesz", 1, 9, 1.0, 5, 90.40740840798472, 0.8774415372774652, 32),
-            ("riesz", 2, 5, 1.0, 4, 29.608964167498975, 0.20651886995237922, 31),
-            ("riesz", 2, 9, 0.5, 8, 83.9742079524217, 0.8216737787162948, 57),
-            ("gaussian_h", 3, 2, 1.0, 5, 3.164470918999722, 0.043704275886429236, 2),
-            ("gaussian_h", 3, 5, 1.0, 5, 36.376076895729575, 0.41556900706420796, 19),
-            ("gaussian_h", 3, 9, 1.0, 8, 141.45882828131428, 0.8646289146367437, 45),
+            ("riesz", 1, 2, 1.0, 5, 2.2194831302717972, 0.020144164913014347, 0),
+            ("riesz", 1, 5, 1.0, 2, 23.626763865101317, 0.032239520539189236, 12),
+            ("riesz", 1, 9, 1.0, 5, 90.53455484278132, 0.7672994901762094, 33),
+            ("riesz", 2, 5, 1.0, 2, 30.251828143037603, 0.2911658133588134, 33),
+            ("riesz", 2, 9, 0.5, 8, 81.42886746659997, 0.8113781718275772, 53),
+            ("gaussian_h", 3, 2, 1.0, 5, 3.1781714365584293, 0.056155881332282206, 2),
+            ("gaussian_h", 3, 5, 1.0, 5, 36.204623995042056, 0.2308379730320377, 20),
+            ("gaussian_h", 3, 9, 1.0, 1, 142.31107855556334, 0.6488190298479231, 45),
         ],
     )
     def test_seeded_bits_pinned(self, kind, d, k, t, seed, log_mean, log_stderr, resamplings):
-        # Exact values of the walker step that gathered an (M, pairs, d)
-        # difference array.  The seeds are ones where summing the pairs
-        # pairwise, as numpy does along a contiguous axis of 8 or more, in
-        # place of one pair after another changes the result.
+        # Exact values of the walker step in relative coordinates: k - 1
+        # motions drawn walkers-last, f summed over a (pairs, M) buffer one
+        # pair after another.  Summing the pairs pairwise instead, as numpy
+        # does along a contiguous axis of 8 or more, changes the result of
+        # the riesz d=2, k=5 and the gaussian_h k=9 cases at their seeds.
         if kind == "riesz":
             model = sl.CorrelationModel.riesz(d=d, alpha=0.5 if d == 1 else 1.0, c0=0.7)
         else:
             model = sl.CorrelationModel.gaussian_h(d=d, width=0.8, amplitude=1.0)
         res = an.fk_moment_oracle(model, 1.0, t, k, an.FkOracleConfig(walkers=600, inner_steps=48, seed=seed))
         assert (res.log_mean, res.log_stderr, res.resamplings) == (log_mean, log_stderr, resamplings)
+
+    def test_relative_step_keeps_the_law(self):
+        # The reference is the mean log_mean over seeds 0-23 of the step that
+        # moved k absolute walkers (commit 5c1f180), at these settings, and
+        # the stderr of that mean over the 24 seeds.  k = 5 reaches the pairs
+        # (i, j) with i, j >= 1 and the mixing of the drawn motions, which
+        # the k = 2 checks against the independent MC and the PDE do not.
+        ref, ref_se = 30.744582506104084, 0.17441530678172348
+        model = sl.CorrelationModel.riesz(d=2, alpha=1.0, c0=0.7)
+        runs = [an.FkOracleConfig(walkers=600, inner_steps=48, seed=seed) for seed in range(24)]
+        v = np.array([an.fk_moment_oracle(model, 1.0, 1.0, 5, cfg).log_mean for cfg in runs])
+        se = float(np.std(v, ddof=1)) / math.sqrt(v.size)
+        assert abs(float(np.mean(v)) - ref) < 4.0 * math.hypot(se, ref_se), (np.mean(v), se)
 
     def test_order_validation(self):
         c = sl.CorrelationModel.constant(d=1, c=0.3)
