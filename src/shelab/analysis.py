@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,18 +69,48 @@ def _chunks(n: int) -> list:
     return [range(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
 
-# The chunk function of the replica_map that forked this worker; set only
-# in worker processes, never in the calling one.
-_worker_fn = None
+# The calls of the fork_map that forked this worker; set only in worker
+# processes, never in the calling one.
+_worker_calls = None
 
 
-def _init_worker(fn):
-    global _worker_fn
-    _worker_fn = fn
+def _init_worker(calls):
+    global _worker_calls
+    _worker_calls = calls
 
 
-def _run_chunk(chunk: range) -> np.ndarray:
-    return _worker_fn(list(chunk))
+def _run_call(i: int):
+    return _worker_calls[i]()
+
+
+def fork_map(calls: Sequence[Callable], threads: int = 1) -> list:
+    """Run independent zero-argument calls; their results in call order.
+
+    ``threads`` is the number of worker processes.  With ``threads > 1`` and
+    more than one call, the calls run in up to ``threads`` processes forked
+    from the caller, so a call need not be picklable (the fork inherits it),
+    but its side effects on the caller's objects are lost: it must return
+    everything it computes.  Only the results and any exception travel back,
+    pickled.  This needs POSIX ``fork``, and fork_map must be called from
+    one thread, since forking a process that runs other threads is unsafe.
+    With one call, or ``threads <= 1``, the calls run in the calling
+    process.  An exception surfaces from the first failing call in call
+    order, whatever the worker count.
+    """
+    if threads <= 1 or len(calls) <= 1:
+        return [call() for call in calls]
+    # imported here so that runs without workers do not load (and hold the
+    # memory of) multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(threads, len(calls)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(calls,),
+    ) as ex:
+        return list(ex.map(_run_call, range(len(calls))))
 
 
 def replica_map(fn: Callable, n_replicas: int, threads: int = 1) -> np.ndarray:
@@ -88,37 +119,12 @@ def replica_map(fn: Callable, n_replicas: int, threads: int = 1) -> np.ndarray:
     fn must return one row per stream id.  Chunk boundaries are fixed (not a
     function of the worker count) and per-replica noise depends only on
     (seed, stream id), so the concatenated output is invariant to threads.
-
-    ``threads`` is the number of worker processes.  With ``threads > 1`` and
-    more than one chunk, the chunks run in up to ``threads`` processes forked
-    from the caller, so fn need not be picklable (the fork inherits it), but
-    its side effects on the caller's objects are lost: fn must return
-    everything in its rows.  Only the rows and any exception travel back,
-    pickled.  This needs POSIX ``fork``, and replica_map must be called from
-    one thread, since forking a process that runs other threads is unsafe.
-    With one chunk, or ``threads <= 1``, fn runs in the calling process.  An
-    exception raised by fn surfaces from the first failing chunk in stream
-    order, whatever the worker count.
+    The chunks run through fork_map, in up to ``threads`` worker processes.
     """
     if n_replicas < 1:
         raise AnalysisError("need at least one replica")
-    chunks = _chunks(n_replicas)
-    if threads <= 1 or len(chunks) == 1:
-        parts = [fn(list(c)) for c in chunks]
-    else:
-        # imported here so that runs without workers do not load (and hold
-        # the memory of) multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(threads, len(chunks)),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(fn,),
-        ) as ex:
-            parts = list(ex.map(_run_chunk, chunks))
-    return np.concatenate(parts, axis=0)
+    calls = [partial(fn, list(chunk)) for chunk in _chunks(n_replicas)]
+    return np.concatenate(fork_map(calls, threads), axis=0)
 
 
 def jackknife_stat(values: np.ndarray, stat: str = "mean"):
@@ -637,6 +643,7 @@ class IndependenceResult:
     null_band: float
     separations: np.ndarray
     required_separation: float
+    exact: bool  # every pair of points is at least required_separation apart
     passed: bool
 
 
@@ -665,7 +672,9 @@ def independence_test(
 
     The null band is 4 / sqrt(N).  Exact independence is expected when the
     pairwise per-coordinate torus separation D is at least
-    2 * depth * beta * (1 + sqrt(t)), depth = loc.depth().
+    2 * depth * beta * (1 + sqrt(t)), depth = loc.depth(); ``exact`` says
+    whether every pair of points is that far apart.  On a torus of period
+    L no two points are more than L / 2 apart, so it needs L >= 2 D.
     """
     grid = cfg.grid
     pts = check_independence(cfg, loc, t_final, points, n_replicas)
@@ -694,6 +703,7 @@ def independence_test(
         null_band=band,
         separations=seps,
         required_separation=required,
+        exact=bool(np.all(seps >= required)),
         passed=max_abs < band,
     )
 

@@ -37,7 +37,7 @@ def _add_run_flags(p):
         "--threads",
         type=int,
         default=1,
-        help="run replica chunks in up to N worker processes (default 1)",
+        help="run replica chunks and oracle orders in up to N worker processes (default 1)",
     )
     p.add_argument("--out", help="bundle directory to create (must not exist)")
     p.add_argument(

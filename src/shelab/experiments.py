@@ -22,8 +22,8 @@ manifest no longer matches the recorded hash.
 
 Determinism contract: identical manifests produce bit-identical CSVs,
 whatever the number of worker processes (``threads``), because every
-replica's noise is a pure function of (seed, stream id) and reductions
-happen in stream order.
+replica's noise is a pure function of (seed, stream id), each oracle order
+draws from its own seeded generators, and results merge in stream order.
 Wallclock metadata lives only in summary.json.
 """
 
@@ -94,8 +94,8 @@ _RULE_ERRORS = (CorrelationError, LatticeError, NoiseError, SolverError, an.Anal
 
 def _plan(manifest: dict, threads: int) -> tuple:
     """(errors, calls): every validation error of a manifest, and the library
-    call of each analysis, to run its replica chunks in up to `threads`
-    worker processes.  Each object and each call is built once."""
+    call of each analysis, to run its replica chunks or oracle orders in up
+    to `threads` worker processes.  Each object and each call is built once."""
     errors = []
     validator = jsonschema.Draft7Validator(_schema())
     for err in sorted(validator.iter_errors(manifest), key=lambda e: list(e.absolute_path)):
@@ -153,7 +153,8 @@ def _replicas(manifest: dict) -> int:
 
 # One _prepare function per analysis: it turns the block into the arguments
 # of the library call, runs the library's checks on them, and returns the
-# call, ready to run its replica chunks in up to `threads` worker processes.
+# call, ready to run its replica chunks (or oracle orders) in up to `threads`
+# worker processes.
 
 
 def _prepare_dalang(manifest: dict, model: CorrelationModel, threads: int = 1):
@@ -200,7 +201,7 @@ def _prepare_oracle(manifest: dict, model: CorrelationModel, threads: int = 1):
     for order in named + ks:
         an.check_oracle(*args, order, u0_level)
     calls = [partial(an.fk_moment_oracle, *args, order, ocfg, u0_level=u0_level) for order in ks]
-    return lambda: [call() for call in calls]
+    return partial(an.fork_map, calls, threads)
 
 
 def _prepare_probe(manifest: dict, cfg: SolverConfig, threads: int = 1, *, verb: str):
@@ -371,7 +372,7 @@ _ANALYSES = {
         _prepare_independence, needs_solver=True,
         csv="independence.csv", columns=("i", "j", "corr", "separation"),
         rows=_independence_rows,
-        summary=_attrs("max_abs_offdiag", "null_band", "required_separation", "passed"),
+        summary=_attrs("max_abs_offdiag", "null_band", "required_separation", "exact", "passed"),
     ),
     "boundedness": _Analysis(
         partial(_prepare_probe, verb="boundedness"), needs_solver=True,

@@ -10,6 +10,7 @@ desk machine.
 import math
 import os
 import time
+from functools import partial
 
 import numpy as np
 from scipy import integrate
@@ -117,7 +118,8 @@ def test_oracle_and_lattice_estimator_agree(accept):
 
 def _oracle_growth_fit(model, t, oracle_cfg):
     ks = list(range(2, 9))
-    results = [an.fk_moment_oracle(model, 1.0, t, k, oracle_cfg) for k in ks]
+    calls = [partial(an.fk_moment_oracle, model, 1.0, t, k, oracle_cfg) for k in ks]
+    results = an.fork_map(calls, threads=2)
     report = an.MomentReport(
         ks=ks,
         estimates=[r.estimate for r in results],
@@ -154,12 +156,14 @@ def test_moment_growth_exponent_long_range_kernel(accept):
     #   oracle's resampled populations still agree on most k (a k whose
     #   populations disagree, log_stderr > log 1.5, is flagged and left out).
     # - walkers=20000 are 4 populations of 5000.  Per population of 2500,
-    #   5000, 10000 and 20000 theta read 2.72, 2.73, 2.74 and 2.76: from 5000
-    #   up it still rises by up to 0.03, so it is a value from below.
+    #   5000, 10000 and 20000 theta reads 2.61 (ks 2-5), 2.73 (ks 2-6), 2.70
+    #   (ks 2-8) and 2.72 (ks 2-7): from 5000 up it moves by at most 0.03.
+    #   (The walker step in absolute coordinates read 2.72, 2.73, 2.74 and
+    #   2.76 on its own stream.)
     # - inner_steps=256 puts the cutoff sqrt(kappa * dt) = 0.0625 below the
     #   k=8 cluster width kappa / ((k - 1) c0 sqrt(pi)) = 0.115, the width of
     #   the best Gaussian trial state of 8 walkers in d=2.  With 512 steps
-    #   theta read 2.80: the cutoff too keeps theta below its limit.
+    #   theta reads 2.69 from ks 2-5 only (2.80 on the absolute step's stream).
     t0 = time.time()
     fit = _oracle_growth_fit(
         sl.CorrelationModel.riesz(d=2, alpha=1.0, c0=0.7),
@@ -317,8 +321,9 @@ def test_bundle_determinism(accept, tmp_path):
 
 
 def test_bundle_determinism_across_workers(accept, tmp_path):
-    # 600 replicas make three 256-replica chunks, so at threads=2 the chunks
-    # run in forked workers while threads=1 runs them in this process
+    # 600 replicas make three 256-replica chunks, so at threads=2 the chunks,
+    # and the oracle's two orders, run in forked workers while threads=1
+    # runs them in this process
     manifest = {
         "version": 1,
         "seed": 23,
@@ -338,6 +343,7 @@ def test_bundle_determinism_across_workers(accept, tmp_path):
             "localize": {"betas": [2, 4], "k": 2},
             "independence": {"beta": 2, "points": [[0.0], [6.0]]},
             "boundedness": {"radii": [1.0, 2.0, 4.0]},
+            "oracle": {"ks": [2, 3], "walkers": 400, "inner_steps": 32},
         },
     }
     csvs = []
@@ -346,5 +352,5 @@ def test_bundle_determinism_across_workers(accept, tmp_path):
         assert exp.run(manifest, out, threads=threads).complete
         csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     names = sorted(csvs[0])
-    ok = len(names) == 6 and csvs[0] == csvs[1]
+    ok = len(names) == 7 and csvs[0] == csvs[1]
     accept(ok, f"{len(names)} CSVs byte-identical at threads 1 vs 2 over 3 chunks: {', '.join(names)}")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -203,6 +204,19 @@ class TestMoments:
         assert rep.estimates == an.estimate_moments(origin, [2], 4, seed=3).estimates
 
 
+# (kind, d, k, t, seed) and the oracle's exact log_mean, log_stderr, resamplings
+FK_PINNED = [
+    ("riesz", 1, 2, 1.0, 5, 2.2194831302717972, 0.020144164913014347, 0),
+    ("riesz", 1, 5, 1.0, 2, 23.626763865101317, 0.032239520539189236, 12),
+    ("riesz", 1, 9, 1.0, 5, 90.53455484278132, 0.7672994901762094, 33),
+    ("riesz", 2, 5, 1.0, 2, 30.251828143037603, 0.2911658133588134, 33),
+    ("riesz", 2, 9, 0.5, 8, 81.42886746659997, 0.8113781718275772, 53),
+    ("gaussian_h", 3, 2, 1.0, 5, 3.1781714365584293, 0.056155881332282206, 2),
+    ("gaussian_h", 3, 5, 1.0, 5, 36.204623995042056, 0.2308379730320377, 20),
+    ("gaussian_h", 3, 9, 1.0, 1, 142.31107855556334, 0.6488190298479231, 45),
+]
+
+
 class TestFkOracle:
     def test_constant_model_is_exact(self):
         # Equal weights never resample, so the closed form stays exact even
@@ -286,16 +300,8 @@ class TestFkOracle:
 
     @pytest.mark.parametrize(
         "kind, d, k, t, seed, log_mean, log_stderr, resamplings",
-        [
-            ("riesz", 1, 2, 1.0, 5, 2.2194831302717972, 0.020144164913014347, 0),
-            ("riesz", 1, 5, 1.0, 2, 23.626763865101317, 0.032239520539189236, 12),
-            ("riesz", 1, 9, 1.0, 5, 90.53455484278132, 0.7672994901762094, 33),
-            ("riesz", 2, 5, 1.0, 2, 30.251828143037603, 0.2911658133588134, 33),
-            ("riesz", 2, 9, 0.5, 8, 81.42886746659997, 0.8113781718275772, 53),
-            ("gaussian_h", 3, 2, 1.0, 5, 3.1781714365584293, 0.056155881332282206, 2),
-            ("gaussian_h", 3, 5, 1.0, 5, 36.204623995042056, 0.2308379730320377, 20),
-            ("gaussian_h", 3, 9, 1.0, 1, 142.31107855556334, 0.6488190298479231, 45),
-        ],
+        FK_PINNED,
+        ids=["-".join(map(str, case[:5])) for case in FK_PINNED],  # the case, not the values pinned
     )
     def test_seeded_bits_pinned(self, kind, d, k, t, seed, log_mean, log_stderr, resamplings):
         # Exact values of the walker step in relative coordinates: k - 1
@@ -486,12 +492,16 @@ class TestLocalizationCurve:
 
 class TestIndependence:
     def test_far_points_pass_on_cutoff_noise(self):
-        cfg = small_cfg()
+        # required separation: 2 * depth 2 * beta 3 * (1 + sqrt(0.25)) = 18,
+        # so the torus needs a period of at least 36 to hold two points that
+        # far apart; this one has 64
+        cfg = dataclasses.replace(small_cfg(), grid=sl.LatticeGrid(d=1, m=256, dx=0.25))
         loc = sl.LocalizationConfig(beta=3.0)
-        # required separation: 2 * depth 2 * beta 3 * (1 + sqrt(0.25)) = 18
-        res = an.independence_test(cfg, loc, 0.25, [(-8.0,), (0.0,)], 400, seed=23)
+        res = an.independence_test(cfg, loc, 0.25, [(-10.0,), (10.0,)], 400, seed=23)
         assert res.required_separation == pytest.approx(2 * 2 * 3.0 * 1.5)
+        assert res.separations[0, 1] == 20.0
         assert res.null_band == pytest.approx(4 / math.sqrt(400))
+        assert res.exact
         assert res.passed
         assert res.max_abs_offdiag < res.null_band
 
@@ -499,5 +509,6 @@ class TestIndependence:
         cfg = small_cfg()
         loc = sl.LocalizationConfig(beta=3.0)  # depth 2
         res = an.independence_test(cfg, loc, 0.25, [(0.0,), (0.5,)], 400, seed=23)
+        assert not res.exact
         assert not res.passed
         assert res.max_abs_offdiag > res.null_band
