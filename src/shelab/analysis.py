@@ -405,7 +405,7 @@ def fk_moment_oracle(
         if model.kind == RIESZ:
             np.maximum(q, 1.0, out=q)
             np.sqrt(q, out=q)
-            np.power(q, -model.alpha, out=q)  # alpha = 1 stays on numpy's fast path
+            np.power(q, -model.alpha, out=q)  # after sqrt: at alpha = 1 cheaper than q ** -0.5
         elif model.kind == GAUSSIAN_H:
             np.multiply(q, gauss, out=q)
             np.exp(q, out=q)

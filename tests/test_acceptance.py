@@ -158,12 +158,10 @@ def test_moment_growth_exponent_long_range_kernel(accept):
     # - walkers=20000 are 4 populations of 5000.  Per population of 2500,
     #   5000, 10000 and 20000 theta reads 2.61 (ks 2-5), 2.73 (ks 2-6), 2.70
     #   (ks 2-8) and 2.72 (ks 2-7): from 5000 up it moves by at most 0.03.
-    #   (The walker step in absolute coordinates read 2.72, 2.73, 2.74 and
-    #   2.76 on its own stream.)
     # - inner_steps=256 puts the cutoff sqrt(kappa * dt) = 0.0625 below the
     #   k=8 cluster width kappa / ((k - 1) c0 sqrt(pi)) = 0.115, the width of
     #   the best Gaussian trial state of 8 walkers in d=2.  With 512 steps
-    #   theta reads 2.69 from ks 2-5 only (2.80 on the absolute step's stream).
+    #   theta reads 2.69 from ks 2-5 only.
     t0 = time.time()
     fit = _oracle_growth_fit(
         sl.CorrelationModel.riesz(d=2, alpha=1.0, c0=0.7),
