@@ -217,11 +217,14 @@ def covariance_selftest(
 ):
     """Empirical check of the slice covariance against dt * f_eff.
 
-    Generates n_slices consecutive correlated slices (stream 0, steps
-    0..n_slices-1), accumulates per-slice spatially averaged lag products
-    along the first axis, and compares with the multiplier-derived target.
-    Also tracks the products of consecutive slices, whose mean must sit in
-    a null band (the noise is white in time).
+    Draws n_slices consecutive correlated slices (stream 0, steps
+    0..n_slices-1) in chunks of 2048, a chunk after the first redrawing the
+    slice before it so that every consecutive pair lies in one chunk.  Each
+    slice's spatially averaged lag products along the first axis go into a
+    (len(lags), n_slices) array, each pair's averaged product into an
+    (n_slices - 1,) array, and each row reduces once to its mean and
+    std / sqrt(n).  The lag means are compared with the multiplier-derived
+    target; the pair mean must sit in a null band (the noise is white in time).
 
     Returns (rows, cross_time) where rows are dicts with keys lag_cells,
     lag_distance, target, empirical, stderr and cross_time is a dict with
@@ -230,58 +233,29 @@ def covariance_selftest(
     lags = check_covariance_selftest(model, grid, lags, n_slices, level)
     f_eff = effective_covariance(model, grid, level)
     src = WhiteNoiseSource(seed=seed, stream_id=0)
-    chunk = 2048
-    sums = np.zeros(len(lags))
-    sqs = np.zeros(len(lags))
-    ct_sum = 0.0
-    ct_sq = 0.0
-    ct_n = 0
-    prev_last = None
     axes = tuple(range(1, 1 + grid.d))
+    lag_means = np.empty((len(lags), n_slices))
+    pair_means = np.empty(n_slices - 1)
+    chunk = 2048
     for start in range(0, n_slices, chunk):
-        stop = min(start + chunk, n_slices)
-        w = np.empty((stop - start,) + grid.shape)
-        for j in range(start, stop):
-            src.white_at(j, grid, dt, out=w[j - start])
+        first, stop = max(start - 1, 0), min(start + chunk, n_slices)
+        w = np.empty((stop - first,) + grid.shape)
+        for j in range(first, stop):
+            src.white_at(j, grid, dt, out=w[j - first])
         zeta = correlate_array(w, model, grid, level)
-        flat_mean_axes = tuple(range(1, 1 + grid.d))
+        own = zeta[start - first:]
         for li, lag in enumerate(lags):
-            prod = zeta * np.roll(zeta, -lag, axis=1)
-            per_slice = prod.mean(axis=flat_mean_axes)
-            sums[li] += float(per_slice.sum())
-            sqs[li] += float(np.dot(per_slice, per_slice))
-        pair = zeta[:-1] * zeta[1:]
-        if prev_last is not None:
-            boundary = (prev_last * zeta[0]).mean()
-            ct_sum += float(boundary)
-            ct_sq += float(boundary**2)
-            ct_n += 1
-        per_pair = pair.mean(axis=flat_mean_axes)
-        ct_sum += float(per_pair.sum())
-        ct_sq += float(np.dot(per_pair, per_pair))
-        ct_n += per_pair.size
-        prev_last = zeta[-1].copy()
+            lag_means[li, start:stop] = (own * np.roll(own, -lag, axis=1)).mean(axis=axes)
+        pair_means[first : stop - 1] = (zeta[:-1] * zeta[1:]).mean(axis=axes)
+
+    def mean_stderr(x):
+        return float(x.mean()), float(x.std() / np.sqrt(x.size))
+
     rows = []
-    n = n_slices
-    for li, lag in enumerate(lags):
-        emp = sums[li] / n
-        var = max(sqs[li] / n - emp * emp, 0.0)
-        se = np.sqrt(var / n)
-        target_idx = (lag,) + (0,) * (grid.d - 1)
-        rows.append(
-            {
-                "lag_cells": lag,
-                "lag_distance": lag * grid.dx,
-                "target": float(dt * f_eff[target_idx]),
-                "empirical": float(emp),
-                "stderr": float(se),
-            }
-        )
-    ct_mean = ct_sum / ct_n
-    ct_var = max(ct_sq / ct_n - ct_mean * ct_mean, 0.0)
-    cross_time = {
-        "mean": float(ct_mean),
-        "stderr": float(np.sqrt(ct_var / ct_n)),
-        "n_pairs": int(ct_n),
-    }
-    return rows, cross_time
+    for lag, per_slice in zip(lags, lag_means):
+        target = float(dt * f_eff[(lag,) + (0,) * (grid.d - 1)])
+        emp, se = mean_stderr(per_slice)
+        rows.append({"lag_cells": lag, "lag_distance": lag * grid.dx, "target": target,
+                     "empirical": emp, "stderr": se})
+    ct_mean, ct_se = mean_stderr(pair_means)
+    return rows, {"mean": ct_mean, "stderr": ct_se, "n_pairs": pair_means.size}

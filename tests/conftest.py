@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 _LINES = []
+_SRC = Path(__file__).resolve().parent.parent / "src" / "shelab"
 
 
 @pytest.fixture
@@ -21,3 +24,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus):
         terminalreporter.section("acceptance checks")
         for line in _LINES:
             terminalreporter.write_line(line)
+    # the code-size measure: what `wc -l src/shelab/*.py` totals
+    lines = sum(p.read_bytes().count(b"\n") for p in _SRC.glob("*.py"))
+    terminalreporter.write_line(f"src/shelab/*.py: {lines} lines")

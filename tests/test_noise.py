@@ -250,6 +250,25 @@ class TestCorrelatedSlices:
         for r in rows:
             assert abs(r["empirical"] - r["target"]) < 4 * r["stderr"]
 
+    @pytest.mark.parametrize("d, lags", [(1, [0, 1, 3]), (2, [0, 2])])
+    def test_reduction_matches_all_slices_at_once(self, d, lags):
+        # 2 * 2048 + 3 slices cross two chunk boundaries; a boundary pair
+        # dropped or counted twice moves the cross-time mean
+        grid = sl.LatticeGrid(d=d, m=8, dx=0.5)
+        model = sl.CorrelationModel.gaussian_h(d=d, width=1.0, amplitude=1.0)
+        n = 2 * 2048 + 3
+        rows, cross = sl.covariance_selftest(model, grid, DT, lags, n, seed=4)
+        src = sl.WhiteNoiseSource(seed=4, stream_id=0)
+        zeta = sl.correlate_array(np.stack([src.white_at(j, grid, DT) for j in range(n)]), model, grid)
+        axes = tuple(range(1, 1 + d))
+        per_slice = [(zeta * np.roll(zeta, -lag, axis=1)).mean(axis=axes) for lag in lags]
+        per_pair = (zeta[:-1] * zeta[1:]).mean(axis=axes)
+        got = [(r["empirical"], r["stderr"]) for r in rows] + [(cross["mean"], cross["stderr"])]
+        for (mean, stderr), x in zip(got, per_slice + [per_pair]):
+            assert mean == pytest.approx(x.mean(), rel=1e-12, abs=0)
+            assert stderr == pytest.approx(x.std() / math.sqrt(x.size), rel=1e-12, abs=0)
+        assert cross["n_pairs"] == n - 1
+
     def test_lag_validation(self):
         with pytest.raises(NoiseError):
             sl.covariance_selftest(GAUSS, GRID, DT, [GRID.m], 100)
