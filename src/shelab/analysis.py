@@ -475,11 +475,11 @@ class TailEstimate:
     n: int
 
 
-def wilson_interval(x: int, n: int, z: float = 1.96) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(x: int, n: int) -> tuple:
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1 or not (0 <= x <= n):
         raise AnalysisError("wilson_interval needs 0 <= x <= n, n >= 1")
-    p = x / n
+    p, z = x / n, 1.96
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -605,18 +605,10 @@ def moment_growth_exponent(report: MomentReport) -> ExponentFit:
         raise AnalysisError("growth fit needs at least four reliable positive moments")
     logm = np.log(est)
     theta, coef, sse = _profile_power_fit(ks, logm)
-    # delete-one jackknife over the k points for a stderr on theta
-    loo = []
-    for i in range(ks.size):
-        sel = np.arange(ks.size) != i
-        if np.count_nonzero(sel) >= 4:
-            th_i, _, _ = _profile_power_fit(ks[sel], logm[sel])
-            loo.append(th_i)
-    if len(loo) >= 2:
-        loo_arr = np.asarray(loo)
-        se = math.sqrt((len(loo) - 1) / len(loo) * float(np.sum((loo_arr - loo_arr.mean()) ** 2)))
-    else:
-        se = math.nan
+    # delete-one jackknife over the k points for a stderr on theta; a fit
+    # to three points is exactly determined
+    loo = np.array([_profile_power_fit(np.delete(ks, i), np.delete(logm, i))[0] for i in range(ks.size)])
+    se = math.sqrt((ks.size - 1) / ks.size * float(np.sum((loo - loo.mean()) ** 2)))
     pos = logm > 0
     if np.count_nonzero(pos) >= 2:
         naive_slope, _, _, _ = _ols(np.log(ks[pos]), np.log(logm[pos]))

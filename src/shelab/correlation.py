@@ -204,7 +204,6 @@ def dalang_condition(model: CorrelationModel) -> DalangResult:
     opts = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
     lo, _ = integrate.quad(integrand, 0.0, 1.0, **opts)
     hi, _ = integrate.quad(integrand, 1.0, np.inf, **opts)
-    # the (2 pi)^d round trip keeps the last bit of recorded integrals
-    val = (lo + hi) * sphere_surface(model.d) / (2.0 * math.pi) ** model.d * (2.0 * math.pi) ** model.d
+    val = (lo + hi) * sphere_surface(model.d)
     reason = "bounded correlation" if model.kind == GAUSSIAN_H else "riesz alpha below min(d,2)"
     return DalangResult(True, val, reason)

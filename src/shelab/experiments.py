@@ -114,7 +114,7 @@ def _plan(manifest: dict, threads: int) -> tuple:
     model = collect("model", CorrelationModel.from_dict, manifest["model"])
     grid = collect("grid", LatticeGrid.from_dict, manifest["grid"]) if "grid" in manifest else None
     sb = manifest.get("solver")
-    cfg = None
+    cfg = u0 = None
     if sb is not None:
         sigma = collect("solver/sigma", SigmaFunction.from_dict, sb["sigma"])
         u0 = collect("solver/u0", U0Spec.from_dict, sb.get("u0", {}))
@@ -137,7 +137,9 @@ def _plan(manifest: dict, threads: int) -> tuple:
     for verb in sorted(analyses):
         # a block is checked once everything it builds on was built
         built = cfg if _ANALYSES[verb].needs_solver else model
-        if seed is not None and built is not None and (verb != "oracle" or sb is not None):
+        if verb == "oracle":  # the oracle also builds on the run's initial data
+            built = None if model is None or u0 is None else (model, u0)
+        if seed is not None and built is not None:
             calls[verb] = collect(verb, _ANALYSES[verb].prepare, manifest, built, threads)
     return errors, calls
 
@@ -190,17 +192,19 @@ def _prepare_moments(manifest: dict, cfg: SolverConfig, threads: int = 1):
     return partial(an.estimate_moments, *args, seed=manifest["seed"], threads=threads)
 
 
-def _prepare_oracle(manifest: dict, model: CorrelationModel, threads: int = 1):
+def _prepare_oracle(manifest: dict, built: tuple, threads: int = 1):
+    model, u0 = built
+    if u0.kind != "constant":
+        raise an.AnalysisError(f"u0 kind {u0.kind!r} violates kind = 'constant' (flat initial data)")
     blk = manifest["analysis"]["oracle"]
     ocfg = an.FkOracleConfig(blk["walkers"], blk["inner_steps"], manifest["seed"])
     args = (model, manifest["solver"]["kappa"], manifest["solver"]["t_final"])
-    u0_level = blk.get("u0_level", 1.0)
     # the block names k, ks or both; every order it names is checked, and ks runs when given
     named = [blk["k"]] if "k" in blk else []
     ks = blk.get("ks", named)
     for order in named + ks:
-        an.check_oracle(*args, order, u0_level)
-    calls = [partial(an.fk_moment_oracle, *args, order, ocfg, u0_level=u0_level) for order in ks]
+        an.check_oracle(*args, order, u0.level)
+    calls = [partial(an.fk_moment_oracle, *args, order, ocfg, u0_level=u0.level) for order in ks]
     return partial(an.fork_map, calls, threads)
 
 
@@ -302,7 +306,7 @@ class _Analysis:
 
     prepare(manifest, built, threads=1) checks the block's rules and returns
     the library call; built is the solver config when needs_solver is set,
-    and the model otherwise.
+    the model and solver/u0 for the oracle, and the model otherwise.
     The call's result becomes rows(manifest, result) of the CSV csv under
     columns and the summary.json entry summary(result).  plot names the
     x column and the y columns that plots.gp draws against it.

@@ -385,6 +385,19 @@ class TestExponentFits:
         assert fit.exponent == pytest.approx(2.0, abs=1e-6)
         assert abs(fit.extras["loglog_slope"] - 2.0) > 0.1  # the naive fit is biased
 
+    def test_growth_stderr_with_four_points(self):
+        # each delete-one refit fits three points exactly
+        ks = [2, 3, 4, 5]
+        cases = (([math.exp(0.3 * k * (k - 1)) for k in ks], 2.0, 0.0), ([2.0, 8.0, 60.0, 900.0], 1.97, 0.14))
+        for estimates, theta, stderr in cases:
+            rep = an.MomentReport(
+                ks=ks, estimates=estimates, stderrs=[0.0] * 4, flags=[False] * 4, n_replicas=10, t=1.0,
+                probes=((0.0,),),
+            )
+            fit = an.moment_growth_exponent(rep)
+            assert fit.exponent == pytest.approx(theta, abs=0.01)
+            assert fit.stderr == pytest.approx(stderr, abs=0.01)  # not NaN
+
     def test_growth_needs_four_points(self):
         rep = an.MomentReport(
             ks=[2, 3, 4],

@@ -154,9 +154,10 @@ RULE_GAPS = [
         lambda m: an.fk_moment_oracle(GAUSS, 1.0, T, 1, an.FkOracleConfig(16, 16)),
         id="oracle-ks-below-two",
     ),
+    # the oracle's level comes from solver/u0, whose error is reported once, there
     pytest.param(
-        "oracle", {"analysis": {"oracle": {**ORACLE, "u0_level": 0.0}}},
-        lambda m: an.fk_moment_oracle(GAUSS, 1.0, T, 2, an.FkOracleConfig(16, 16), u0_level=0.0),
+        "solver/u0", {"solver/u0/level": 0.0, "analysis": {"oracle": ORACLE}},
+        lambda m: sl.U0Spec.from_dict(m["solver"]["u0"]),
         id="oracle-u0-level-not-positive",
     ),
     pytest.param(
@@ -310,11 +311,30 @@ class TestValidation:
             "analysis/oracle: {'walkers': 16, 'inner_steps': 16} is not valid under any of the given schemas"
         ]
 
+    def test_oracle_needs_flat_initial_data(self):
+        m = broken({"solver/u0/kind": "gaussian_decay", "analysis": {"oracle": ORACLE}})
+        assert exp.validate_manifest(m) == [
+            "oracle: u0 kind 'gaussian_decay' violates kind = 'constant' (flat initial data)"
+        ]
+
+    def test_oracle_reads_the_runs_initial_level(self, tmp_path):
+        # E u^k scales by level^k; an absent u0 is the default level 1
+        log_means = {}
+        for name, change in (("absent", DROP), ("1", 1.0), ("3", 3.0)):
+            where = "solver/u0" if change is DROP else "solver/u0/level"
+            m = broken({where: change, "analysis": {"oracle": {**ORACLE, "ks": [2, 3]}}})
+            log_means[name] = exp.run(m, tmp_path / name).summary["analyses"]["oracle"]["log_means"]
+        assert log_means["absent"] == log_means["1"]
+        for k, one, three in zip((2, 3), log_means["1"], log_means["3"]):
+            assert three == pytest.approx(one + k * math.log(3.0), rel=0, abs=1e-12)
+
     @pytest.mark.parametrize(
-        "verb, key", [("localize", "n_picard"), ("independence", "n_picard"), ("oracle", "reg_scale")]
+        "verb, key",
+        [("localize", "n_picard"), ("independence", "n_picard"), ("oracle", "reg_scale"), ("oracle", "u0_level")],
     )
     def test_derived_values_are_not_settable(self, tmp_path, capsys, verb, key):
-        # the Picard depth follows from beta and the oracle cutoff from kappa * t / inner_steps
+        # the Picard depth follows from beta, the oracle cutoff from
+        # kappa * t / inner_steps and the oracle's u0 level from solver/u0
         blocks = {"localize": {"betas": [2], "k": 2}, "independence": {"beta": 2, "points": [[0.0], [6.0]]},
                   "oracle": ORACLE}
         m = broken({"analysis": {verb: {**blocks[verb], key: 1}}})
