@@ -9,6 +9,7 @@ a bare model JSON for quick checks without a manifest.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,7 +48,10 @@ def _add_run_flags(p):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="shelab",
         description="Simulation laboratory for the stochastic heat equation "

@@ -26,11 +26,13 @@ independent, where depth = floor(log beta) + 1 is the Picard depth.
 
 In Fourier space the sum is a causal time convolution: a lower-triangular
 kernel K[f, i, j] (age i - j, window of time i) is built once per call,
-and each Picard pass is one matrix-vector product K[f] @ g[r, f] per
-replica r and frequency f.  It is computed per replica, not as one
-matrix-matrix product over the batch, because BLAS may sum a product in
-a different order when the batch holds one replica than when it holds
-many; per replica, each row's bits do not depend on the batch.
+and each Picard pass is one matrix-matrix product K[f] @ G[g, f] per
+frequency f and replica group g.  The replicas sit in zero-padded groups
+of one fixed width, GROUP_WIDTH, so every product is n x n by
+n x GROUP_WIDTH whatever the batch.  BLAS may sum a product in another
+order at another width, but at one width a column's bits depend neither
+on the other columns nor on its slot, so a replica's bits do not depend
+on its batch.
 
 Replica batches: the batch entry points evolve many replicas at once with
 the grid axes last; each replica's noise depends only on (seed, stream_id,
@@ -343,6 +345,33 @@ def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_
     return u
 
 
+# Replicas per zero-padded group of the time contraction.  It is fixed, not
+# sized to the batch, so that a replica's bits do not depend on its batch
+# (see the module docstring); 16 needs half the BLAS calls of 8 and pads a
+# batch by at most 15 replicas.
+GROUP_WIDTH = 16
+
+
+def _kernel_stack(cfg: SolverConfig, n: int, beta: Optional[float], rows: Sequence[int]) -> np.ndarray:
+    """Causal kernel stack K of shape (F, len(rows), n): K[f, r, j] is the
+    transform of the heat kernel of age (i - j) * dt truncated to the window
+    of time i * dt, i = rows[r], for j < i, and zero for j >= i."""
+    grid = cfg.grid
+    axes = tuple(range(1, 1 + grid.d))
+    F = math.prod(grid.rfft_shape())
+    ages = np.fft.irfftn(
+        [propagator_multiplier(grid, cfg.kappa, a * cfg.dt) for a in range(1, n + 1)], s=grid.shape, axes=axes
+    )
+    K = np.zeros((F, len(rows), n), dtype=complex)
+    for r, i in enumerate(rows):
+        half = math.inf if beta is None else beta * math.sqrt(i * cfg.dt)
+        box = np.ones(grid.shape, dtype=bool)
+        for c in grid.coordinate_mesh():
+            box &= np.abs(c) <= half + 1e-12
+        K[:, r, :i] = np.fft.rfftn(ages[:i] * box, axes=axes)[::-1].reshape(i, F).T
+    return K
+
+
 # overflow is detected on the final field
 @np.errstate(over="ignore", invalid="ignore")
 def _mild_sum_batch(
@@ -365,56 +394,49 @@ def _mild_sum_batch(
     grid = cfg.grid
     n = _steps_for(t_final, cfg.dt)
     R = len(streams)
-    axes = tuple(range(1, 1 + grid.d))
+    W = GROUP_WIDTH
+    groups = -(-R // W)
+    axes = tuple(range(-grid.d, 0))
     fshape = grid.rfft_shape()
     F = math.prod(fshape)
     H = kernel_multiplier(cfg.model, grid, beta)
 
-    zeta = np.empty((n, R) + grid.shape)
+    # replica r sits in slot r % W of group r // W; the padding slots keep
+    # zero noise, so their products are zero and their fields stay finite
+    zeta = np.zeros((n, groups * W) + grid.shape)
     for j in range(n):
-        np.fft.irfftn(white_hat(j) * H, s=grid.shape, axes=axes, out=zeta[j])
-
-    # Row r of K holds evaluation time i = rows[r]: K[f, r, j] is the
-    # transform of the heat kernel of age (i - j) * dt truncated to the
-    # window of time i * dt, for j < i, and zero for j >= i.  One pass needs
-    # only the final time.
-    ages = np.fft.irfftn(
-        [propagator_multiplier(grid, cfg.kappa, a * cfg.dt) for a in range(1, n + 1)], s=grid.shape, axes=axes
-    )
-    rows = range(1, n + 1) if n_iter > 1 else range(n, n + 1)
-    K = np.zeros((F, len(rows), n), dtype=complex)
-    for r, i in enumerate(rows):
-        half = math.inf if beta is None else beta * math.sqrt(i * cfg.dt)
-        box = np.ones(grid.shape, dtype=bool)
-        for c in grid.coordinate_mesh():
-            box &= np.abs(c) <= half + 1e-12
-        K[:, r, :i] = np.fft.rfftn(ages[:i] * box, axes=axes)[::-1].reshape(i, F).T
+        np.fft.irfftn(white_hat(j) * H, s=grid.shape, axes=axes, out=zeta[j, :R])
+    zeta = zeta.reshape((n, groups, W) + grid.shape)
+    # One pass needs only the final time.
+    K = _kernel_stack(cfg, n, beta, range(1, n + 1) if n_iter > 1 else range(n, n + 1))
 
     u0 = cfg.u0.render(grid)
     u0hat = np.fft.rfftn(u0)
     det_hat = [u0hat * propagator_multiplier(grid, cfg.kappa, i * cfg.dt) for i in range(n + 1)]
 
-    # Each pass fills G[r, f, j] with the transform of sigma(U_j) zeta_j for
-    # the current iterate U, then takes one matrix-vector product per
-    # (replica, frequency): traj[r, f, i - 1] is the stochastic term of the
-    # next iterate at time i * dt, i < n, kept in place across passes.  The
-    # last pass computes the final time only.
-    G = np.empty((R, F, n, 1), dtype=complex)
-    traj = np.empty((R, F, n - 1, 1), dtype=complex)
-    G_grid = G.reshape((R,) + fshape + (n,))
-    traj_grid = traj.reshape((R,) + fshape + (n - 1,))
-    u0_batch = np.broadcast_to(u0, (R,) + grid.shape)
+    # Each pass fills G[g, f, j, w] with the transform of sigma(U_j) zeta_j
+    # for the current iterate U of the replica in slot w of group g, then
+    # takes one matrix-matrix product K[f] @ G[g, f] per (group, frequency),
+    # always n x n by n x W whatever the batch: traj[g, f, i - 1, w] is the
+    # stochastic term of the next iterate at time i * dt, i < n, kept in
+    # place across passes.  The last pass computes the final time only.
+    G = np.empty((groups, F, n, W), dtype=complex)
+    traj = np.empty((groups, F, n - 1, W), dtype=complex)
+    # G_at[j] and traj_at[j] are the (group, slot, *fshape) views of time j
+    G_at = np.moveaxis(G.reshape((groups,) + fshape + (n, W)), (-2, -1), (0, 2))
+    traj_at = np.moveaxis(traj.reshape((groups,) + fshape + (n - 1, W)), (-2, -1), (0, 2))
+    u0_batch = np.broadcast_to(u0, (groups, W) + grid.shape)
     for it in range(n_iter):
         last = it == n_iter - 1
         for j in range(n if last else n - 1):
             u = u0_batch
             if it > 0 and j > 0:
-                u = np.fft.irfftn(traj_grid[..., j - 1] + det_hat[j], s=grid.shape, axes=axes)
-            np.fft.rfftn(cfg.sigma(u) * zeta[j], axes=axes, out=G_grid[..., j])
+                u = np.fft.irfftn(traj_at[j - 1] + det_hat[j], s=grid.shape, axes=axes)
+            np.fft.rfftn(cfg.sigma(u) * zeta[j], axes=axes, out=G_at[j])
         if not last:
             np.matmul(K[:, : n - 1, : n - 1], G[:, :, : n - 1], out=traj)
-    acc = np.matmul(K[:, -1:], G).reshape((R,) + fshape)
-    final = np.fft.irfftn(acc + det_hat[n], s=grid.shape, axes=axes)
+    acc = np.moveaxis(np.matmul(K[:, -1:], G).reshape((groups,) + fshape + (W,)), -1, 1)
+    final = np.fft.irfftn(acc.reshape((groups * W,) + fshape)[:R] + det_hat[n], s=grid.shape, axes=axes)
     _check_finite(t_final, final, streams)
     return final
 

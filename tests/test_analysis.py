@@ -460,7 +460,7 @@ class TestLocalizationCurve:
         # any seeded number shows here
         curve = an.localization_error_curve(small_cfg(), 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=48, seed=17)
         assert hashlib.sha256(np.array([curve.errors, curve.stderrs]).tobytes()).hexdigest() == (
-            "eabc3b6ce48046beb0e216cac5934db286ec66b153b7a5caedd4fb0d15287933"
+            "1424a02562d4200ebd75341509bdf71370a712e9c8ad440ea3fb258d5cb2b203"
         )
 
     def test_one_noise_draw_per_chunk(self, monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import shelab as sl
-from shelab.solver import SolverError, _mild_sum_batch, _solve_batch, _white_hat
+from shelab.solver import SolverError, _kernel_stack, _mild_sum_batch, _solve_batch, _white_hat
 
 
 GRID = sl.LatticeGrid(d=1, m=128, dx=0.25)
@@ -328,15 +328,45 @@ class TestLocalizedEngine:
         # to any seeded number shows here
         vals = sl.localized_solve_batch(make_cfg(sl.SigmaFunction.linear(c=1.0)), ENGINE_LOC, 0.25, 9, range(3))
         assert hashlib.sha256(vals.tobytes()).hexdigest() == (
-            "8eed9d0ac989577db6d93563e7a33f0f832db84799b8de8b0395f2c072eb830f"
+            "3ad0d3531976d3ca84d8b925fca67b8393e44f9f3134a68d016b1a0a5fb44aa4"
         )
 
     def test_batch_composition_invariance(self):
+        # the last R of 17 streams, R = 1, 7, 8, 9: every stream moves to
+        # another slot, or another group, of the contraction's replica
+        # groups than it has in the 17-stream batch, and the last one sits
+        # alone, in part-filled and in full groups; at depth 2, and at depth
+        # 1, where only the final row is contracted
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), grid=ENGINE_GRID, dt=1 / 256)
-        solo = sl.localized_solve_batch(cfg, ENGINE_LOC, 0.5, 11, [5])[0]
-        window = sl.localized_solve_batch(cfg, ENGINE_LOC, 0.5, 11, range(3, 10))[2]
-        full = sl.localized_solve_batch(cfg, ENGINE_LOC, 0.5, 11, range(32))[5]
-        assert solo.tobytes() == window.tobytes() == full.tobytes()
+        for loc in (ENGINE_LOC, sl.LocalizationConfig(beta=2.0)):
+            full = sl.localized_solve_batch(cfg, loc, 0.5, 11, range(17))
+            for R in (1, 7, 8, 9):
+                part = sl.localized_solve_batch(cfg, loc, 0.5, 11, range(17 - R, 17))
+                assert part.tobytes() == full[17 - R :].tobytes()
+
+    @pytest.mark.parametrize("beta", [2.0, 4.0, 8.0])
+    def test_matches_per_replica_einsum(self, beta):
+        # one replica at a time, the same kernel stack contracted by einsum;
+        # 19 replicas fill one group and part of the next, so a replica read
+        # from the wrong slot, or a transposed group, is off at order one
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
+        streams = range(19)
+        n, depth = round(0.25 / DT), sl.LocalizationConfig(beta=beta).depth()
+        got = _mild_sum_batch(cfg, 0.25, streams, depth, beta, _white_hat(cfg, 4, streams))
+        K = _kernel_stack(cfg, n, beta, range(1, n + 1))
+        H = sl.kernel_multiplier(cfg.model, GRID, beta)
+        draw = _white_hat(cfg, 4, streams)
+        zeta = np.array([np.fft.irfft(draw(j) * H, n=GRID.m) for j in range(n)])
+        u0 = cfg.u0.render(GRID)
+        det = [np.fft.irfft(np.fft.rfft(u0) * sl.propagator_multiplier(GRID, cfg.kappa, i * DT), n=GRID.m)
+               for i in range(n + 1)]
+        for r in streams:
+            u = np.array([u0] * n)  # the iterate at times 0 .. n - 1
+            for _ in range(depth):
+                stoch = np.einsum("fij,jf->if", K, np.fft.rfft(cfg.sigma(u) * zeta[:, r]))
+                u = np.array([u0] + [det[i] + np.fft.irfft(stoch[i - 1], n=GRID.m) for i in range(1, n)])
+            want = det[n] + np.fft.irfft(stoch[n - 1], n=GRID.m)
+            assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_bytes_independent_of_blas_threads(self):
         src = str(Path(sl.__file__).resolve().parents[1])
