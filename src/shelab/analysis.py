@@ -365,12 +365,8 @@ def fk_moment_oracle(
     dt = t / n_inner
     r_reg = math.sqrt(kappa * dt)
     d = model.d
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, 0x6F7261636C65], dtype=np.uint64))
-    )
-    resample_rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, 0x726573616D70], dtype=np.uint64))
-    )
+    rng, resample_rng = (np.random.Generator(np.random.SFC64(np.random.SeedSequence([cfg.seed, tag])))
+                         for tag in (0x6F7261636C65, 0x726573616D70))
     y = np.zeros((k - 1, d, M))
     xi = np.empty((k - 1, d, M))
     mix = np.empty((d, M))

@@ -27,16 +27,17 @@ which makes full-minus-cutoff telescoping exact: convolving the same white
 slice against H, H_n and H - H_n satisfies the difference identity to
 floating-point roundoff.
 
-Reproducibility: a slice is a pure function of (seed, stream_id, step); the
-generator is a counter-based Philox keyed by (seed, stream_id) with the step
-index placed in the third counter word, so any step can be replayed without
-drawing its predecessors.  Each source builds its Philox once and, before
-every slice, resets it to the state a freshly built generator at counter
-[0, 0, step, 0] would have: the step in the counter, an empty output buffer
-and no cached half-word.  A reset costs a small fraction of rebuilding the
-generator, and the numbers drawn are the same bits.  white_batch resets
-each source of a batch in turn and scales the whole batch once, which keeps
-each row's bits, since the scaling multiplies every value by one scalar.
+Reproducibility: a slice is a pure function of (seed, stream_id, step).
+Each stream is one SFC64 generator seeded from SeedSequence([seed,
+stream_id]) and drawn forward: step j is the normals [j S, (j + 1) S) of
+its stream, S the number of sites, so a source draws its steps in order
+and refuses any other.  A normal costs a variable number of words (the
+ziggurat rejects some), so a step's place in the word stream is unknown
+until its predecessors are drawn; there is no random access.  white_batch
+draws k consecutive steps of every source of a batch, one generator call
+per source, and scales the whole block once; step j has the same bits
+however many steps each call draws, since the generator buffers nothing
+between calls and the scaling multiplies every value by one scalar.
 """
 
 from __future__ import annotations
@@ -65,65 +66,54 @@ def check_seed(seed: int) -> int:
 
 @dataclass
 class WhiteNoiseSource:
-    """Counter-based white-noise stream for one replica.
+    """Forward-drawn white-noise stream for one replica.
 
-    A source holds mutable generator state: one Philox keyed by
-    (seed, stream_id) that each draw resets; a batch draw (white_batch)
-    resets each of its sources in turn and scales the batch once.  Slices
-    do not depend on that state, but two threads drawing from one source at
-    once would interleave their resets, so each thread uses its own sources.
+    A source holds mutable generator state: its SFC64 generator and the
+    index of its next step.  Two threads drawing from one source at once
+    would interleave their steps, so each thread uses its own sources.
     """
 
     seed: int
     stream_id: int = 0
-    _bitgen: np.random.Philox = field(init=False, repr=False, compare=False)
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
-    _state: dict = field(init=False, repr=False, compare=False)
+    next_step: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        check_seed(self.seed)
+        seed = check_seed(self.seed)
         if not (0 <= int(self.stream_id) < 2**63):
             raise NoiseError("stream_id must be a nonnegative 63-bit integer")
-        self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        self._rng = np.random.Generator(self._bitgen)
-        # The state of a Philox freshly built at counter [0, 0, step, 0]:
-        # an empty output buffer and no cached half-word.  Plain int lists,
-        # because the state setter reads them faster than uint64 arrays.
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [int(self.seed), int(self.stream_id)]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, int(self.stream_id)])))
 
     def white_at(self, step: int, grid: LatticeGrid, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """White-noise array for one step, independent of earlier draws;
+        """White-noise array of this source's next step, which must be step;
         drawn into out, a C-contiguous float64 array of grid.shape, if given."""
         if out is None:
             out = np.empty(grid.shape)
         elif not (isinstance(out, np.ndarray) and out.shape == grid.shape and out.dtype == np.float64
                   and out.flags.c_contiguous):
             raise NoiseError(f"out must be a C-contiguous float64 array of shape {grid.shape}, got {np.shape(out)}")
-        white_batch([self], step, grid, dt, out[None])
+        white_batch([self], step, grid, dt, out[None, None])
         return out
 
 
 def white_batch(sources: Sequence[WhiteNoiseSource], step: int, grid: LatticeGrid, dt: float, out: np.ndarray):
-    """Draw step's slice of every source into out, a C-contiguous float64
-    array of shape (len(sources), *grid.shape); row i holds the bits of
-    sources[i].white_at(step, grid, dt)."""
+    """Draw the k steps step, ..., step + k - 1 of every source into out, a
+    C-contiguous float64 array of shape (len(sources), k, *grid.shape), k >= 1;
+    out[i, l] holds step + l of sources[i].  Every source must be at step."""
     if not dt > 0:
         raise NoiseError("dt must be positive")
-    shape = (len(sources),) + grid.shape
-    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+    if not (isinstance(out, np.ndarray) and out.ndim == 2 + grid.d and out.shape[0] == len(sources)
+            and out.shape[1] >= 1 and out.shape[2:] == grid.shape and out.dtype == np.float64
             and out.flags.c_contiguous):
-        raise NoiseError(f"out must be a C-contiguous float64 array of shape {shape}, got {np.shape(out)}")
+        want = ", ".join(map(str, (len(sources), "k") + grid.shape))
+        raise NoiseError(f"out must be a C-contiguous float64 array of shape ({want}), k >= 1, got {np.shape(out)}")
+    for src in sources:
+        if src.next_step != step:
+            raise NoiseError(f"stream {src.stream_id} expects step {src.next_step}, got step {step}: "
+                             "a source draws its steps in order, each once")
     for src, row in zip(sources, out):
-        src._state["state"]["counter"][2] = step
-        src._bitgen.state = src._state
         src._rng.standard_normal(out=row)
+        src.next_step += out.shape[1]
     out *= math.sqrt(dt / grid.cell_volume)
     return out
 
@@ -218,13 +208,14 @@ def covariance_selftest(
     """Empirical check of the slice covariance against dt * f_eff.
 
     Draws n_slices consecutive correlated slices (stream 0, steps
-    0..n_slices-1) in chunks of 2048, a chunk after the first redrawing the
-    slice before it so that every consecutive pair lies in one chunk.  Each
-    slice's spatially averaged lag products along the first axis go into a
-    (len(lags), n_slices) array, each pair's averaged product into an
-    (n_slices - 1,) array, and each row reduces once to its mean and
-    std / sqrt(n).  The lag means are compared with the multiplier-derived
-    target; the pair mean must sit in a null band (the noise is white in time).
+    0..n_slices-1) in chunks of 2048, a chunk after the first carrying the
+    last white slice of the chunk before it so that every consecutive pair
+    lies in one chunk.  Each slice's spatially averaged lag products along
+    the first axis go into a (len(lags), n_slices) array, each pair's
+    averaged product into an (n_slices - 1,) array, and each row reduces
+    once to its mean and std / sqrt(n).  The lag means are compared with the
+    multiplier-derived target; the pair mean must sit in a null band (the
+    noise is white in time).
 
     Returns (rows, cross_time) where rows are dicts with keys lag_cells,
     lag_distance, target, empirical, stderr and cross_time is a dict with
@@ -237,12 +228,13 @@ def covariance_selftest(
     lag_means = np.empty((len(lags), n_slices))
     pair_means = np.empty(n_slices - 1)
     chunk = 2048
+    # w[0, 1:] takes a chunk's white slices, w[0, 0] the last one of the chunk before
+    w = np.empty((1, 1 + min(chunk, n_slices)) + grid.shape)
     for start in range(0, n_slices, chunk):
         first, stop = max(start - 1, 0), min(start + chunk, n_slices)
-        w = np.empty((stop - first,) + grid.shape)
-        for j in range(first, stop):
-            src.white_at(j, grid, dt, out=w[j - first])
-        zeta = correlate_array(w, model, grid, level)
+        w[0, 0] = w[0, -1]
+        white_batch([src], start, grid, dt, w[:, 1 : 1 + stop - start])
+        zeta = correlate_array(w[0, 1 + first - start : 1 + stop - start], model, grid, level)
         own = zeta[start - first:]
         for li, lag in enumerate(lags):
             lag_means[li, start:stop] = (own * np.roll(own, -lag, axis=1)).mean(axis=axes)

@@ -37,6 +37,8 @@ on its batch.
 Replica batches: the batch entry points evolve many replicas at once with
 the grid axes last; each replica's noise depends only on (seed, stream_id,
 step), so results are invariant to batch composition and thread count.
+Every engine reads the steps in order: a call owns one forward-drawn
+source per stream and draws BLOCK steps of all of them at a time.
 
 Buffers: a call allocates its buffers once and steps in place; the noise
 white_hat(j) is read-only and valid until the next draw overwrites it.
@@ -273,19 +275,29 @@ def _check_finite(t: float, u: np.ndarray, streams: Sequence[int]) -> None:
     raise SolverBlowup(t, peak, bad)
 
 
+# Steps of white noise drawn per generator call.  Step j's bits do not
+# depend on it; a larger block saves calls but holds more slices at once.
+BLOCK = 4
+
+
 def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int]):
     """Step j -> transform of every stream's white-noise slice of step j, in a
-    buffer that the next call overwrites."""
+    buffer that the next call overwrites.  Steps come in order (a step of the
+    block last drawn may come again); the streams are drawn BLOCK at a time."""
     # One source per stream, owned by this call, so no thread shares one.
     sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
     grid = cfg.grid
     axes = tuple(range(1, 1 + grid.d))
-    w = np.empty((len(sources),) + grid.shape)
+    w = np.empty((len(sources), BLOCK) + grid.shape)
     what = np.empty((len(sources),) + grid.rfft_shape(), dtype=complex)
+    first = -BLOCK  # the step in w[:, 0]
 
     def draw(j):
-        white_batch(sources, j, grid, cfg.dt, w)
-        return np.fft.rfftn(w, axes=axes, out=what)
+        nonlocal first
+        if not first <= j < first + BLOCK:
+            white_batch(sources, j, grid, cfg.dt, w)
+            first = j
+        return np.fft.rfftn(w[:, j - first], axes=axes, out=what)
 
     return draw
 

@@ -206,14 +206,14 @@ class TestMoments:
 
 # (kind, d, k, t, seed) and the oracle's exact log_mean, log_stderr, resamplings
 FK_PINNED = [
-    ("riesz", 1, 2, 1.0, 5, 2.2194831302717972, 0.020144164913014347, 0),
-    ("riesz", 1, 5, 1.0, 2, 23.626763865101317, 0.032239520539189236, 12),
-    ("riesz", 1, 9, 1.0, 5, 90.53455484278132, 0.7672994901762094, 33),
-    ("riesz", 2, 5, 1.0, 2, 30.251828143037603, 0.2911658133588134, 33),
-    ("riesz", 2, 9, 0.5, 8, 81.42886746659997, 0.8113781718275772, 53),
-    ("gaussian_h", 3, 2, 1.0, 5, 3.1781714365584293, 0.056155881332282206, 2),
-    ("gaussian_h", 3, 5, 1.0, 5, 36.204623995042056, 0.2308379730320377, 20),
-    ("gaussian_h", 3, 9, 1.0, 1, 142.31107855556334, 0.6488190298479231, 45),
+    ("riesz", 1, 2, 1.0, 5, 2.2495227229112817, 0.020087691558300043, 0),
+    ("riesz", 1, 5, 1.0, 2, 23.454410629390974, 0.06792839870384652, 11),
+    ("riesz", 1, 9, 1.0, 5, 90.71538600553426, 0.42909576370668595, 34),
+    ("riesz", 2, 5, 1.0, 2, 30.49034570806728, 0.3916550154751353, 34),
+    ("riesz", 2, 9, 0.5, 8, 88.00849007774423, 7.370136650829403, 54),
+    ("gaussian_h", 3, 2, 1.0, 5, 3.143304222435866, 0.04165041463902215, 1),
+    ("gaussian_h", 3, 5, 1.0, 5, 36.71778660310302, 0.6656809592152527, 21),
+    ("gaussian_h", 3, 9, 1.0, 1, 140.29939533349415, 0.4742218182406056, 45),
 ]
 
 
@@ -460,7 +460,7 @@ class TestLocalizationCurve:
         # any seeded number shows here
         curve = an.localization_error_curve(small_cfg(), 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=48, seed=17)
         assert hashlib.sha256(np.array([curve.errors, curve.stderrs]).tobytes()).hexdigest() == (
-            "1424a02562d4200ebd75341509bdf71370a712e9c8ad440ea3fb258d5cb2b203"
+            "bccaa2adbb02fb49f034419cb2277c819a52efa3688e2f3b7eea6228905a7b73"
         )
 
     def test_one_noise_draw_per_chunk(self, monkeypatch):
@@ -469,7 +469,7 @@ class TestLocalizationCurve:
         white_batch = noise.white_batch
 
         def counted(sources, step, grid, dt, out):
-            calls.extend((src.stream_id, step) for src in sources)
+            calls.extend((src.stream_id, step + lag) for src in sources for lag in range(out.shape[1]))
             return white_batch(sources, step, grid, dt, out)
 
         # the solver holds its own reference to white_batch

@@ -23,109 +23,154 @@ class TestWhiteSource:
         assert w.var() == pytest.approx(DT / GRID.dx, rel=0.02)
 
     def test_same_coordinates_reproduce(self):
-        a = sl.WhiteNoiseSource(seed=3, stream_id=5).white_at(17, GRID, DT)
-        b = sl.WhiteNoiseSource(seed=3, stream_id=5).white_at(17, GRID, DT)
-        assert np.array_equal(a, b)
+        a, b = (sl.WhiteNoiseSource(seed=3, stream_id=5) for _ in range(2))
+        for j in range(18):
+            assert np.array_equal(a.white_at(j, GRID, DT), b.white_at(j, GRID, DT))
 
-    def test_draw_order_is_irrelevant(self):
+    def test_out_of_order_step_refused(self):
+        # step j is the j-th block of normals of one forward stream, so a
+        # source cannot skip, repeat or go back; a refused step draws nothing
         src = sl.WhiteNoiseSource(seed=3, stream_id=5)
-        late_first = src.white_at(9, GRID, DT)
-        early = src.white_at(2, GRID, DT)
-        fresh = sl.WhiteNoiseSource(seed=3, stream_id=5)
-        assert np.array_equal(fresh.white_at(2, GRID, DT), early)
-        assert np.array_equal(fresh.white_at(9, GRID, DT), late_first)
+        src.white_at(0, GRID, DT)
+        for step in (2, 0, 2**40):
+            with pytest.raises(NoiseError, match=rf"stream 5 expects step 1, got step {step}"):
+                src.white_at(step, GRID, DT)
+        assert np.array_equal(src.white_at(1, GRID, DT), reference_white(3, 5, 1, GRID, DT))
+
+    def test_seed_and_stream_range(self):
+        for seed, stream_id in ((2**63, 0), (-1, 0), (0, 2**63), (0, -1)):
+            with pytest.raises(NoiseError, match="nonnegative 63-bit integer"):
+                sl.WhiteNoiseSource(seed=seed, stream_id=stream_id)
+        top = sl.WhiteNoiseSource(seed=2**63 - 1, stream_id=2**63 - 1)
+        assert np.array_equal(top.white_at(0, GRID, DT), reference_white(2**63 - 1, 2**63 - 1, 0, GRID, DT))
 
     def test_streams_and_steps_decorrelated(self):
         n = 4000
         a = sl.WhiteNoiseSource(seed=7, stream_id=0)
         b = sl.WhiteNoiseSource(seed=7, stream_id=1)
-        x = np.stack([a.white_at(j, GRID, DT)[0] for j in range(n)])
+        xa = np.stack([a.white_at(j, GRID, DT)[0] for j in range(n + 1)])
         y = np.stack([b.white_at(j, GRID, DT)[0] for j in range(n)])
+        x, z = xa[:-1], xa[1:]
         assert abs(np.corrcoef(x, y)[0, 1]) < 4 / math.sqrt(n)
-        z = np.stack([a.white_at(j + 1, GRID, DT)[0] for j in range(n)])
         assert abs(np.corrcoef(x, z)[0, 1]) < 4 / math.sqrt(n)
 
 
 def reference_white(seed, stream_id, step, grid, dt):
-    """A slice from a Philox built afresh at counter [0, 0, step, 0]."""
-    bitgen = np.random.Philox(key=[seed, stream_id], counter=[0, 0, step, 0])
-    return np.sqrt(dt / grid.cell_volume) * np.random.Generator(bitgen).standard_normal(grid.shape)
+    """Step step of a fresh SFC64 seeded from SeedSequence([seed, stream_id]):
+    the normals [step * S, (step + 1) * S) of that stream, S = grid.n_sites."""
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, stream_id])))
+    normals = rng.standard_normal((step + 1) * grid.n_sites)[step * grid.n_sites :]
+    return np.sqrt(dt / grid.cell_volume) * normals.reshape(grid.shape)
 
 
 class TestGeneratorReset:
-    # a source reuses one Philox and resets it per slice; every slice must
-    # be the bits a freshly built generator at that counter gives
-    def test_steps_out_of_order_match_fresh_generator(self):
+    # a source keeps one generator and its next step across draws; every
+    # slice must be the bits of a fresh generator drawn forward to it
+    def test_steps_in_order_match_fresh_generator(self):
         src = sl.WhiteNoiseSource(seed=3, stream_id=5)
-        for step in (9, 2, 2**40, 0, 17, 1):
+        for step in range(6):
             assert np.array_equal(src.white_at(step, GRID, DT), reference_white(3, 5, step, GRID, DT))
 
     def test_same_step_twice_on_one_source(self):
         src = sl.WhiteNoiseSource(seed=11, stream_id=2)
-        first = src.white_at(6, GRID, DT)
-        src.white_at(7, GRID, DT)
-        assert np.array_equal(src.white_at(6, GRID, DT), first)
-        assert np.array_equal(src.white_at(6, GRID, DT), reference_white(11, 2, 6, GRID, DT))
+        for step in range(7):
+            src.white_at(step, GRID, DT)
+        with pytest.raises(NoiseError, match="stream 2 expects step 7, got step 6"):
+            src.white_at(6, GRID, DT)
+        assert np.array_equal(src.white_at(7, GRID, DT), reference_white(11, 2, 7, GRID, DT))
 
     def test_two_sources_drawn_alternately(self):
         grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
         a = sl.WhiteNoiseSource(seed=4, stream_id=0)
         b = sl.WhiteNoiseSource(seed=4, stream_id=1)
-        for step in (0, 3, 1, 3):
-            for src, grid in ((a, GRID), (b, grid2), (a, grid2), (b, GRID)):
+        for step in range(4):
+            for src, grid in ((a, GRID), (b, grid2)):
                 want = reference_white(4, src.stream_id, step, grid, DT)
                 assert np.array_equal(src.white_at(step, grid, DT), want)
 
     def test_equality_and_repr_ignore_generator(self):
         src = sl.WhiteNoiseSource(seed=3, stream_id=5)
-        src.white_at(4, GRID, DT)
+        src.white_at(0, GRID, DT)
         assert src == sl.WhiteNoiseSource(seed=3, stream_id=5)
         assert src != sl.WhiteNoiseSource(seed=3, stream_id=6)
         assert repr(src) == "WhiteNoiseSource(seed=3, stream_id=5)"
 
     def test_pickle_round_trip_after_a_draw(self):
+        # a copy carries the generator and the next step with it
         src = sl.WhiteNoiseSource(seed=8, stream_id=1)
-        src.white_at(12, GRID, DT)
+        for step in range(13):
+            src.white_at(step, GRID, DT)
         copy = pickle.loads(pickle.dumps(src))
         assert copy == src
         assert np.array_equal(copy.white_at(13, GRID, DT), src.white_at(13, GRID, DT))
-        assert np.array_equal(copy.white_at(13, GRID, DT), reference_white(8, 1, 13, GRID, DT))
+        assert np.array_equal(copy.white_at(14, GRID, DT), reference_white(8, 1, 14, GRID, DT))
 
     def test_draw_into_buffer_gives_same_bytes(self):
-        src = sl.WhiteNoiseSource(seed=6, stream_id=3)
         grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
         for grid in (GRID, grid2):
-            buf = np.full(grid.shape, np.nan)
-            assert src.white_at(5, grid, DT, out=buf) is buf
-            assert buf.tobytes() == src.white_at(5, grid, DT).tobytes()
-            assert buf.tobytes() == reference_white(6, 3, 5, grid, DT).tobytes()
+            a, b = (sl.WhiteNoiseSource(seed=6, stream_id=3) for _ in range(2))
+            for step in range(6):
+                buf = np.full(grid.shape, np.nan)
+                assert a.white_at(step, grid, DT, out=buf) is buf
+                assert buf.tobytes() == b.white_at(step, grid, DT).tobytes()
+                assert buf.tobytes() == reference_white(6, 3, step, grid, DT).tobytes()
 
     def test_wrong_buffer_refused(self):
         src = sl.WhiteNoiseSource(seed=6, stream_id=3)
         m = GRID.m
         with pytest.raises(NoiseError, match=r"of shape \(128,\), got \(129,\)"):
-            src.white_at(5, GRID, DT, out=np.empty(m + 1))
+            src.white_at(0, GRID, DT, out=np.empty(m + 1))
         for bad in (np.empty(m, dtype=np.float32), np.empty(2 * m)[::2]):
-            with pytest.raises(NoiseError):
-                src.white_at(5, GRID, DT, out=bad)
+            with pytest.raises(NoiseError, match="C-contiguous float64"):
+                src.white_at(0, GRID, DT, out=bad)
+        assert src.next_step == 0
 
 
 class TestWhiteBatch:
-    # one call draws a step for many sources; row i must be the bits of
-    # sources[i].white_at, and so of a freshly built generator
+    # one call draws k consecutive steps for many sources; out[i, l] must be
+    # the bits of sources[i].white_at(step + l), and so of a fresh generator
     def test_rows_match_white_at_and_fresh_generator(self):
         grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
         for grid in (GRID, grid2):
             sources = [sl.WhiteNoiseSource(seed=3, stream_id=s) for s in (5, 0, 9)]
-            out = np.full((3,) + grid.shape, np.nan)
-            for step in (9, 2, 2**40, 0, 17, 2):
+            twins = [sl.WhiteNoiseSource(seed=3, stream_id=s) for s in (5, 0, 9)]
+            step = 0
+            for k in (3, 1, 2):
+                out = np.full((3, k) + grid.shape, np.nan)
                 assert white_batch(sources, step, grid, DT, out) is out
-                for src, row in zip(sources, out):
-                    assert row.tobytes() == src.white_at(step, grid, DT).tobytes()
-                    assert row.tobytes() == reference_white(3, src.stream_id, step, grid, DT).tobytes()
+                for src, twin, row in zip(sources, twins, out):
+                    for lag, slice_ in enumerate(row):
+                        assert slice_.tobytes() == twin.white_at(step + lag, grid, DT).tobytes()
+                        want = reference_white(3, src.stream_id, step + lag, grid, DT)
+                        assert slice_.tobytes() == want.tobytes()
+                step += k
+            assert [src.next_step for src in sources] == [6] * 3
+
+    def test_block_split_does_not_change_bits(self):
+        # 16 steps drawn as one block, as 5 + 11 and as 16 single steps
+        def draw(blocks):
+            sources = [sl.WhiteNoiseSource(seed=12, stream_id=s) for s in (0, 3)]
+            parts, step = [], 0
+            for k in blocks:
+                parts.append(white_batch(sources, step, GRID, DT, np.empty((2, k) + GRID.shape)))
+                step += k
+            return np.concatenate(parts, axis=1).tobytes()
+
+        assert draw([16]) == draw([5, 11]) == draw([1] * 16)
+
+    def test_step_not_next_refused(self):
+        # a source behind or ahead of the batch's step is named with the step
+        # it expects, and no source of the batch draws
+        sources = [sl.WhiteNoiseSource(seed=1, stream_id=s) for s in range(3)]
+        white_batch(sources[:2], 0, GRID, DT, np.empty((2, 2) + GRID.shape))
+        with pytest.raises(NoiseError, match="stream 2 expects step 0, got step 2"):
+            white_batch(sources, 2, GRID, DT, np.empty((3, 1) + GRID.shape))
+        with pytest.raises(NoiseError, match="stream 0 expects step 2, got step 1"):
+            white_batch(sources, 1, GRID, DT, np.empty((3, 1) + GRID.shape))
+        assert [src.next_step for src in sources] == [2, 2, 0]
 
     def test_bad_dt_refused(self):
-        out = np.empty((1,) + GRID.shape)
+        out = np.empty((1, 1) + GRID.shape)
         for dt in (0.0, -DT, math.nan):
             with pytest.raises(NoiseError, match="dt must be positive"):
                 white_batch([sl.WhiteNoiseSource(seed=1)], 0, GRID, dt, out)
@@ -133,17 +178,19 @@ class TestWhiteBatch:
     def test_wrong_buffer_refused(self):
         sources = [sl.WhiteNoiseSource(seed=1, stream_id=s) for s in range(2)]
         m = GRID.m
-        with pytest.raises(NoiseError, match=r"of shape \(2, 128\), got \(2, 129\)"):
-            white_batch(sources, 0, GRID, DT, np.empty((2, m + 1)))
-        for bad in (np.empty((2, m), dtype=np.float32), np.empty((2, 2 * m))[:, ::2], np.empty((m, 2)).T,
-                    [[0.0] * m] * 2):
-            with pytest.raises(NoiseError, match=r"C-contiguous float64 array of shape \(2, 128\)"):
+        want = r"C-contiguous float64 array of shape \(2, k, 128\), k >= 1"
+        with pytest.raises(NoiseError, match=want + r", got \(2, 3, 129\)"):
+            white_batch(sources, 0, GRID, DT, np.empty((2, 3, m + 1)))
+        for bad in (np.empty((2, 1, m), dtype=np.float32), np.empty((2, 1, 2 * m))[..., ::2],
+                    np.empty((m, 1, 2)).T, [[[0.0] * m]] * 2, np.empty((2, 0, m)), np.empty((2, m))):
+            with pytest.raises(NoiseError, match=want):
                 white_batch(sources, 0, GRID, DT, bad)
         # a row count other than the number of sources: zip over sources and
         # rows would stop at the shorter one and leave rows undrawn
         for rows in (1, 3):
-            with pytest.raises(NoiseError, match=rf"of shape \(2, 128\), got \({rows}, 128\)"):
-                white_batch(sources, 0, GRID, DT, np.zeros((rows, m)))
+            with pytest.raises(NoiseError, match=rf"got \({rows}, 1, 128\)"):
+                white_batch(sources, 0, GRID, DT, np.zeros((rows, 1, m)))
+        assert [src.next_step for src in sources] == [0, 0]
 
 
 class TestKernelMultiplier:

@@ -98,6 +98,16 @@ def step_loop(cfg, t, seed, stream_id):
     return u
 
 
+SOLVE_SCRIPT = """
+import hashlib, sys
+import shelab as sl
+cfg = sl.SolverConfig(grid=sl.LatticeGrid(d=1, m=128, dx=0.25),
+                      model=sl.CorrelationModel.gaussian_h(d=1, width=1.0, amplitude=1.0),
+                      sigma=sl.SigmaFunction.linear(c=1.0), kappa=1.0, dt=1 / 64)
+sys.stdout.write(hashlib.sha256(sl.solve_batch(cfg, 0.25, 9, range(3)).tobytes()).hexdigest())
+"""
+
+
 class TestSolveBatch:
     def test_batch_composition_invariance(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
@@ -181,8 +191,8 @@ class TestSolveBatch:
     @pytest.mark.parametrize(
         "sigma, digest",
         [
-            (sl.SigmaFunction.constant(eps0=0.5), "1f05f9cd7efb3a1aa5a692b71498301b1347a297e2d121a3a15e29dbdf3cbff4"),
-            (sl.SigmaFunction.linear(c=1.0), "39a1a0b9deb55d9e36be5ff34f102107d5dcf012ccf88cff445900226479f935"),
+            (sl.SigmaFunction.constant(eps0=0.5), "4c1147ef4367d401a019a4ce2d10494a55dcf2f843126821badbbf866339aeb7"),
+            (sl.SigmaFunction.linear(c=1.0), "dcffc9fb63aff71dfe3bc3c83fdda251293865ee67926268f5aef4f678fc58ec"),
         ],
         ids=["constant", "linear"],
     )
@@ -206,7 +216,7 @@ class TestSolveBatch:
             warnings.simplefilter("error")
             with pytest.raises(sl.SolverBlowup) as exc:
                 sl.solve_batch(cfg, 0.25, seed=2, streams=range(8))
-        assert (exc.value.t, exc.value.streams) == (0.25, [3])
+        assert (exc.value.t, exc.value.streams) == (0.25, [0])
         assert math.isfinite(exc.value.max_abs)
 
     def test_blowup_pickles(self):
@@ -215,6 +225,47 @@ class TestSolveBatch:
         assert type(back) is sl.SolverBlowup
         assert (back.t, back.max_abs, back.streams) == (0.125, 3.5e307, [4, 7])
         assert str(back) == str(err)
+
+    def test_bytes_repeat_within_and_across_processes(self):
+        # no generator state outlives a call and nothing depends on the
+        # process: a repeated call, and one in a process with another hash
+        # seed, give the same bytes
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
+        first = sl.solve_batch(cfg, 0.25, 9, range(3)).tobytes()
+        assert sl.solve_batch(cfg, 0.25, 9, range(3)).tobytes() == first
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=str(Path(sl.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", SOLVE_SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == hashlib.sha256(first).hexdigest()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_bytes_independent_of_draw_block(self, monkeypatch, block):
+        # a step's bits do not depend on how many steps one generator call
+        # draws; 7 does not divide the 16 steps, so the last block runs past
+        # the end
+        runs = [
+            lambda: sl.solve_batch(make_cfg(sl.SigmaFunction.constant(eps0=0.5)), 0.25, 9, range(3)),
+            lambda: sl.solve_batch(make_cfg(sl.SigmaFunction.linear(c=1.0)), 0.25, 9, range(3)),
+            lambda: sl.localized_solve_batch(make_cfg(sl.SigmaFunction.linear(c=1.0)), ENGINE_LOC, 0.25, 9, range(3)),
+        ]
+        want = [run().tobytes() for run in runs]
+        monkeypatch.setattr(sl.solver, "BLOCK", block)
+        assert [run().tobytes() for run in runs] == want
+
+    def test_noise_steps_come_in_order(self):
+        # a step of the last drawn block may be read again; any other step
+        # but the next one is refused, naming the step the streams expect
+        block = sl.solver.BLOCK
+        draw = _white_hat(make_cfg(sl.SigmaFunction.linear(c=1.0)), 9, [4])
+        first = draw(0).copy()
+        draw(1)
+        assert draw(0).tobytes() == first.tobytes()
+        for j in range(1, block + 1):  # step block starts the second block
+            draw(j)
+        for j in (0, 2 * block + 1):
+            with pytest.raises(sl.NoiseError, match=f"stream 4 expects step {2 * block}, got step {j}"):
+                draw(j)
 
     def test_clamp_statistics_collected(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=6.0))
@@ -328,7 +379,7 @@ class TestLocalizedEngine:
         # to any seeded number shows here
         vals = sl.localized_solve_batch(make_cfg(sl.SigmaFunction.linear(c=1.0)), ENGINE_LOC, 0.25, 9, range(3))
         assert hashlib.sha256(vals.tobytes()).hexdigest() == (
-            "3ad0d3531976d3ca84d8b925fca67b8393e44f9f3134a68d016b1a0a5fb44aa4"
+            "897ee58da94c31e0ddc5756ab2d613947754c940f56d1e7125a360f21137160d"
         )
 
     def test_batch_composition_invariance(self):
