@@ -1,9 +1,9 @@
 """Command-line front end.
 
-One verb per analysis; each verb runs the matching block of a JSON
-manifest and writes a bundle directory.  `dalang` and `oracle` also accept
-a bare model JSON for quick checks without a manifest.  Exit codes:
-0 bundle complete, 2 validation failure, 3 bundle partial.
+One verb per analysis; each run verb takes the matching block of a JSON
+manifest, runs it through experiments.run and writes a bundle directory.
+`report` renders a bundle's summary.  Exit codes: 0 bundle complete,
+2 validation failure (an unreadable manifest included), 3 bundle partial.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ import functools
 import json
 import sys
 
-from . import analysis as an
-from .correlation import CorrelationError, CorrelationModel, dalang_condition
-from .noise import NoiseError
 from .experiments import (
     _ANALYSES,
     BundleError,
@@ -61,24 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in VERBS:
         p = sub.add_parser(verb, help=f"run the {verb.replace('-', '_')} analysis of a manifest")
         _add_run_flags(p)
-        if verb == "dalang":
-            p.add_argument("--model", help="model JSON file (shortcut, no manifest needed)")
-        if verb == "oracle":
-            p.add_argument("--model", help="model JSON file (shortcut, no manifest needed)")
-            p.add_argument("--k", type=int, default=2, help="moment order (shortcut mode)")
-            p.add_argument("--t", type=float, default=1.0, help="time horizon (shortcut mode)")
-            p.add_argument("--kappa", type=float, default=1.0)
-            p.add_argument("--walkers", type=int, default=20000)
-            p.add_argument("--inner-steps", type=int, default=256)
-            p.add_argument("--u0", type=float, default=1.0)
     rep = sub.add_parser("report", help="render a bundle's summary as a table")
     rep.add_argument("bundle", help="bundle directory")
     return parser
-
-
-def _load_model_file(path) -> CorrelationModel:
-    with open(path) as fh:
-        return CorrelationModel.from_dict(json.load(fh))
 
 
 def _run_verb(verb: str, args) -> int:
@@ -86,12 +68,19 @@ def _run_verb(verb: str, args) -> int:
     if args.manifest is None:
         print(f"{verb}: --manifest is required", file=sys.stderr)
         return 2
-    manifest = load_manifest(args.manifest)
+    try:
+        manifest = load_manifest(args.manifest)
+    except (OSError, ValueError) as e:  # ValueError: malformed JSON or text
+        print(f"{verb}: cannot read manifest {args.manifest}: {e}", file=sys.stderr)
+        return 2
+    blocks = manifest.get("analysis", {}) if isinstance(manifest, dict) else None
+    if not isinstance(blocks, dict):
+        print(f"{verb}: manifest {args.manifest} and its analysis must be JSON objects", file=sys.stderr)
+        return 2
     if args.seed is not None:
         manifest["seed"] = args.seed
     if args.replicas is not None:
         manifest["replicas"] = args.replicas
-    blocks = manifest.get("analysis", {})
     if key not in blocks:
         print(f"{verb}: manifest has no analysis/{key} block", file=sys.stderr)
         return 2
@@ -99,10 +88,7 @@ def _run_verb(verb: str, args) -> int:
     out = args.out or f"bundle-{key}-{manifest_hash(manifest)[:8]}"
     try:
         bundle = run(manifest, out, threads=args.threads, emit_gnuplot=args.emit_gnuplot)
-    except ManifestError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except BundleError as e:
+    except (ManifestError, BundleError) as e:
         print(str(e), file=sys.stderr)
         return 2
     info = bundle.summary["analyses"].get(key, {})
@@ -117,44 +103,6 @@ def _run_verb(verb: str, args) -> int:
     return 0
 
 
-def _dalang_shortcut(args) -> int:
-    try:
-        model = _load_model_file(args.model)
-        verdict = dalang_condition(model)
-    except (CorrelationError, OSError, json.JSONDecodeError) as e:
-        print(f"dalang: {e}", file=sys.stderr)
-        return 2
-    word = "finite" if verdict.finite else "infinite"
-    print(f"model: {model.kind} d={model.d}")
-    print(f"verdict: {word}")
-    print(f"integral: {verdict.integral}")
-    print(f"reason: {verdict.reason}")
-    return 0
-
-
-def _oracle_shortcut(args) -> int:
-    try:
-        model = _load_model_file(args.model)
-        cfg = an.FkOracleConfig(
-            walkers=args.walkers,
-            inner_steps=args.inner_steps,
-            seed=args.seed if args.seed is not None else 0,
-        )
-        res = an.fk_moment_oracle(model, args.kappa, args.t, args.k, cfg, u0_level=args.u0)
-    except (CorrelationError, an.AnalysisError, NoiseError, OSError, json.JSONDecodeError) as e:
-        print(f"oracle: {e}", file=sys.stderr)
-        return 2
-    print(f"k: {res.k}")
-    print(f"t: {res.t}")
-    print(f"estimate: {res.estimate}")
-    print(f"stderr: {res.stderr}")
-    print(f"log_mean: {res.log_mean}")
-    print(f"log_stderr: {res.log_stderr}")
-    print(f"heavy_tail: {res.heavy_tail}")
-    print(f"resamplings: {res.resamplings}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb == "report":
@@ -165,10 +113,6 @@ def main(argv=None) -> int:
             return 2
         print(render_report(bundle))
         return 0 if bundle.complete else 3
-    if args.verb == "dalang" and getattr(args, "model", None):
-        return _dalang_shortcut(args)
-    if args.verb == "oracle" and getattr(args, "model", None):
-        return _oracle_shortcut(args)
     return _run_verb(args.verb, args)
 
 

@@ -11,7 +11,9 @@ runs the library's checks on them and returns the library call.
 validate_manifest reports every error _plan collects, all at once, and run
 executes its calls, so a manifest that validates does not fail a rule
 halfway through a run.  The row also names the CSV the analysis writes and
-how its result becomes CSV rows and a summary entry.
+how its result becomes CSV rows and a summary entry; extremes, the one sup
+analysis, runs the probe once for its rungs, increments, tails, fit and
+verdict.  A dalang block needs no grid or solver, an oracle block no grid.
 
 Running a manifest produces a bundle directory written atomically (build
 in a temporary sibling, then rename): a canonical copy of the manifest,
@@ -114,7 +116,7 @@ def _plan(manifest: dict, threads: int) -> tuple:
     model = collect("model", CorrelationModel.from_dict, manifest["model"])
     grid = collect("grid", LatticeGrid.from_dict, manifest["grid"]) if "grid" in manifest else None
     sb = manifest.get("solver")
-    cfg = u0 = None
+    cfg = sigma = u0 = None
     if sb is not None:
         sigma = collect("solver/sigma", SigmaFunction.from_dict, sb["sigma"])
         u0 = collect("solver/u0", U0Spec.from_dict, sb.get("u0", {}))
@@ -137,8 +139,8 @@ def _plan(manifest: dict, threads: int) -> tuple:
     for verb in sorted(analyses):
         # a block is checked once everything it builds on was built
         built = cfg if _ANALYSES[verb].needs_solver else model
-        if verb == "oracle":  # the oracle also builds on the run's initial data
-            built = None if model is None or u0 is None else (model, u0)
+        if verb == "oracle":  # the oracle also builds on the run's sigma and initial data
+            built = (model, sigma, u0) if all(x is not None for x in (model, sigma, u0)) else None
         if seed is not None and built is not None:
             calls[verb] = collect(verb, _ANALYSES[verb].prepare, manifest, built, threads)
     return errors, calls
@@ -193,7 +195,9 @@ def _prepare_moments(manifest: dict, cfg: SolverConfig, threads: int = 1):
 
 
 def _prepare_oracle(manifest: dict, built: tuple, threads: int = 1):
-    model, u0 = built
+    model, sigma, u0 = built
+    if sigma.kind != "linear":
+        raise an.AnalysisError(f"sigma kind {sigma.kind!r} violates kind = 'linear' (multiplicative noise)")
     if u0.kind != "constant":
         raise an.AnalysisError(f"u0 kind {u0.kind!r} violates kind = 'constant' (flat initial data)")
     blk = manifest["analysis"]["oracle"]
@@ -208,14 +212,12 @@ def _prepare_oracle(manifest: dict, built: tuple, threads: int = 1):
     return partial(an.fork_map, calls, threads)
 
 
-def _prepare_probe(manifest: dict, cfg: SolverConfig, threads: int = 1, *, verb: str):
-    """The sup probe that both extremes and boundedness run."""
-    blk = manifest["analysis"][verb]
+def _prepare_extremes(manifest: dict, cfg: SolverConfig, threads: int = 1):
+    blk = manifest["analysis"]["extremes"]
     scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"])
     args = (scen, blk["radii"], _replicas(manifest))
     an.check_boundedness(*args)
-    if verb == "extremes":
-        an.check_fluctuation_radii(blk["radii"])  # the summary fits log log R
+    an.check_fluctuation_radii(blk["radii"])  # the summary fits log log R
     for lam in blk.get("tail_lambdas", []):
         an.check_tail_threshold(lam)
     return partial(an.boundedness_probe, *args, seed=manifest["seed"], threads=threads)
@@ -294,7 +296,7 @@ def _independence_rows(manifest: dict, res) -> list:
     return [[a, b, float(res.correlations[a, b]), float(res.separations[a, b])] for a, b in pairs]
 
 
-def _boundedness_rows(manifest: dict, probe) -> list:
+def _sup_rows(manifest: dict, probe) -> list:
     # the first rung has no increment
     sups = (probe.radii, probe.mean_sup, probe.stderr_sup, probe.mean_log_sup)
     return list(zip(*sups, [None] + probe.increments, [None] + probe.increment_stderrs))
@@ -306,7 +308,8 @@ class _Analysis:
 
     prepare(manifest, built, threads=1) checks the block's rules and returns
     the library call; built is the solver config when needs_solver is set,
-    the model and solver/u0 for the oracle, and the model otherwise.
+    the model, solver/sigma and solver/u0 for the oracle, and the model
+    otherwise.
     The call's result becomes rows(manifest, result) of the CSV csv under
     columns and the summary.json entry summary(result).  plot names the
     x column and the y columns that plots.gp draws against it.
@@ -359,10 +362,10 @@ _ANALYSES = {
         summary=_oracle_summary,
     ),
     "extremes": _Analysis(
-        partial(_prepare_probe, verb="extremes"), needs_solver=True,
-        csv="sup_stats.csv", columns=("radius", "mean_sup", "stderr", "mean_log_sup"),
-        rows=lambda manifest, p: list(zip(p.radii, p.mean_sup, p.stderr_sup, p.mean_log_sup)),
-        summary=_extremes_summary,
+        _prepare_extremes, needs_solver=True,
+        csv="sup_stats.csv",
+        columns=("radius", "mean_sup", "stderr", "mean_log_sup", "increment", "increment_stderr"),
+        rows=_sup_rows, summary=_extremes_summary,
         plot=("radius", ("mean_sup",)),
     ),
     "localize": _Analysis(
@@ -377,13 +380,6 @@ _ANALYSES = {
         csv="independence.csv", columns=("i", "j", "corr", "separation"),
         rows=_independence_rows,
         summary=_attrs("max_abs_offdiag", "null_band", "required_separation", "exact", "passed"),
-    ),
-    "boundedness": _Analysis(
-        partial(_prepare_probe, verb="boundedness"), needs_solver=True,
-        csv="boundedness.csv",
-        columns=("radius", "mean_sup", "stderr", "mean_log_sup", "increment", "increment_stderr"),
-        rows=_boundedness_rows, summary=_attrs("verdict"),
-        plot=("radius", ("mean_sup",)),
     ),
 }
 

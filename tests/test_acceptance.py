@@ -340,7 +340,6 @@ def test_bundle_determinism_across_workers(accept, tmp_path):
             "extremes": {"radii": [2.0, 4.0], "tail_lambdas": [3.0, 4.0]},
             "localize": {"betas": [2, 4], "k": 2},
             "independence": {"beta": 2, "points": [[0.0], [6.0]]},
-            "boundedness": {"radii": [1.0, 2.0, 4.0]},
             "oracle": {"ks": [2, 3], "walkers": 400, "inner_steps": 32},
         },
     }
@@ -350,5 +349,5 @@ def test_bundle_determinism_across_workers(accept, tmp_path):
         assert exp.run(manifest, out, threads=threads).complete
         csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     names = sorted(csvs[0])
-    ok = len(names) == 7 and csvs[0] == csvs[1]
+    ok = len(names) == 6 and csvs[0] == csvs[1]
     accept(ok, f"{len(names)} CSVs byte-identical at threads 1 vs 2 over 3 chunks: {', '.join(names)}")

@@ -10,6 +10,7 @@ import pytest
 
 import shelab as sl
 import shelab.analysis as an
+import shelab.cli as cli
 import shelab.experiments as exp
 from shelab.cli import main as cli_main
 
@@ -115,9 +116,9 @@ RULE_GAPS = [
         id="extremes-radius-ladder",
     ),
     pytest.param(
-        "boundedness", {"analysis": {"boundedness": {"radii": [2, 2]}}},
+        "extremes", {"analysis": {"extremes": {"radii": [2, 2]}}},
         lambda m: an.boundedness_probe(an.Scenario(cfg=manifest_cfg(m), t_final=T), [2, 2], R),
-        id="boundedness-radius-ladder",
+        id="extremes-radius-repeated",
     ),
     pytest.param(
         "localize", {"analysis": {"localize": {"betas": [4, 2], "k": 2}}},
@@ -135,9 +136,9 @@ RULE_GAPS = [
         id="extremes-radius-not-above-one",
     ),
     pytest.param(
-        "boundedness", {"analysis": {"boundedness": {"radii": [-1.0, 2.0]}}},
+        "extremes", {"analysis": {"extremes": {"radii": [-1.0, 2.0]}}},
         lambda m: an.boundedness_probe(an.Scenario(cfg=manifest_cfg(m), t_final=T), [-1.0, 2.0], R),
-        id="boundedness-radius-not-positive",
+        id="extremes-radius-not-positive",
     ),
     pytest.param(
         "seed", {"seed": 2**63},
@@ -265,7 +266,7 @@ class TestValidation:
 
     def test_radius_beyond_half_period(self):
         m = base_manifest()
-        m["analysis"] = {"boundedness": {"radii": [2.0, 40.0]}}
+        m["analysis"] = {"extremes": {"radii": [2.0, 40.0]}}
         errs = exp.validate_manifest(m)
         assert any("exceeds period/2" in e for e in errs)
 
@@ -309,6 +310,19 @@ class TestValidation:
         m = broken({"analysis": {"oracle": {"walkers": 16, "inner_steps": 16}}})
         assert exp.validate_manifest(m) == [
             "analysis/oracle: {'walkers': 16, 'inner_steps': 16} is not valid under any of the given schemas"
+        ]
+
+    def test_oracle_needs_multiplicative_noise(self):
+        # the oracle's Feynman-Kac weight is that of a linear sigma, sigma(u) = c u
+        m = broken({"solver/sigma": {"kind": "constant", "eps0": 1.0}, "analysis": {"oracle": ORACLE}})
+        assert exp.validate_manifest(m) == [
+            "oracle: sigma kind 'constant' violates kind = 'linear' (multiplicative noise)"
+        ]
+
+    def test_boundedness_block_is_unknown(self):
+        m = broken({"analysis": {"boundedness": {"radii": [2.0, 4.0]}}})
+        assert exp.validate_manifest(m) == [
+            "analysis: Additional properties are not allowed ('boundedness' was unexpected)"
         ]
 
     def test_oracle_needs_flat_initial_data(self):
@@ -453,7 +467,6 @@ class TestRunBundles:
             "extremes": {"radii": [2.0, 4.0]},
             "localize": {"betas": [2], "k": 2},
             "independence": {"beta": 2, "points": [[0.0], [6.0]]},
-            "boundedness": {"radii": [1.0, 2.0]},
         }
         calls = collections.Counter()
         from_dict = sl.CorrelationModel.from_dict.__func__
@@ -537,6 +550,34 @@ class TestRunBundles:
             est = an.tail_estimate(probe.samples[:, -1], lam)
             assert 0 < est.exceedances < est.n
             assert [float(v) for v in line.split(",")] == [lam, est.p_hat, est.lo, est.hi, est.exceedances, est.n]
+
+    def test_extremes_runs_the_probe_once(self, tmp_path, monkeypatch):
+        m = base_manifest()
+        radii = [2.0, 4.0, 8.0]
+        m["analysis"] = {"extremes": {"radii": radii, "tail_lambdas": [4.0]}}
+        probes = []
+
+        def spy(*args, **kwargs):
+            probes.append(probe_fn(*args, **kwargs))
+            return probes[-1]
+
+        probe_fn = an.boundedness_probe
+        monkeypatch.setattr(an, "boundedness_probe", spy)
+        summary = exp.run(m, tmp_path / "b").summary["analyses"]["extremes"]
+        assert len(probes) == 1
+        assert summary["files"] == ["sup_stats.csv", "tails.csv"]
+        assert {"psi_hat", "psi_stderr", "r2", "verdict"} <= set(summary)
+        lines = (tmp_path / "b" / "sup_stats.csv").read_text().splitlines()
+        assert lines[1] == "radius,mean_sup,stderr,mean_log_sup,increment,increment_stderr"
+        # the rungs and increments of a direct probe on the same streams
+        direct = probe_fn(an.Scenario(cfg=manifest_cfg(m), t_final=0.25), radii, m["replicas"], seed=m["seed"])
+        increments = [None] + direct.increments
+        increment_stderrs = [None] + direct.increment_stderrs
+        for i, line in enumerate(lines[2:]):
+            row = [float(v) if v else None for v in line.split(",")]
+            assert row == [direct.radii[i], direct.mean_sup[i], direct.stderr_sup[i], direct.mean_log_sup[i],
+                           increments[i], increment_stderrs[i]]
+        assert len(lines) == 2 + len(radii)
 
     def test_read_bundle_verifies_hash(self, tmp_path):
         out = str(tmp_path / "rt")
@@ -624,29 +665,52 @@ class TestCli:
         open(man_path, "w").write(json.dumps(doc))
         assert cli_main(["report", out]) == 2
 
-    def test_dalang_shortcut(self, tmp_path, capsys):
-        mp = tmp_path / "model.json"
-        mp.write_text(json.dumps({"kind": "gaussian_h", "d": 1, "width": 1.0, "amplitude": 1.0}))
-        assert cli_main(["dalang", "--model", str(mp)]) == 0
+    def test_minimal_dalang_and_oracle_manifests(self, tmp_path, capsys):
+        # dalang needs only a model, the oracle a solver block but no grid
+        minimal = {"version": 1, "seed": 3, "model": {"kind": "constant", "d": 1, "c": 0.3}}
+        solver = {k: base_manifest()["solver"][k] for k in ("kappa", "dt", "t_final", "sigma")}
+        for verb, extra in (("dalang", {"analysis": {"dalang": {}}}),
+                            ("oracle", {"solver": solver, "analysis": {"oracle": ORACLE}})):
+            mp = write_manifest(tmp_path, {**minimal, **extra}, name=f"{verb}.json")
+            assert cli_main([verb, "--manifest", mp, "--out", str(tmp_path / verb)]) == 0
+            assert (tmp_path / verb / f"{verb}.csv").is_file()
         out = capsys.readouterr().out
-        assert "verdict" in out and "integral" in out
+        assert "finite: True" in out and "log_means" in out
 
-    def test_oracle_shortcut(self, tmp_path, capsys):
-        mp = tmp_path / "model.json"
-        mp.write_text(json.dumps({"kind": "constant", "d": 1, "c": 0.3}))
-        rc = cli_main(
-            ["oracle", "--model", str(mp), "--k", "3", "--t", "1.0",
-             "--walkers", "16", "--inner-steps", "16"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "estimate" in out
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file"),
+            ("{", "Expecting property name"),
+            ("[]", "must be JSON objects"),
+            ('{"version": 1, "analysis": 5}', "must be JSON objects"),
+        ],
+        ids=["missing", "malformed-json", "top-level-list", "analysis-not-object"],
+    )
+    def test_unreadable_manifest_exits_two(self, tmp_path, capsys, text, message):
+        mp = tmp_path / "m.json"
+        if text is not None:
+            mp.write_text(text)
+        assert cli_main(["dalang", "--manifest", str(mp), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ([] if text is None else ["m.json"])
 
-    def test_oracle_shortcut_rejects_seed_beyond_63_bits(self, tmp_path, capsys):
-        mp = tmp_path / "model.json"
-        mp.write_text(json.dumps({"kind": "constant", "d": 1, "c": 0.3}))
-        assert cli_main(["oracle", "--model", str(mp), "--seed", str(2**63)]) == 2
-        assert "seed must be a nonnegative 63-bit integer" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv", [["boundedness", "--manifest", "m.json"], ["oracle", "--model", "m.json"]],
+        ids=["boundedness-verb", "oracle-model"],
+    )
+    def test_removed_verb_and_options_do_not_parse(self, argv):
+        with pytest.raises(SystemExit) as ei:
+            cli.build_parser().parse_args(argv)
+        assert ei.value.code == 2
+
+    def test_every_run_verb_takes_the_six_run_flags(self):
+        assert len(cli.VERBS) == 8
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "verb")
+        for verb in cli.VERBS:
+            options = [a.option_strings[-1] for a in sub.choices[verb]._actions if a.dest != "help"]
+            assert options == ["--manifest", "--seed", "--replicas", "--threads", "--out", "--emit-gnuplot"]
 
     def test_missing_manifest_is_validation_error(self, capsys):
         assert cli_main(["simulate"]) == 2

@@ -1,6 +1,6 @@
 """The examples of README.md work as written: its python blocks run, in
-order, in one namespace, its JSON manifest validates, and its shelab
-command lines parse."""
+order, in one namespace, its JSON manifests validate, its shelab command
+lines parse, and its list of verbs is the CLI's."""
 
 import json
 import re
@@ -26,6 +26,22 @@ def test_python_blocks_run_as_written():
 def test_json_manifest_validates():
     (manifest,) = blocks("json")
     assert experiments.validate_manifest(json.loads(manifest)) == []
+
+
+def test_inline_manifests_validate():
+    inline = re.findall(r'`(\{"version": .*?\})`', README.read_text())
+    assert [next(iter(json.loads(m)["analysis"])) for m in inline] == ["dalang", "oracle"]
+    for manifest in inline:
+        assert experiments.validate_manifest(json.loads(manifest)) == []
+
+
+def test_verb_lists_agree():
+    # the CLI, the analysis table, the schema and the README name one set of verbs
+    line = re.search(r"^Verbs: (.*?)\.  ", README.read_text(), flags=re.S | re.M).group(1)
+    readme = set(re.findall(r"`([a-z-]+)`", line)) - {"report"}
+    table = {verb.replace("_", "-") for verb in experiments._ANALYSES}
+    schema = {verb.replace("_", "-") for verb in experiments._schema()["properties"]["analysis"]["properties"]}
+    assert set(cli.VERBS) == table == schema == readme
 
 
 def test_command_lines_parse():
