@@ -115,10 +115,11 @@ RULE_GAPS = [
         lambda m: an.boundedness_probe(an.Scenario(cfg=manifest_cfg(m), t_final=T), [4, 2], R),
         id="extremes-radius-ladder",
     ),
+    # the boundedness-* ids name the library probe whose radius rule the extremes block must catch
     pytest.param(
         "extremes", {"analysis": {"extremes": {"radii": [2, 2]}}},
         lambda m: an.boundedness_probe(an.Scenario(cfg=manifest_cfg(m), t_final=T), [2, 2], R),
-        id="extremes-radius-repeated",
+        id="boundedness-radius-ladder",
     ),
     pytest.param(
         "localize", {"analysis": {"localize": {"betas": [4, 2], "k": 2}}},
@@ -138,7 +139,7 @@ RULE_GAPS = [
     pytest.param(
         "extremes", {"analysis": {"extremes": {"radii": [-1.0, 2.0]}}},
         lambda m: an.boundedness_probe(an.Scenario(cfg=manifest_cfg(m), t_final=T), [-1.0, 2.0], R),
-        id="extremes-radius-not-positive",
+        id="boundedness-radius-not-positive",
     ),
     pytest.param(
         "seed", {"seed": 2**63},
