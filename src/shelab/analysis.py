@@ -127,6 +127,12 @@ def replica_map(fn: Callable, n_replicas: int, threads: int = 1) -> np.ndarray:
     return np.concatenate(fork_map(calls, threads), axis=0)
 
 
+def _jackknife_se(loo: np.ndarray) -> float:
+    """Delete-one jackknife stderr from the n leave-one-out estimates loo."""
+    n = loo.size
+    return math.sqrt((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)))
+
+
 def jackknife_stat(values: np.ndarray, stat: str = "mean"):
     """Delete-one jackknife estimate and stderr for the mean or variance."""
     x = np.asarray(values, dtype=float)
@@ -144,8 +150,7 @@ def jackknife_stat(values: np.ndarray, stat: str = "mean"):
         loo = (s2 - x * x - (n - 1) * mean_loo**2) / (n - 2)
     else:
         raise AnalysisError(f"unknown jackknife stat {stat!r}")
-    se = math.sqrt((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)))
-    return est, se
+    return est, _jackknife_se(loo)
 
 
 def _check_replicas(n_replicas: int) -> None:
@@ -291,9 +296,7 @@ def _log_mean_jackknife(logx: np.ndarray) -> tuple:
     e = np.exp(logx - shift)
     tot = float(np.sum(e))
     loo = shift + np.log(np.maximum(tot - e, 1e-300) / (n - 1))
-    loo_bar = float(np.mean(loo))
-    log_se = math.sqrt((n - 1) / n * float(np.sum((loo - loo_bar) ** 2)))
-    return log_mean, log_se
+    return log_mean, _jackknife_se(loo)
 
 
 def _systematic_resample(w: np.ndarray, u: float) -> np.ndarray:
@@ -604,7 +607,7 @@ def moment_growth_exponent(report: MomentReport) -> ExponentFit:
     # delete-one jackknife over the k points for a stderr on theta; a fit
     # to three points is exactly determined
     loo = np.array([_profile_power_fit(np.delete(ks, i), np.delete(logm, i))[0] for i in range(ks.size)])
-    se = math.sqrt((ks.size - 1) / ks.size * float(np.sum((loo - loo.mean()) ** 2)))
+    se = _jackknife_se(loo)
     pos = logm > 0
     if np.count_nonzero(pos) >= 2:
         naive_slope, _, _, _ = _ols(np.log(ks[pos]), np.log(logm[pos]))

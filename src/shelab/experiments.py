@@ -534,6 +534,10 @@ def read_bundle(path) -> ResultBundle:
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     summary = json.loads((path / "summary.json").read_text())
+    analyses = summary.get("analyses", {}) if isinstance(summary, dict) else None
+    if not (isinstance(manifest, dict) and isinstance(analyses, dict) and isinstance(summary.get("failures", {}), dict)
+            and all(isinstance(a, dict) for a in analyses.values())):
+        raise BundleError(f"bundle {path} is malformed: manifest, summary, analyses and failures must be JSON objects")
     actual = manifest_hash(manifest)
     recorded = summary.get("manifest_hash")
     if actual != recorded:
@@ -559,7 +563,6 @@ def render_report(bundle: ResultBundle) -> str:
                 lines.append(f"  files: {', '.join(val)}")
             else:
                 lines.append(f"  {key}: {val}")
-    fails = s.get("failures") or {}
-    for verb, msg in fails.items():
+    for verb, msg in s.get("failures", {}).items():
         lines.append(f"[FAILED {verb}] {msg}")
     return "\n".join(lines)

@@ -84,14 +84,9 @@ class WhiteNoiseSource:
             raise NoiseError("stream_id must be a nonnegative 63-bit integer")
         self._rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, int(self.stream_id)])))
 
-    def white_at(self, step: int, grid: LatticeGrid, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """White-noise array of this source's next step, which must be step;
-        drawn into out, a C-contiguous float64 array of grid.shape, if given."""
-        if out is None:
-            out = np.empty(grid.shape)
-        elif not (isinstance(out, np.ndarray) and out.shape == grid.shape and out.dtype == np.float64
-                  and out.flags.c_contiguous):
-            raise NoiseError(f"out must be a C-contiguous float64 array of shape {grid.shape}, got {np.shape(out)}")
+    def white_at(self, step: int, grid: LatticeGrid, dt: float) -> np.ndarray:
+        """White-noise array of this source's next step, which must be step."""
+        out = np.empty(grid.shape)
         white_batch([self], step, grid, dt, out[None, None])
         return out
 

@@ -25,14 +25,14 @@ support on the lattice, so fields at sites separated by more than
 independent, where depth = floor(log beta) + 1 is the Picard depth.
 
 In Fourier space the sum is a causal time convolution: a lower-triangular
-kernel K[f, i, j] (age i - j, window of time i) is built once per call,
-and each Picard pass is one matrix-matrix product K[f] @ G[g, f] per
-frequency f and replica group g.  The replicas sit in zero-padded groups
-of one fixed width, GROUP_WIDTH, so every product is n x n by
-n x GROUP_WIDTH whatever the batch.  BLAS may sum a product in another
-order at another width, but at one width a column's bits depend neither
-on the other columns nor on its slot, so a replica's bits do not depend
-on its batch.
+kernel K[f, i, j] (age i - j, window of time i) is built once per call.
+The replicas run in groups of one fixed width, GROUP_WIDTH, and each
+Picard pass of a group is one matrix-matrix product K[f] @ G[f] per
+frequency f; a part-filled group pads only G, with zero columns, so every
+product is n x n by n x GROUP_WIDTH whatever the batch.  BLAS may sum a
+product in another order at another width, but at one width a column's
+bits depend neither on the other columns nor on its slot, so a replica's
+bits do not depend on its batch.
 
 Replica batches: the batch entry points evolve many replicas at once with
 the grid axes last; each replica's noise depends only on (seed, stream_id,
@@ -357,10 +357,10 @@ def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_
     return u
 
 
-# Replicas per zero-padded group of the time contraction.  It is fixed, not
-# sized to the batch, so that a replica's bits do not depend on its batch
-# (see the module docstring); 16 needs half the BLAS calls of 8 and pads a
-# batch by at most 15 replicas.
+# Replicas per group of the time contraction.  It is fixed, not sized to
+# the batch, so that a replica's bits do not depend on its batch (see the
+# module docstring); 16 needs half the BLAS calls of 8, and a part-filled
+# group pads only its product, by at most 15 zero columns.
 GROUP_WIDTH = 16
 
 
@@ -407,18 +407,14 @@ def _mild_sum_batch(
     n = _steps_for(t_final, cfg.dt)
     R = len(streams)
     W = GROUP_WIDTH
-    groups = -(-R // W)
     axes = tuple(range(-grid.d, 0))
     fshape = grid.rfft_shape()
     F = math.prod(fshape)
     H = kernel_multiplier(cfg.model, grid, beta)
 
-    # replica r sits in slot r % W of group r // W; the padding slots keep
-    # zero noise, so their products are zero and their fields stay finite
-    zeta = np.zeros((n, groups * W) + grid.shape)
+    zeta = np.empty((n, R) + grid.shape)
     for j in range(n):
-        np.fft.irfftn(white_hat(j) * H, s=grid.shape, axes=axes, out=zeta[j, :R])
-    zeta = zeta.reshape((n, groups, W) + grid.shape)
+        np.fft.irfftn(white_hat(j) * H, s=grid.shape, axes=axes, out=zeta[j])
     # One pass needs only the final time.
     K = _kernel_stack(cfg, n, beta, range(1, n + 1) if n_iter > 1 else range(n, n + 1))
 
@@ -426,29 +422,32 @@ def _mild_sum_batch(
     u0hat = np.fft.rfftn(u0)
     det_hat = [u0hat * propagator_multiplier(grid, cfg.kappa, i * cfg.dt) for i in range(n + 1)]
 
-    # Each pass fills G[g, f, j, w] with the transform of sigma(U_j) zeta_j
-    # for the current iterate U of the replica in slot w of group g, then
-    # takes one matrix-matrix product K[f] @ G[g, f] per (group, frequency),
-    # always n x n by n x W whatever the batch: traj[g, f, i - 1, w] is the
+    # The replicas run W at a time, replica g0 + w in slot w.  Each pass
+    # fills G[f, j, w] with the transform of sigma(U_j) zeta_j for the
+    # current iterate U, then takes one product K[f] @ G[f] per frequency,
+    # always n x n by n x W whatever the batch: traj[f, i - 1, w] is the
     # stochastic term of the next iterate at time i * dt, i < n, kept in
     # place across passes.  The last pass computes the final time only.
-    G = np.empty((groups, F, n, W), dtype=complex)
-    traj = np.empty((groups, F, n - 1, W), dtype=complex)
-    # G_at[j] and traj_at[j] are the (group, slot, *fshape) views of time j
-    G_at = np.moveaxis(G.reshape((groups,) + fshape + (n, W)), (-2, -1), (0, 2))
-    traj_at = np.moveaxis(traj.reshape((groups,) + fshape + (n - 1, W)), (-2, -1), (0, 2))
-    u0_batch = np.broadcast_to(u0, (groups, W) + grid.shape)
-    for it in range(n_iter):
-        last = it == n_iter - 1
-        for j in range(n if last else n - 1):
-            u = u0_batch
-            if it > 0 and j > 0:
-                u = np.fft.irfftn(traj_at[j - 1] + det_hat[j], s=grid.shape, axes=axes)
-            np.fft.rfftn(cfg.sigma(u) * zeta[j], axes=axes, out=G_at[j])
-        if not last:
-            np.matmul(K[:, : n - 1, : n - 1], G[:, :, : n - 1], out=traj)
-    acc = np.moveaxis(np.matmul(K[:, -1:], G).reshape((groups,) + fshape + (W,)), -1, 1)
-    final = np.fft.irfftn(acc.reshape((groups * W,) + fshape)[:R] + det_hat[n], s=grid.shape, axes=axes)
+    G = np.empty((F, n, W), dtype=complex)
+    traj = np.empty((F, n - 1, W), dtype=complex)
+    # G_at[j] and traj_at[j] are the (slot, *fshape) views of time j
+    G_at = np.moveaxis(G.reshape(fshape + (n, W)), (-2, -1), (0, 1))
+    traj_at = np.moveaxis(traj.reshape(fshape + (n - 1, W)), (-2, -1), (0, 1))
+    final = np.empty((R,) + grid.shape)
+    for g0 in range(0, R, W):
+        r = min(W, R - g0)
+        G[:, :, r:] = 0  # the empty slots of a part-filled group
+        for it in range(n_iter):
+            last = it == n_iter - 1
+            for j in range(n if last else n - 1):
+                u = u0
+                if it > 0 and j > 0:
+                    u = np.fft.irfftn(traj_at[j - 1, :r] + det_hat[j], s=grid.shape, axes=axes)
+                np.fft.rfftn(cfg.sigma(u) * zeta[j, g0 : g0 + r], axes=axes, out=G_at[j, :r])
+            if not last:
+                np.matmul(K[:, : n - 1, : n - 1], G[:, : n - 1], out=traj)
+        acc = np.moveaxis(np.matmul(K[:, -1:], G).reshape(fshape + (W,)), -1, 0)
+        np.fft.irfftn(acc[:r] + det_hat[n], s=grid.shape, axes=axes, out=final[g0 : g0 + r])
     _check_finite(t_final, final, streams)
     return final
 

@@ -666,6 +666,24 @@ class TestCli:
         open(man_path, "w").write(json.dumps(doc))
         assert cli_main(["report", out]) == 2
 
+    @pytest.mark.parametrize(
+        "manifest, summary",
+        [([], {}), ({}, []), ({}, {"analyses": []}), ({}, {"analyses": {"x": 3}}), ({}, {"failures": []}),
+         ({}, {"failures": ["moments"]})],
+        ids=["manifest-list", "summary-list", "analyses-list", "analysis-not-object", "failures-empty-list",
+             "failures-list"],
+    )
+    def test_report_malformed_summary_exits_two(self, tmp_path, capsys, manifest, summary):
+        # each summary that is an object carries the manifest's correct hash
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        if isinstance(summary, dict):
+            summary = {**summary, "manifest_hash": exp.manifest_hash(manifest)}
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert cli_main(["report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "malformed" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_minimal_dalang_and_oracle_manifests(self, tmp_path, capsys):
         # dalang needs only a model, the oracle a solver block but no grid
         minimal = {"version": 1, "seed": 3, "model": {"kind": "constant", "d": 1, "c": 0.3}}

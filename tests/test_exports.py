@@ -60,12 +60,15 @@ def test_every_export_is_used_outside_its_definition():
     trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
     others = [ast.parse(p.read_text()) for d in ("demos", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
     others += readme_blocks()
+    # every tree is scanned once; an export's home module is scanned again
+    # without the export's own definition
+    scanned = {path: used_names(tree) for path, tree in trees.items()}
+    outside = set().union(*(used_names(tree) for tree in others))
     unused = []
     for name, module in exports().items():
         home = PACKAGE / f"{module}.py"
-        own = definition_lines(trees[home], name)
-        used = set().union(*(used_names(tree, own if path == home else range(0)) for path, tree in trees.items()))
-        used |= set().union(*(used_names(tree) for tree in others))
+        used = used_names(trees[home], definition_lines(trees[home], name)) | outside
+        used |= set().union(*(names for path, names in scanned.items() if path != home))
         if name not in used:
             unused.append(name)
     assert unused == [], f"exported names used only by tests: {unused}"

@@ -105,26 +105,6 @@ class TestGeneratorReset:
         assert np.array_equal(copy.white_at(13, GRID, DT), src.white_at(13, GRID, DT))
         assert np.array_equal(copy.white_at(14, GRID, DT), reference_white(8, 1, 14, GRID, DT))
 
-    def test_draw_into_buffer_gives_same_bytes(self):
-        grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
-        for grid in (GRID, grid2):
-            a, b = (sl.WhiteNoiseSource(seed=6, stream_id=3) for _ in range(2))
-            for step in range(6):
-                buf = np.full(grid.shape, np.nan)
-                assert a.white_at(step, grid, DT, out=buf) is buf
-                assert buf.tobytes() == b.white_at(step, grid, DT).tobytes()
-                assert buf.tobytes() == reference_white(6, 3, step, grid, DT).tobytes()
-
-    def test_wrong_buffer_refused(self):
-        src = sl.WhiteNoiseSource(seed=6, stream_id=3)
-        m = GRID.m
-        with pytest.raises(NoiseError, match=r"of shape \(128,\), got \(129,\)"):
-            src.white_at(0, GRID, DT, out=np.empty(m + 1))
-        for bad in (np.empty(m, dtype=np.float32), np.empty(2 * m)[::2]):
-            with pytest.raises(NoiseError, match="C-contiguous float64"):
-                src.white_at(0, GRID, DT, out=bad)
-        assert src.next_step == 0
-
 
 class TestWhiteBatch:
     # one call draws k consecutive steps for many sources; out[i, l] must be

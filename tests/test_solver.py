@@ -383,17 +383,19 @@ class TestLocalizedEngine:
         )
 
     def test_batch_composition_invariance(self):
-        # the last R of 17 streams, R = 1, 7, 8, 9: every stream moves to
-        # another slot, or another group, of the contraction's replica
-        # groups than it has in the 17-stream batch, and the last one sits
-        # alone, in part-filled and in full groups; at depth 2, and at depth
-        # 1, where only the final row is contracted
+        # the last R of 17 streams, R = 1, 7, 8, 9, and of 40 streams, R = 1,
+        # 17, 33: every stream moves to another slot, or another group, of
+        # the contraction's replica groups than it has in the full batch,
+        # and the last one sits alone, in part-filled and in full groups,
+        # up to three groups a batch; at depth 2, and at depth 1, where only
+        # the final row is contracted
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), grid=ENGINE_GRID, dt=1 / 256)
         for loc in (ENGINE_LOC, sl.LocalizationConfig(beta=2.0)):
-            full = sl.localized_solve_batch(cfg, loc, 0.5, 11, range(17))
-            for R in (1, 7, 8, 9):
-                part = sl.localized_solve_batch(cfg, loc, 0.5, 11, range(17 - R, 17))
-                assert part.tobytes() == full[17 - R :].tobytes()
+            for total, sizes in ((17, (1, 7, 8, 9)), (40, (1, 17, 33))):
+                full = sl.localized_solve_batch(cfg, loc, 0.5, 11, range(total))
+                for R in sizes:
+                    part = sl.localized_solve_batch(cfg, loc, 0.5, 11, range(total - R, total))
+                    assert part.tobytes() == full[total - R :].tobytes()
 
     @pytest.mark.parametrize("beta", [2.0, 4.0, 8.0])
     def test_matches_per_replica_einsum(self, beta):
@@ -433,15 +435,18 @@ class TestLocalizedEngine:
         assert digests == {hashlib.sha256(here.tobytes()).hexdigest()}
 
     def test_peak_memory_of_one_chunk(self):
-        # the floor is the noise, the iterate and its products held at once,
-        # about one n * R * sites array each, plus the kernel stack
+        # the budget holds the noise, one n * R * sites array, one replica
+        # group's iterate and products, and the kernel stack; 33 replicas
+        # fill two groups and one slot of a third, and pay for that slot,
+        # not for a whole third group
         grid = sl.LatticeGrid(d=1, m=512, dx=0.25)
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0), grid=grid, dt=1 / 128)
-        n_steps, replicas = 32, 32
-        tracemalloc.start()
-        try:
-            sl.localized_solve_batch(cfg, sl.LocalizationConfig(beta=8.0), 0.25, 1, range(replicas))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.0 * n_steps * replicas * grid.n_sites * 8
+        n_steps = 32
+        for replicas in (32, 33):
+            tracemalloc.start()
+            try:
+                sl.localized_solve_batch(cfg, sl.LocalizationConfig(beta=8.0), 0.25, 1, range(replicas))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5.0 * n_steps * replicas * grid.n_sites * 8, replicas
