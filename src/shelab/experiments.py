@@ -4,23 +4,24 @@ A manifest is a JSON document naming one model, optionally a grid and
 solver setup, a seed, a replica count, and a set of analyses.  The JSON
 schema checks only its shape; every rule on a value is the library's own,
 raised by a constructor or check_* function with the violated inequality
-in the message.  _plan builds the model, grid, sigma, u0 and solver config
-once and prepares each analysis once through its row of the _ANALYSES
-table, whose _prepare function turns the block into library arguments,
-runs the library's checks on them and returns the library call.
+in the message.  _plan builds the run once: the seed, the model and, from
+the grid and solver blocks, sigma, u0 and the solver config.  Each analysis
+is one _prepare_<verb>(blk, run) function, listed in the _ANALYSES table
+with the blocks it needs besides the model: it runs the library's checks on
+its block and returns call(files), which runs the library, writes the
+analysis's files through the bundle writer and returns its summary entry.
 validate_manifest reports every error _plan collects, all at once, and run
-executes its calls, so a manifest that validates does not fail a rule
-halfway through a run.  The row also names the CSV the analysis writes and
-how its result becomes CSV rows and a summary entry; extremes, the one sup
-analysis, runs the probe once for its rungs, increments, tails, fit and
-verdict.  A dalang block needs no grid or solver, an oracle block no grid.
+executes the calls, so a manifest that validates does not fail a rule
+halfway through a run.  extremes, the one sup analysis, runs the probe once
+for its rungs, increments, tails, fit and verdict.
 
 Running a manifest produces a bundle directory written atomically (build
 in a temporary sibling, then rename): a canonical copy of the manifest,
-one CSV per analysis, optional field snapshots, and summary.json.  The
-SHA-256 hash of the canonical manifest is recorded in the summary and as a
-comment line in every CSV, and the report reader refuses bundles whose
-manifest no longer matches the recorded hash.
+the CSVs and field snapshots the analyses write, and summary.json, whose
+entry for each analysis lists its files.  The SHA-256 hash of the
+canonical manifest is recorded in the summary and as a comment line in
+every CSV, and the report reader refuses bundles whose manifest no longer
+matches the recorded hash.
 
 Determinism contract: identical manifests produce bit-identical CSVs,
 whatever the number of worker processes (``threads``), because every
@@ -37,7 +38,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -94,17 +95,32 @@ def load_manifest(path) -> dict:
 _RULE_ERRORS = (CorrelationError, LatticeError, NoiseError, SolverError, an.AnalysisError)
 
 
+@dataclass(frozen=True)
+class _Run:
+    """What every analysis of a manifest builds on, built once.  A part is
+    None when its block is absent or broke a rule."""
+
+    seed: Optional[int]
+    replicas: int
+    threads: int  # worker processes for replica chunks and oracle orders
+    model: Optional[CorrelationModel]
+    solver: Optional[dict]  # the solver block as written
+    sigma: Optional[SigmaFunction]
+    u0: Optional[U0Spec]
+    cfg: Optional[SolverConfig]
+
+
 def _plan(manifest: dict, threads: int) -> tuple:
-    """(errors, calls): every validation error of a manifest, and the library
-    call of each analysis, to run its replica chunks or oracle orders in up
-    to `threads` worker processes.  Each object and each call is built once."""
+    """(errors, run, calls): every validation error of a manifest, the run it
+    builds, and the prepared call of each analysis.  Each object and each
+    call is built once."""
     errors = []
     validator = jsonschema.Draft7Validator(_schema())
     for err in sorted(validator.iter_errors(manifest), key=lambda e: list(e.absolute_path)):
         loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
         errors.append(f"{loc}: {err.message}")
     if errors:
-        return errors, {}
+        return errors, None, {}
 
     def collect(where, build, *args):
         try:
@@ -122,28 +138,20 @@ def _plan(manifest: dict, threads: int) -> tuple:
         u0 = collect("solver/u0", U0Spec.from_dict, sb.get("u0", {}))
         if all(x is not None for x in (model, grid, sigma, u0)):
             cfg = collect("solver", SolverConfig, grid, model, sigma, sb["kappa"], sb["dt"], u0)
+    run = _Run(seed, manifest.get("replicas", 1), threads, model, sb, sigma, u0, cfg)
 
-    analyses = manifest.get("analysis", {})
-    needs_solver = sorted(verb for verb in analyses if _ANALYSES[verb].needs_solver)
-    if needs_solver and ("grid" not in manifest or sb is None):
-        errors.append(
-            f"analyses {needs_solver} need both a grid and a solver block"
-        )
-    if "oracle" in analyses and sb is None:
-        errors.append("oracle: needs a solver block for kappa and t_final")
-    if "simulate" in analyses and sb is not None:
-        for t_rec in analyses["simulate"]["record_times"]:
-            if t_rec > sb["t_final"] + 1e-12:
-                errors.append(f"simulate: record time {t_rec} exceeds t_final {sb['t_final']}")
+    # whether each block an analysis can need was built: a grid only ever
+    # serves through the solver config
+    built = {"grid": cfg is not None, "solver": sigma is not None and u0 is not None}
     calls = {}
-    for verb in sorted(analyses):
-        # a block is checked once everything it builds on was built
-        built = cfg if _ANALYSES[verb].needs_solver else model
-        if verb == "oracle":  # the oracle also builds on the run's sigma and initial data
-            built = (model, sigma, u0) if all(x is not None for x in (model, sigma, u0)) else None
-        if seed is not None and built is not None:
-            calls[verb] = collect(verb, _ANALYSES[verb].prepare, manifest, built, threads)
-    return errors, calls
+    for verb, blk in sorted(manifest.get("analysis", {}).items()):
+        needs = _ANALYSES[verb].needs
+        if not all(part in manifest for part in needs):
+            errors.append(f"{verb}: needs a {' and a '.join(needs)} block")
+        elif seed is not None and model is not None and all(built[part] for part in needs):
+            # a block is checked once everything it builds on was built
+            calls[verb] = collect(verb, _ANALYSES[verb].prepare, blk, run)
+    return errors, run, calls
 
 
 def validate_manifest(manifest: dict) -> list:
@@ -151,236 +159,195 @@ def validate_manifest(manifest: dict) -> list:
     return _plan(manifest, 1)[0]
 
 
-def _replicas(manifest: dict) -> int:
-    return manifest.get("replicas", 1)
+def _prepare_dalang(blk: dict, run: _Run):
+    def call(files):
+        v = dalang_condition(run.model)
+        row = [run.model.kind, v.finite, v.integral, v.reason]
+        files.csv("dalang.csv", ("kind", "finite", "integral", "reason"), [row])
+        return asdict(v)
+
+    return call
 
 
-# One _prepare function per analysis: it turns the block into the arguments
-# of the library call, runs the library's checks on them, and returns the
-# call, ready to run its replica chunks (or oracle orders) in up to `threads`
-# worker processes.
-
-
-def _prepare_dalang(manifest: dict, model: CorrelationModel, threads: int = 1):
-    return partial(dalang_condition, model)
-
-
-def _prepare_noise_selftest(manifest: dict, cfg: SolverConfig, threads: int = 1):
-    blk = manifest["analysis"]["noise_selftest"]
-    args = (cfg.model, cfg.grid, cfg.dt, blk["lags"], blk["slices"])
+def _prepare_noise_selftest(blk: dict, run: _Run):
+    cfg = run.cfg
     check_covariance_selftest(cfg.model, cfg.grid, blk["lags"], blk["slices"], blk.get("level"))
-    return partial(covariance_selftest, *args, seed=manifest["seed"], level=blk.get("level"))
+
+    def call(files):
+        rows, cross = covariance_selftest(
+            cfg.model, cfg.grid, cfg.dt, blk["lags"], blk["slices"], seed=run.seed, level=blk.get("level")
+        )
+        columns = ("lag_cells", "lag_distance", "target", "empirical", "stderr")
+        files.csv("noise_selftest.csv", columns, [[r[c] for c in columns] for r in rows],
+                  plot=("lag_distance", ("target", "empirical")))
+        return {
+            "cross_time": cross,
+            "within_3_stderr": all(abs(r["empirical"] - r["target"]) <= 3.0 * r["stderr"] for r in rows),
+            "cross_time_in_band": abs(cross["mean"]) <= 4.0 * cross["stderr"],
+        }
+
+    return call
 
 
-def _prepare_simulate(manifest: dict, cfg: SolverConfig, threads: int = 1):
-    record_times = manifest["analysis"]["simulate"]["record_times"]
-    for t_rec in record_times:
+def _prepare_simulate(blk: dict, run: _Run):
+    t_final = run.solver["t_final"]
+    problems = []
+    for t_rec in blk["record_times"]:
+        if t_rec > t_final + 1e-12:
+            problems.append(f"record time {t_rec} exceeds t_final {t_final}")
         try:
-            check_solve(cfg, t_rec)
+            check_solve(run.cfg, t_rec)
         except SolverError as e:  # a record time is the t_final of its own solve
-            raise SolverError(str(e).replace("t_final", "record time")) from None
-    # the field of stream 0 at each record time
-    return lambda: [SolutionField(cfg.grid, t, solve_batch(cfg, t, manifest["seed"], [0])[0]) for t in record_times]
+            problems.append(str(e).replace("t_final", "record time"))
+    if problems:
+        raise SolverError("; ".join(problems))
+
+    def call(files):
+        # the field of stream 0 at each record time
+        fields = [SolutionField(run.cfg.grid, t, solve_batch(run.cfg, t, run.seed, [0])[0])
+                  for t in blk["record_times"]]
+        stats = (np.mean, np.var, np.min, np.max, lambda v: np.max(np.abs(v)))
+        files.csv("field_stats.csv", ("t", "mean", "var", "min", "max", "sup"),
+                  [[fld.t] + [float(stat(fld.values)) for stat in stats] for fld in fields], plot=("t", ("var",)))
+        if blk.get("snapshot"):
+            for fld in fields:
+                name = f"snapshot_t{_fmt(float(fld.t))}.field"
+                save_snapshot(files.path(name), fld, run.cfg.kappa, run.sigma.kind, run.seed)
+        return {"record_times": [fld.t for fld in fields]}
+
+    return call
 
 
-def _prepare_moments(manifest: dict, cfg: SolverConfig, threads: int = 1):
-    blk = manifest["analysis"]["moments"]
+def _prepare_moments(blk: dict, run: _Run):
     probes = blk.get("probes")
     if probes is not None:
         probes = tuple(tuple(p) for p in probes)
-    scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"], probes=probes)
-    args = (scen, blk["ks"], _replicas(manifest))
+    args = (an.Scenario(cfg=run.cfg, t_final=run.solver["t_final"], probes=probes), blk["ks"], run.replicas)
     an.check_moments(*args)
-    return partial(an.estimate_moments, *args, seed=manifest["seed"], threads=threads)
+
+    def call(files):
+        rep = an.estimate_moments(*args, seed=run.seed, threads=run.threads)
+        per_k = zip(rep.ks, rep.estimates, rep.stderrs, rep.flags)
+        files.csv("moments.csv", ("k", "t", "estimate", "stderr", "flagged", "replicas"),
+                  [[k, rep.t, est, se, flagged, rep.n_replicas] for k, est, se, flagged in per_k],
+                  plot=("k", ("estimate",)))
+        return {"ks": rep.ks, "estimates": rep.estimates, "stderrs": rep.stderrs, "flags": rep.flags}
+
+    return call
 
 
-def _prepare_oracle(manifest: dict, built: tuple, threads: int = 1):
-    model, sigma, u0 = built
-    if sigma.kind != "linear":
-        raise an.AnalysisError(f"sigma kind {sigma.kind!r} violates kind = 'linear' (multiplicative noise)")
-    if u0.kind != "constant":
-        raise an.AnalysisError(f"u0 kind {u0.kind!r} violates kind = 'constant' (flat initial data)")
-    blk = manifest["analysis"]["oracle"]
-    ocfg = an.FkOracleConfig(blk["walkers"], blk["inner_steps"], manifest["seed"])
-    args = (model, manifest["solver"]["kappa"], manifest["solver"]["t_final"])
+def _prepare_oracle(blk: dict, run: _Run):
+    if run.sigma.kind != "linear":
+        raise an.AnalysisError(f"sigma kind {run.sigma.kind!r} violates kind = 'linear' (multiplicative noise)")
+    if run.u0.kind != "constant":
+        raise an.AnalysisError(f"u0 kind {run.u0.kind!r} violates kind = 'constant' (flat initial data)")
+    ocfg = an.FkOracleConfig(blk["walkers"], blk["inner_steps"], run.seed)
+    args = (run.model, run.solver["kappa"], run.solver["t_final"])
     # the block names k, ks or both; every order it names is checked, and ks runs when given
     named = [blk["k"]] if "k" in blk else []
     ks = blk.get("ks", named)
     for order in named + ks:
-        an.check_oracle(*args, order, u0.level)
-    calls = [partial(an.fk_moment_oracle, *args, order, ocfg, u0_level=u0.level) for order in ks]
-    return partial(an.fork_map, calls, threads)
+        an.check_oracle(*args, order, run.u0.level)
+    orders = [partial(an.fk_moment_oracle, *args, order, ocfg, u0_level=run.u0.level) for order in ks]
+
+    def call(files):
+        out = an.fork_map(orders, run.threads)
+        columns = ("k", "t", "estimate", "stderr", "log_mean", "log_stderr", "heavy_tail", "walkers", "reg_scale")
+        files.csv("oracle.csv", columns, [[getattr(r, c) for c in columns] for r in out])
+        return {
+            "ks": [r.k for r in out],
+            "log_means": [r.log_mean for r in out],
+            "log_stderrs": [r.log_stderr for r in out],
+            "heavy_tail": [r.heavy_tail for r in out],
+            "resamplings": [r.resamplings for r in out],
+        }
+
+    return call
 
 
-def _prepare_extremes(manifest: dict, cfg: SolverConfig, threads: int = 1):
-    blk = manifest["analysis"]["extremes"]
-    scen = an.Scenario(cfg=cfg, t_final=manifest["solver"]["t_final"])
-    args = (scen, blk["radii"], _replicas(manifest))
+def _prepare_extremes(blk: dict, run: _Run):
+    args = (an.Scenario(cfg=run.cfg, t_final=run.solver["t_final"]), blk["radii"], run.replicas)
     an.check_boundedness(*args)
     an.check_fluctuation_radii(blk["radii"])  # the summary fits log log R
-    for lam in blk.get("tail_lambdas", []):
+    lambdas = blk.get("tail_lambdas", [])
+    for lam in lambdas:
         an.check_tail_threshold(lam)
-    return partial(an.boundedness_probe, *args, seed=manifest["seed"], threads=threads)
+
+    def call(files):
+        probe = an.boundedness_probe(*args, seed=run.seed, threads=run.threads)
+        fit = an.fluctuation_exponent(probe.radii, probe.mean_log_sup)
+        # the first rung has no increment
+        sups = (probe.radii, probe.mean_sup, probe.stderr_sup, probe.mean_log_sup)
+        files.csv("sup_stats.csv", ("radius", "mean_sup", "stderr", "mean_log_sup", "increment", "increment_stderr"),
+                  zip(*sups, [None] + probe.increments, [None] + probe.increment_stderrs),
+                  plot=("radius", ("mean_sup",)))
+        if lambdas:
+            # tails of the sup over the largest ball, from the probe's own samples
+            tails = [astuple(an.tail_estimate(probe.samples[:, -1], lam)) for lam in lambdas]
+            files.csv("tails.csv", ("lambda", "p_hat", "lo", "hi", "exceedances", "n"), tails)
+        return {"psi_hat": fit.exponent, "psi_stderr": fit.stderr, "r2": fit.r2, "verdict": probe.verdict}
+
+    return call
 
 
-def _prepare_localize(manifest: dict, cfg: SolverConfig, threads: int = 1):
-    blk = manifest["analysis"]["localize"]
-    args = (cfg, manifest["solver"]["t_final"], blk["betas"], blk["k"], _replicas(manifest))
+def _prepare_localize(blk: dict, run: _Run):
+    args = (run.cfg, run.solver["t_final"], blk["betas"], blk["k"], run.replicas)
     an.check_localization_curve(*args)
-    return partial(an.localization_error_curve, *args, seed=manifest["seed"], threads=threads)
+
+    def call(files):
+        c = an.localization_error_curve(*args, seed=run.seed, threads=run.threads)
+        files.csv("localize.csv", ("beta", "k", "error", "stderr"),
+                  [[b, c.k, e, s] for b, e, s in zip(c.betas, c.errors, c.stderrs)], plot=("beta", ("error",)))
+        return {
+            "betas": c.betas,
+            "errors": c.errors,
+            "monotone_decreasing": all(a > b for a, b in zip(c.errors, c.errors[1:])),
+            "decay_rate": None if c.fit is None else c.fit.extras["decay_rate"],
+        }
+
+    return call
 
 
-def _prepare_independence(manifest: dict, cfg: SolverConfig, threads: int = 1):
-    blk = manifest["analysis"]["independence"]
-    loc = LocalizationConfig(beta=blk["beta"])
-    args = (cfg, loc, manifest["solver"]["t_final"], blk["points"], _replicas(manifest))
+def _prepare_independence(blk: dict, run: _Run):
+    args = (run.cfg, LocalizationConfig(beta=blk["beta"]), run.solver["t_final"], blk["points"], run.replicas)
     an.check_independence(*args)
-    return partial(an.independence_test, *args, seed=manifest["seed"], threads=threads)
 
+    def call(files):
+        res = an.independence_test(*args, seed=run.seed, threads=run.threads)
+        n = len(res.points)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        files.csv("independence.csv", ("i", "j", "corr", "separation"),
+                  [[a, b, float(res.correlations[a, b]), float(res.separations[a, b])] for a, b in pairs])
+        names = ("max_abs_offdiag", "null_band", "required_separation", "exact", "passed")
+        return {name: getattr(res, name) for name in names}
 
-# The row builders, rows(manifest, result), and summary builders,
-# summary(result), that the table below does not spell out in place.
-
-
-def _attrs(*names):
-    """A summary builder that copies these attributes of the result."""
-    return lambda result: {name: getattr(result, name) for name in names}
-
-
-def _selftest_summary(result) -> dict:
-    rows, cross = result
-    return {
-        "cross_time": cross,
-        "within_3_stderr": all(abs(r["empirical"] - r["target"]) <= 3.0 * r["stderr"] for r in rows),
-        "cross_time_in_band": abs(cross["mean"]) <= 4.0 * cross["stderr"],
-    }
-
-
-def _field_stats_rows(manifest: dict, fields: list) -> list:
-    stats = (np.mean, np.var, np.min, np.max, lambda v: np.max(np.abs(v)))
-    return [[fld.t] + [float(stat(fld.values)) for stat in stats] for fld in fields]
-
-
-def _moments_rows(manifest: dict, rep) -> list:
-    per_k = zip(rep.ks, rep.estimates, rep.stderrs, rep.flags)
-    return [[k, rep.t, est, se, flagged, rep.n_replicas] for k, est, se, flagged in per_k]
-
-
-def _oracle_summary(out: list) -> dict:
-    return {
-        "ks": [r.k for r in out],
-        "log_means": [r.log_mean for r in out],
-        "log_stderrs": [r.log_stderr for r in out],
-        "heavy_tail": [r.heavy_tail for r in out],
-        "resamplings": [r.resamplings for r in out],
-    }
-
-
-def _extremes_summary(probe) -> dict:
-    fit = an.fluctuation_exponent(probe.radii, probe.mean_log_sup)
-    return {"psi_hat": fit.exponent, "psi_stderr": fit.stderr, "r2": fit.r2, "verdict": probe.verdict}
-
-
-def _localize_summary(curve) -> dict:
-    return {
-        "betas": curve.betas,
-        "errors": curve.errors,
-        "monotone_decreasing": all(a > b for a, b in zip(curve.errors, curve.errors[1:])),
-        "decay_rate": None if curve.fit is None else curve.fit.extras["decay_rate"],
-    }
-
-
-def _independence_rows(manifest: dict, res) -> list:
-    n = len(res.points)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return [[a, b, float(res.correlations[a, b]), float(res.separations[a, b])] for a, b in pairs]
-
-
-def _sup_rows(manifest: dict, probe) -> list:
-    # the first rung has no increment
-    sups = (probe.radii, probe.mean_sup, probe.stderr_sup, probe.mean_log_sup)
-    return list(zip(*sups, [None] + probe.increments, [None] + probe.increment_stderrs))
+    return call
 
 
 @dataclass(frozen=True)
 class _Analysis:
-    """How one analysis block runs and what it writes into a bundle.
-
-    prepare(manifest, built, threads=1) checks the block's rules and returns
-    the library call; built is the solver config when needs_solver is set,
-    the model, solver/sigma and solver/u0 for the oracle, and the model
-    otherwise.
-    The call's result becomes rows(manifest, result) of the CSV csv under
-    columns and the summary.json entry summary(result).  plot names the
-    x column and the y columns that plots.gp draws against it.
-    """
+    """One analysis block: prepare(blk, run) runs the library's checks on the
+    block and returns call(files), which runs the library, writes the
+    analysis's files through the _Files writer and returns its summary
+    entry.  needs names the blocks it builds on besides the model; prepare
+    runs only once they are built."""
 
     prepare: Callable
-    needs_solver: bool
-    csv: str
-    columns: tuple
-    rows: Callable
-    summary: Callable
-    plot: Optional[tuple] = None
+    needs: tuple
 
 
-_SELFTEST_COLUMNS = ("lag_cells", "lag_distance", "target", "empirical", "stderr")
-_ORACLE_COLUMNS = ("k", "t", "estimate", "stderr", "log_mean", "log_stderr", "heavy_tail", "walkers", "reg_scale")
+_SOLVES = ("grid", "solver")
 
 # One row per analysis, in the order of the CLI verbs.
 _ANALYSES = {
-    "dalang": _Analysis(
-        _prepare_dalang, needs_solver=False,
-        csv="dalang.csv", columns=("kind", "finite", "integral", "reason"),
-        rows=lambda manifest, v: [[manifest["model"]["kind"], v.finite, v.integral, v.reason]],
-        summary=_attrs("finite", "integral", "reason"),
-    ),
-    "noise_selftest": _Analysis(
-        _prepare_noise_selftest, needs_solver=True,
-        csv="noise_selftest.csv", columns=_SELFTEST_COLUMNS,
-        rows=lambda manifest, result: [[r[c] for c in _SELFTEST_COLUMNS] for r in result[0]],
-        summary=_selftest_summary,
-        plot=("lag_distance", ("target", "empirical")),
-    ),
-    "simulate": _Analysis(
-        _prepare_simulate, needs_solver=True,
-        csv="field_stats.csv", columns=("t", "mean", "var", "min", "max", "sup"),
-        rows=_field_stats_rows, summary=lambda fields: {"record_times": [fld.t for fld in fields]},
-        plot=("t", ("var",)),
-    ),
-    "moments": _Analysis(
-        _prepare_moments, needs_solver=True,
-        csv="moments.csv", columns=("k", "t", "estimate", "stderr", "flagged", "replicas"),
-        rows=_moments_rows,
-        summary=_attrs("ks", "estimates", "stderrs", "flags"),
-        plot=("k", ("estimate",)),
-    ),
-    "oracle": _Analysis(
-        _prepare_oracle, needs_solver=False,
-        csv="oracle.csv", columns=_ORACLE_COLUMNS,
-        rows=lambda manifest, out: [[getattr(r, c) for c in _ORACLE_COLUMNS] for r in out],
-        summary=_oracle_summary,
-    ),
-    "extremes": _Analysis(
-        _prepare_extremes, needs_solver=True,
-        csv="sup_stats.csv",
-        columns=("radius", "mean_sup", "stderr", "mean_log_sup", "increment", "increment_stderr"),
-        rows=_sup_rows, summary=_extremes_summary,
-        plot=("radius", ("mean_sup",)),
-    ),
-    "localize": _Analysis(
-        _prepare_localize, needs_solver=True,
-        csv="localize.csv", columns=("beta", "k", "error", "stderr"),
-        rows=lambda manifest, c: [[b, c.k, e, s] for b, e, s in zip(c.betas, c.errors, c.stderrs)],
-        summary=_localize_summary,
-        plot=("beta", ("error",)),
-    ),
-    "independence": _Analysis(
-        _prepare_independence, needs_solver=True,
-        csv="independence.csv", columns=("i", "j", "corr", "separation"),
-        rows=_independence_rows,
-        summary=_attrs("max_abs_offdiag", "null_band", "required_separation", "exact", "passed"),
-    ),
+    "dalang": _Analysis(_prepare_dalang, needs=()),
+    "noise_selftest": _Analysis(_prepare_noise_selftest, needs=_SOLVES),
+    "simulate": _Analysis(_prepare_simulate, needs=_SOLVES),
+    "moments": _Analysis(_prepare_moments, needs=_SOLVES),
+    "oracle": _Analysis(_prepare_oracle, needs=("solver",)),  # kappa, t_final, sigma and u0, no grid
+    "extremes": _Analysis(_prepare_extremes, needs=_SOLVES),
+    "localize": _Analysis(_prepare_localize, needs=_SOLVES),
+    "independence": _Analysis(_prepare_independence, needs=_SOLVES),
 }
 
 
@@ -396,11 +363,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, mhash: str, header, rows):
-    lines = [f"# manifest_hash={mhash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+class _Files:
+    """The writer of one analysis's files in a bundle directory.  It records
+    each file's name for the analysis's summary entry and each plotted CSV's
+    lines for plots.gp."""
+
+    def __init__(self, outdir: Path, mhash: str):
+        self.outdir, self.mhash = outdir, mhash
+        self.names, self.plots = [], []
+
+    def path(self, name: str) -> Path:
+        self.names.append(name)
+        return self.outdir / name
+
+    def csv(self, name: str, columns: tuple, rows, plot: Optional[tuple] = None):
+        """Write the manifest hash line, the header and one line per row.
+        plot names the x column and the y columns that plots.gp draws
+        against it."""
+        lines = [f"# manifest_hash={self.mhash}", ",".join(columns)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        self.path(name).write_text("\n".join(lines) + "\n")
+        if plot is not None:
+            x, ys = plot
+            col = {c: i + 1 for i, c in enumerate(columns)}
+            curves = (f"'{name}' using {col[x]}:{col[y]} with linespoints title '{y}'" for y in ys)
+            png = name.replace(".csv", ".png")
+            self.plots += [f"set output '{png}'", f"set xlabel '{x}'", f"plot {', '.join(curves)}"]
 
 
 def save_snapshot(path, fld: SolutionField, kappa: float, sigma_kind: str, seed: int):
@@ -438,38 +426,13 @@ class ResultBundle:
         return bool(self.summary.get("complete"))
 
 
-_TAIL_COLUMNS = ("lambda", "p_hat", "lo", "hi", "exceedances", "n")
-
-
-def _run_one(verb: str, call: Callable, manifest: dict, mhash: str, outdir: Path) -> dict:
-    """Run one prepared analysis and write its files; returns its summary entry."""
-    spec = _ANALYSES[verb]
-    blk = manifest["analysis"][verb]
-    result = call()
-    summary = spec.summary(result)
-    _write_csv(outdir / spec.csv, mhash, spec.columns, spec.rows(manifest, result))
-    files = [spec.csv]
-    if verb == "simulate" and blk.get("snapshot"):
-        sb = manifest["solver"]
-        for fld in result:
-            name = f"snapshot_t{_fmt(float(fld.t))}.field"
-            save_snapshot(outdir / name, fld, sb["kappa"], sb["sigma"]["kind"], manifest["seed"])
-            files.append(name)
-    if verb == "extremes" and blk.get("tail_lambdas"):
-        # tails of the sup over the largest ball, from the probe's own samples
-        tails = [astuple(an.tail_estimate(result.samples[:, -1], lam)) for lam in blk["tail_lambdas"]]
-        _write_csv(outdir / "tails.csv", mhash, _TAIL_COLUMNS, tails)
-        files.append("tails.csv")
-    return {**summary, "files": files}
-
-
 def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> ResultBundle:
     """Validate and execute a manifest, writing an atomic bundle directory.
 
     Analyses that raise are recorded as failures and the rest continue; the
     bundle is then marked incomplete.  The output directory must not exist.
     """
-    errors, calls = _plan(manifest, threads)
+    errors, plan, calls = _plan(manifest, threads)
     if errors:
         raise ManifestError(errors)
     out = Path(out)
@@ -481,17 +444,20 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
     t0 = time.perf_counter()
     summary: dict = {}
     failures: dict = {}
+    plots: list = []
     try:
         (tmp / "manifest.json").write_text(canonical_json(manifest) + "\n")
-        for verb, call in calls.items():
+        for name, call in calls.items():
+            files = _Files(tmp, mhash)
             try:
-                summary[verb] = _run_one(verb, call, manifest, mhash, tmp)
+                summary[name] = {**call(files), "files": files.names}
             except Exception as exc:  # partial bundles keep whatever succeeded
-                failures[verb] = f"{type(exc).__name__}: {exc}"
+                failures[name] = f"{type(exc).__name__}: {exc}"
+            plots += files.plots
         meta = {
             "manifest_hash": mhash,
-            "seed": manifest["seed"],
-            "replicas": _replicas(manifest),
+            "seed": plan.seed,
+            "replicas": plan.replicas,
             "threads": threads,
             "complete": not failures,
             "failures": failures,
@@ -500,33 +466,14 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
         }
         (tmp / "summary.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         if emit_gnuplot:
-            _emit_gnuplot(tmp)
+            header = ["set datafile separator comma", "set datafile commentschars '#'",
+                      "set key autotitle columnhead", "set terminal pngcairo size 900,600"]
+            (tmp / "plots.gp").write_text("\n".join(header + plots) + "\n")
         os.rename(tmp, out)
     except Exception:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     return ResultBundle(path=out, manifest=manifest, manifest_sha=mhash, summary=meta)
-
-
-def _emit_gnuplot(outdir: Path):
-    lines = [
-        "set datafile separator comma",
-        "set datafile commentschars '#'",
-        "set key autotitle columnhead",
-        "set terminal pngcairo size 900,600",
-    ]
-    for spec in _ANALYSES.values():
-        if spec.plot is None or not (outdir / spec.csv).exists():
-            continue
-        xlabel, ys = spec.plot
-        lines.append(f"set output '{spec.csv.replace('.csv', '.png')}'")
-        lines.append(f"set xlabel '{xlabel}'")
-        x = spec.columns.index(xlabel) + 1
-        curves = (
-            f"'{spec.csv}' using {x}:{spec.columns.index(y) + 1} with linespoints title '{y}'" for y in ys
-        )
-        lines.append(f"plot {', '.join(curves)}")
-    (outdir / "plots.gp").write_text("\n".join(lines) + "\n")
 
 
 def read_bundle(path) -> ResultBundle:
@@ -536,8 +483,10 @@ def read_bundle(path) -> ResultBundle:
     summary = json.loads((path / "summary.json").read_text())
     analyses = summary.get("analyses", {}) if isinstance(summary, dict) else None
     if not (isinstance(manifest, dict) and isinstance(analyses, dict) and isinstance(summary.get("failures", {}), dict)
-            and all(isinstance(a, dict) for a in analyses.values())):
-        raise BundleError(f"bundle {path} is malformed: manifest, summary, analyses and failures must be JSON objects")
+            and all(isinstance(a, dict) and isinstance(a.get("files", []), list) for a in analyses.values())
+            and all(isinstance(name, str) for a in analyses.values() for name in a.get("files", []))):
+        raise BundleError(f"bundle {path} is malformed: manifest, summary, analyses and failures must be JSON objects"
+                          " and each analysis's files a list of names")
     actual = manifest_hash(manifest)
     recorded = summary.get("manifest_hash")
     if actual != recorded:
@@ -559,10 +508,7 @@ def render_report(bundle: ResultBundle) -> str:
     for verb, info in sorted(s.get("analyses", {}).items()):
         lines.append(f"[{verb}]")
         for key, val in info.items():
-            if key == "files":
-                lines.append(f"  files: {', '.join(val)}")
-            else:
-                lines.append(f"  {key}: {val}")
+            lines.append(f"  {key}: {', '.join(val) if key == 'files' else val}")
     for verb, msg in s.get("failures", {}).items():
         lines.append(f"[FAILED {verb}] {msg}")
     return "\n".join(lines)

@@ -1,9 +1,11 @@
+import ast
 import collections
 import copy
 import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,8 +232,10 @@ class TestValidation:
     def test_solver_analyses_need_grid(self):
         m = base_manifest()
         del m["grid"]
-        errs = exp.validate_manifest(m)
-        assert any("need both a grid and a solver block" in e for e in errs)
+        assert exp.validate_manifest(m) == ["moments: needs a grid and a solver block"]
+        # the oracle needs the solver block but no grid
+        m = broken({"grid": DROP, "solver": DROP, "analysis": {"dalang": {}, "oracle": ORACLE}})
+        assert exp.validate_manifest(m) == ["oracle: needs a solver block"]
 
     def test_invalid_grid_is_not_a_missing_grid(self):
         m = base_manifest()
@@ -462,10 +466,10 @@ class TestRunBundles:
         m["analysis"] = {
             "dalang": {},
             "noise_selftest": {"lags": [0], "slices": 4},
-            "simulate": {"record_times": [0.25]},
+            "simulate": {"record_times": [0.25], "snapshot": True},
             "moments": {"ks": [2]},
             "oracle": ORACLE,
-            "extremes": {"radii": [2.0, 4.0]},
+            "extremes": {"radii": [2.0, 4.0], "tail_lambdas": [4.0]},
             "localize": {"betas": [2], "k": 2},
             "independence": {"beta": 2, "points": [[0.0], [6.0]]},
         }
@@ -485,8 +489,35 @@ class TestRunBundles:
         monkeypatch.setattr(sl.CorrelationModel, "from_dict", classmethod(counted_from_dict))
         for verb, spec in exp._ANALYSES.items():
             monkeypatch.setitem(exp._ANALYSES, verb, dataclasses.replace(spec, prepare=counted(verb, spec.prepare)))
-        assert exp.run(m, tmp_path / "b").complete
+        bundle = exp.run(m, tmp_path / "b")
+        assert bundle.complete
         assert calls == {"from_dict": 1, **{verb: 1 for verb in exp._ANALYSES}}
+        # the analyses' files entries name every file of the bundle once
+        listed = [name for entry in bundle.summary["analyses"].values() for name in entry["files"]]
+        assert sorted(listed) == sorted(set(os.listdir(tmp_path / "b")) - {"manifest.json", "summary.json"})
+
+    def test_runner_names_no_verb(self):
+        # what is particular to an analysis lives in its _prepare_<verb>
+        tree = ast.parse(Path(exp.__file__).read_text())
+        named = {
+            (node.name, const.value)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_prepare_")
+            for const in ast.walk(node)
+            if isinstance(const, ast.Constant) and isinstance(const.value, str) and const.value in exp._ANALYSES
+        }
+        assert named == set()
+
+    def test_simulate_writes_a_snapshot_per_record_time(self, tmp_path):
+        m = base_manifest()
+        m["solver"]["dt"] = 1 / 128
+        m["analysis"] = {"simulate": {"record_times": [0.125, 0.25], "snapshot": True}}
+        entry = exp.run(m, tmp_path / "b").summary["analyses"]["simulate"]
+        assert entry["files"] == ["field_stats.csv", "snapshot_t0.125.field", "snapshot_t0.25.field"]
+        for t, name in zip((0.125, 0.25), entry["files"][1:]):
+            header, data = exp.load_snapshot(tmp_path / "b" / name)
+            assert data.tobytes() == sl.solve_batch(manifest_cfg(m), t, m["seed"], [0])[0].tobytes()
+            assert [header[key] for key in ("t", "kappa", "sigma", "seed")] == [t, 1.0, "linear", 11]
 
     def test_rerun_is_byte_identical_and_thread_invariant(self, tmp_path):
         m = base_manifest()
@@ -669,9 +700,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "manifest, summary",
         [([], {}), ({}, []), ({}, {"analyses": []}), ({}, {"analyses": {"x": 3}}), ({}, {"failures": []}),
-         ({}, {"failures": ["moments"]})],
+         ({}, {"failures": ["moments"]}), ({}, {"analyses": {"x": {"files": 3}}}),
+         ({}, {"analyses": {"x": {"files": "ab"}}})],
         ids=["manifest-list", "summary-list", "analyses-list", "analysis-not-object", "failures-empty-list",
-             "failures-list"],
+             "failures-list", "files-number", "files-string"],
     )
     def test_report_malformed_summary_exits_two(self, tmp_path, capsys, manifest, summary):
         # each summary that is an object carries the manifest's correct hash
