@@ -1,11 +1,14 @@
 """Monte Carlo estimators, the path-integral moment oracle, and probes.
 
-Estimators follow one pattern: replicas are independent solver runs indexed
-by stream id, farmed out in contiguous chunks (optionally across forked
-worker processes), and every reduction happens after sorting by stream id,
-so results do not depend on the worker count.  Each estimator first calls
-its check_* function, which raises every rule of the run before any noise
-is drawn; manifest validation calls the same functions.
+Replica estimators follow one path.  replica_map farms replicas, solver
+runs indexed by stream id, out in fixed chunks (optionally to forked worker
+processes).  A chunk solves through _coupled_batch, at the levels the
+estimator reads (full solution, localized iterates or both) on one draw of
+the noise, and reduces the fields to one row per replica.  Rows merge in
+stream order, so results do not depend on the worker count; column means
+and their jackknife stderrs come from _jackknife_means.  Each estimator
+first calls its check_* function, which raises every rule of the run
+before any noise is drawn; manifest validation calls the same functions.
 
 The moment oracle estimates E|u_t(x)|^k for flat initial data without
 touching the lattice solver.  For multiplicative noise the k-th moment has
@@ -53,8 +56,6 @@ from .solver import (
     _coupled_batch,
     check_localization,
     check_solve,
-    localized_solve_batch,
-    solve_batch,
 )
 
 
@@ -133,6 +134,17 @@ def _jackknife_se(loo: np.ndarray) -> float:
     return math.sqrt((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)))
 
 
+def _jackknife_means(rows: np.ndarray) -> tuple:
+    """Mean and delete-one jackknife stderr of each column of rows (n >= 2, c).
+    Each column is copied to a contiguous row first, so it sums in the order
+    of a 1-D array: its bits do not depend on the other columns."""
+    x = np.ascontiguousarray(np.transpose(rows), dtype=float)
+    n = x.shape[-1]
+    loo = (np.sum(x, axis=-1, keepdims=True) - x) / (n - 1)
+    dev = loo - np.mean(loo, axis=-1, keepdims=True)
+    return np.mean(x, axis=-1), np.sqrt((n - 1) / n * np.sum(dev**2, axis=-1))
+
+
 def jackknife_stat(values: np.ndarray, stat: str = "mean"):
     """Delete-one jackknife estimate and stderr for the mean or variance."""
     x = np.asarray(values, dtype=float)
@@ -141,16 +153,15 @@ def jackknife_stat(values: np.ndarray, stat: str = "mean"):
     if n < need:
         raise AnalysisError(f"jackknife {stat} needs n >= {need} values, got n = {n}")
     if stat == "mean":
-        est = float(np.mean(x))
-        loo = (np.sum(x) - x) / (n - 1)
-    elif stat == "var":
+        est, se = _jackknife_means(x.reshape(n, 1))
+        return float(est[0]), float(se[0])
+    if stat == "var":
         s1, s2 = np.sum(x), np.sum(x * x)
         est = float(np.var(x, ddof=1))
         mean_loo = (s1 - x) / (n - 1)
         loo = (s2 - x * x - (n - 1) * mean_loo**2) / (n - 2)
-    else:
-        raise AnalysisError(f"unknown jackknife stat {stat!r}")
-    return est, _jackknife_se(loo)
+        return est, _jackknife_se(loo)
+    raise AnalysisError(f"unknown jackknife stat {stat!r}")
 
 
 def _check_replicas(n_replicas: int) -> None:
@@ -205,8 +216,8 @@ def _heavy_tail_flag(samples: np.ndarray) -> bool:
 
 def check_moments(scenario: Scenario, ks: Sequence[int], n_replicas: int) -> tuple:
     """Raise unless estimate_moments can run; returns the probe indices."""
-    if any(int(k) < 1 for k in ks):
-        raise AnalysisError("moment orders must be >= 1")
+    if not ks or any(int(k) < 1 for k in ks):
+        raise AnalysisError("moment orders must be at least one, each >= 1")
     _check_replicas(n_replicas)
     check_solve(scenario.cfg, scenario.t_final)
     return scenario.probe_indices()
@@ -228,22 +239,16 @@ def estimate_moments(
     """
     idx = check_moments(scenario, ks, n_replicas)
     ks = [int(k) for k in ks]
-    cfg = scenario.cfg
 
     def batch(streams):
-        vals = solve_batch(cfg, scenario.t_final, seed, streams)
-        probe_vals = vals[(slice(None),) + idx]
-        return np.abs(probe_vals.reshape(len(streams), -1))
+        vals = next(_coupled_batch(scenario.cfg, [None], scenario.t_final, seed, streams))
+        probe_vals = np.abs(vals[(slice(None),) + idx].reshape(len(streams), -1))
+        return np.column_stack([np.mean(probe_vals**k, axis=1) for k in ks])
 
-    samples = replica_map(batch, n_replicas, threads)  # (N, n_probes)
-    estimates, stderrs, flags = [], [], []
-    for k in ks:
-        per_rep = np.mean(samples**k, axis=1)
-        est, se = jackknife_stat(per_rep, "mean")
-        flagged = k > 8 or _heavy_tail_flag(per_rep) or (est > 0 and se / est > 0.5)
-        estimates.append(est)
-        stderrs.append(se)
-        flags.append(bool(flagged))
+    rows = replica_map(batch, n_replicas, threads)  # (N, len(ks)): probe mean of |u|^k
+    estimates, stderrs = (a.tolist() for a in _jackknife_means(rows))
+    flags = [bool(k > 8 or _heavy_tail_flag(col) or (est > 0 and se / est > 0.5))
+             for k, col, est, se in zip(ks, rows.T, estimates, stderrs)]
     return MomentReport(
         ks=ks,
         estimates=estimates,
@@ -512,7 +517,8 @@ class ExponentFit:
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Slope, intercept, slope stderr, r2 of ordinary least squares."""
+    """Slope, intercept, slope stderr, r2 of ordinary least squares.  Two
+    points determine the line exactly, so their slope stderr is nan."""
     n = x.size
     xbar, ybar = np.mean(x), np.mean(y)
     sxx = float(np.sum((x - xbar) ** 2))
@@ -524,7 +530,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple:
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - ybar) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    se = math.sqrt(ss_res / max(n - 2, 1) / sxx)
+    se = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else math.nan
     return slope, intercept, se, r2
 
 
@@ -672,8 +678,7 @@ def independence_test(
     idx = grid.nearest_index(pts)
 
     def batch(streams):
-        vals = localized_solve_batch(cfg, loc, t_final, seed, streams)
-        return vals[(slice(None),) + idx]
+        return next(_coupled_batch(cfg, [loc], t_final, seed, streams))[(slice(None),) + idx]
 
     samples = replica_map(batch, n_replicas, threads)  # (N, P)
     corr = np.corrcoef(samples, rowvar=False)
@@ -715,8 +720,8 @@ def check_localization_curve(
     if k < 1:
         raise AnalysisError("error norm order k must be >= 1")
     blist = [float(b) for b in betas]
-    if sorted(blist) != blist or len(set(blist)) != len(blist):
-        raise AnalysisError("beta ladder must be strictly increasing")
+    if not blist or sorted(blist) != blist or len(set(blist)) != len(blist):
+        raise AnalysisError("beta ladder must be nonempty and strictly increasing")
     _check_replicas(n_replicas)
     check_solve(cfg, t_final)
     locs = [LocalizationConfig(beta=beta) for beta in blist]
@@ -745,21 +750,15 @@ def localization_error_curve(
     blist = [loc.beta for loc in locs]
 
     def batch(streams):
-        solves = _coupled_batch(cfg, locs, t_final, seed, streams)
+        solves = _coupled_batch(cfg, [None] + locs, t_final, seed, streams)
         full = next(solves)
-        rows = np.empty((len(streams), len(blist)))
-        for bi, approx in enumerate(solves):
-            diff = np.abs(full - approx) ** k
-            rows[:, bi] = diff.reshape(len(streams), -1).mean(axis=1)
-        return rows
+        return np.column_stack([(np.abs(full - approx) ** k).reshape(len(streams), -1).mean(axis=1)
+                                for approx in solves])
 
-    rows = replica_map(batch, n_replicas, threads)  # (N, B)
-    errors, stderrs = [], []
-    for bi in range(len(blist)):
-        est, se = jackknife_stat(rows[:, bi], "mean")
-        err = est ** (1.0 / k)
-        errors.append(err)
-        stderrs.append(se / k * est ** (1.0 / k - 1.0) if est > 0 else 0.0)
+    rows = replica_map(batch, n_replicas, threads)  # (N, B): spatial mean of |u - U^beta|^k
+    means, mean_ses = (a.tolist() for a in _jackknife_means(rows))
+    errors = [est ** (1.0 / k) for est in means]
+    stderrs = [se / k * est ** (1.0 / k - 1.0) if est > 0 else 0.0 for est, se in zip(means, mean_ses)]
     fit = None
     if len(blist) >= 2 and all(e > 0 for e in errors):
         slope, intercept, se, r2 = _ols(np.log(np.asarray(blist)), np.log(np.asarray(errors)))
@@ -814,36 +813,17 @@ def boundedness_probe(
     """
     masks = check_boundedness(scenario, radii, n_replicas)
     rl = [float(r) for r in radii]
-    cfg = scenario.cfg
 
     def batch(streams):
-        vals = solve_batch(cfg, scenario.t_final, seed, streams)
-        out = np.empty((len(streams), len(masks)))
-        for i, mask in enumerate(masks):
-            out[:, i] = np.max(np.abs(vals[:, mask]), axis=1)
-        return out
+        vals = next(_coupled_batch(scenario.cfg, [None], scenario.t_final, seed, streams))
+        return np.column_stack([np.max(np.abs(vals[:, mask]), axis=1) for mask in masks])
 
     sups = replica_map(batch, n_replicas, threads)  # (N, n_radii): sup of |u_t| over each ball
-    mean_sup, se_sup, mean_log = [], [], []
-    dropped = 0
-    for i in range(len(rl)):
-        est, se = jackknife_stat(sups[:, i], "mean")
-        mean_sup.append(est)
-        se_sup.append(se)
-        logs = np.log(sups[:, i][sups[:, i] > 0])
-        dropped += int(np.count_nonzero(sups[:, i] <= 0))
-        mean_log.append(float(np.mean(logs)) if logs.size else math.nan)
-    increments, inc_se = [], []
-    for i in range(1, len(rl)):
-        d = sups[:, i] - sups[:, i - 1]
-        est, se = jackknife_stat(d, "mean")
-        increments.append(est)
-        inc_se.append(se)
+    mean_sup, se_sup = (a.tolist() for a in _jackknife_means(sups))
+    increments, inc_se = (a.tolist() for a in _jackknife_means(np.diff(sups, axis=1)))
+    mean_log = [float(np.mean(np.log(col[col > 0]))) if np.any(col > 0) else math.nan for col in sups.T]
     last, last_se = increments[-1], inc_se[-1]
-    if len(increments) >= 2:
-        prev, prev_se = increments[-2], inc_se[-2]
-    else:
-        prev, prev_se = last, last_se
+    prev, prev_se = (increments[-2], inc_se[-2]) if len(increments) >= 2 else (last, last_se)
     # <= so that exactly-zero increments (sup determined inside the smallest
     # ball in every replica) count as saturation, not as a failed band test.
     if abs(last) <= 2 * last_se and abs(prev) <= 2 * prev_se:
@@ -860,6 +840,6 @@ def boundedness_probe(
         increments=increments,
         increment_stderrs=inc_se,
         verdict=verdict,
-        dropped_nonpositive=dropped,
+        dropped_nonpositive=int(np.count_nonzero(sups <= 0)),
         samples=sups,
     )

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -275,7 +276,6 @@ def _prepare_extremes(blk: dict, run: _Run):
 
     def call(files):
         probe = an.boundedness_probe(*args, seed=run.seed, threads=run.threads)
-        fit = an.fluctuation_exponent(probe.radii, probe.mean_log_sup)
         # the first rung has no increment
         sups = (probe.radii, probe.mean_sup, probe.stderr_sup, probe.mean_log_sup)
         files.csv("sup_stats.csv", ("radius", "mean_sup", "stderr", "mean_log_sup", "increment", "increment_stderr"),
@@ -285,7 +285,13 @@ def _prepare_extremes(blk: dict, run: _Run):
             # tails of the sup over the largest ball, from the probe's own samples
             tails = [astuple(an.tail_estimate(probe.samples[:, -1], lam)) for lam in lambdas]
             files.csv("tails.csv", ("lambda", "p_hat", "lo", "hi", "exceedances", "n"), tails)
-        return {"psi_hat": fit.exponent, "psi_stderr": fit.stderr, "r2": fit.r2, "verdict": probe.verdict}
+        try:
+            fit = an.fluctuation_exponent(probe.radii, probe.mean_log_sup)
+        except an.AnalysisError as e:  # the probe's files and verdict stand without the fit
+            return {"psi_hat": None, "psi_stderr": None, "r2": None, "psi_refused": str(e), "verdict": probe.verdict}
+        # a two-rung fit has no stderr: nan, written as null
+        psi_stderr = None if math.isnan(fit.stderr) else fit.stderr
+        return {"psi_hat": fit.exponent, "psi_stderr": psi_stderr, "r2": fit.r2, "verdict": probe.verdict}
 
     return call
 

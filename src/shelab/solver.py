@@ -461,17 +461,22 @@ def localized_solve_batch(
 ) -> np.ndarray:
     """Localized Picard approximation of depth loc.depth() for a batch of replicas."""
     check_localization(cfg, loc, t_final)
-    return _mild_sum_batch(cfg, t_final, streams, loc.depth(), loc.beta, _white_hat(cfg, seed, streams))
+    return next(_coupled_batch(cfg, [loc], t_final, seed, streams))
 
 
-def _coupled_batch(cfg: SolverConfig, locs: Sequence[LocalizationConfig], t_final: float, seed: int, streams):
-    """Yield the full solution of streams, then its localized iterate for
-    each of locs, all driven by one draw of the streams' white noise."""
+def _coupled_batch(cfg: SolverConfig, levels: Sequence, t_final: float, seed: int, streams):
+    """Yield the field of streams at each of levels, all driven by one draw
+    of their white noise: None is the full solution, a LocalizationConfig
+    its localized Picard iterate.  More than one level keeps the transformed
+    draws, n_steps x len(streams) x F complex; one level reads them as they
+    are drawn, as solve_batch does."""
     n_steps = _steps_for(t_final, cfg.dt)
     draw = _white_hat(cfg, seed, streams)
-    what = np.empty((n_steps, len(streams)) + cfg.grid.rfft_shape(), dtype=complex)
-    for j in range(n_steps):
-        what[j] = draw(j)
-    yield _solve_batch(cfg, n_steps, streams, what.__getitem__)
-    for loc in locs:
-        yield _mild_sum_batch(cfg, t_final, streams, loc.depth(), loc.beta, what.__getitem__)
+    if len(levels) > 1:
+        what = np.empty((n_steps, len(streams)) + cfg.grid.rfft_shape(), dtype=complex)
+        for j in range(n_steps):
+            what[j] = draw(j)
+        draw = what.__getitem__
+    for level in levels:
+        yield (_solve_batch(cfg, n_steps, streams, draw) if level is None
+               else _mild_sum_batch(cfg, t_final, streams, level.depth(), level.beta, draw))

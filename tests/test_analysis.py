@@ -126,6 +126,14 @@ class TestJackknife:
         se_brute = math.sqrt(3 / 4 * np.sum((loo - loo.mean()) ** 2))
         assert se == pytest.approx(se_brute, rel=1e-10)
 
+    def test_column_means_have_the_bits_of_one_column(self):
+        # a 2-D reduction that sums in another order moves the last bits
+        rows = np.random.default_rng(7).lognormal(0.0, 1.5, (1003, 5))
+        for matrix in (rows, rows[:, 1:4]):
+            est, se = an._jackknife_means(matrix)
+            for i, col in enumerate(matrix.T):
+                assert (est[i], se[i]) == an.jackknife_stat(col, "mean")
+
     def test_needs_enough_samples(self):
         with pytest.raises(an.AnalysisError):
             an.jackknife_stat(np.array([1.0]), "mean")
@@ -179,6 +187,10 @@ class TestMoments:
         scen = an.Scenario(cfg=cfg, t_final=0.25)
         rep = an.estimate_moments(scen, [2, 9], 40, seed=0)
         assert rep.flags[rep.ks.index(9)]
+
+    def test_needs_a_moment_order(self):
+        with pytest.raises(an.AnalysisError, match="at least one"):
+            an.estimate_moments(an.Scenario(cfg=small_cfg(), t_final=0.25), [], 4)
 
     def test_determinism_across_threads(self):
         cfg = small_cfg()
@@ -349,6 +361,13 @@ class TestExponentFits:
         fit = an.fluctuation_exponent(R, y)
         assert fit.extras["dropped_nonpositive"] == 1
 
+    def test_two_rungs_have_no_slope_stderr(self):
+        # two points fit a line exactly; a third gives the residual its one degree of freedom
+        two = an.fluctuation_exponent([4.0, 8.0], [1.0, 1.3])
+        assert math.isnan(two.stderr) and two.r2 == 1.0
+        three = an.fluctuation_exponent([4.0, 8.0, 16.0], [1.0, 1.3, 1.5])
+        assert (three.exponent, three.stderr) == (0.5890389057180476, 0.0415509225064833)
+
     def test_fluctuation_validation(self):
         with pytest.raises(an.AnalysisError):
             an.fluctuation_exponent([1.0, 2.0], [1.0, 2.0])  # R=1 not allowed
@@ -485,7 +504,7 @@ class TestLocalizationCurve:
         locs = [sl.LocalizationConfig(beta=b) for b in betas]
         full = sl.solve_batch(cfg, 0.25, 17, streams)
         rows = [sl.localized_solve_batch(cfg, loc, 0.25, 17, streams) for loc in locs]
-        coupled = list(an._coupled_batch(cfg, locs, 0.25, 17, streams))
+        coupled = list(an._coupled_batch(cfg, [None] + locs, 0.25, 17, streams))
         assert coupled[0].tobytes() == full.tobytes()
         for got, want in zip(coupled[1:], rows):
             assert got.tobytes() == want.tobytes()
@@ -501,6 +520,8 @@ class TestLocalizationCurve:
             an.localization_error_curve(cfg, 0.25, [4.0, 4.0], k=2, n_replicas=8)
         with pytest.raises(an.AnalysisError):
             an.localization_error_curve(cfg, 0.25, [4.0, 2.0], k=0, n_replicas=8)
+        with pytest.raises(an.AnalysisError, match="nonempty"):
+            an.localization_error_curve(cfg, 0.25, [], k=2, n_replicas=8)
 
 
 class TestIndependence:

@@ -2,6 +2,7 @@ import ast
 import collections
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -445,6 +446,15 @@ class TestSnapshots:
         assert header["grid"]["m"] == 64
 
 
+ESTIMATOR_PINS = {
+    "independence.csv": "0f01ccba9b0d11f27596e752ca4f459b5cc61592fac9c45339a3ea73395d8fe2",
+    "localize.csv": "301e7b8ae513ea837f8f48a23064b0594461a0ea65e6c2d352410e1f44ae44f4",
+    "moments.csv": "3cac1fd4c3b13b0637ac48b2178e7ebd041ed5507d58fa1be222739ad8613771",
+    "sup_stats.csv": "6e1b4f9d5f4c778763b38e6eb32c840349bc3fb557a246fceb175b1730dae371",
+    "tails.csv": "198aa8b6c79efe2ceae47609eac66f74d3d51aaa6260110c71f5f829b30ff015",
+}
+
+
 class TestRunBundles:
     def test_moments_bundle_layout(self, tmp_path):
         m = base_manifest()
@@ -610,6 +620,43 @@ class TestRunBundles:
             assert row == [direct.radii[i], direct.mean_sup[i], direct.stderr_sup[i], direct.mean_log_sup[i],
                            increments[i], increment_stderrs[i]]
         assert len(lines) == 2 + len(radii)
+
+    @pytest.mark.parametrize("seed", [3, 0])
+    def test_extremes_keeps_its_probe_without_a_fit(self, tmp_path, seed):
+        # a flat-u0 PAM run at t = 0.25 has mean log sup <= 0 on some rungs:
+        # at seed 3 on both, so the fit refuses; at seed 0 the two rungs fit
+        # exactly, with no stderr
+        m = base_manifest()
+        m.update(seed=seed, replicas=8)
+        m["solver"]["dt"] = 1 / 128
+        m["analysis"] = {"extremes": {"radii": [2, 4], "tail_lambdas": [3.0]}}
+        bundle = exp.run(m, tmp_path / "b")
+        assert bundle.complete
+        assert sorted(os.listdir(tmp_path / "b")) == ["manifest.json", "summary.json", "sup_stats.csv", "tails.csv"]
+        summary = json.loads((tmp_path / "b" / "summary.json").read_text(), parse_constant=pytest.fail)
+        entry = summary["analyses"]["extremes"]
+        assert entry["psi_stderr"] is None and entry["verdict"] in ("saturating", "growing", "inconclusive")
+        if seed == 3:
+            assert entry["psi_hat"] is None and entry["r2"] is None
+            assert entry["psi_refused"] == "fewer than two positive mean-log-sup values"
+        else:
+            assert entry["psi_hat"] > 0 and entry["r2"] == 1.0 and "psi_refused" not in entry
+
+    def test_estimator_csvs_pinned(self, tmp_path):
+        # one manifest through the four replica estimators, two chunks on
+        # two workers; digests of the CSVs as first written
+        m = base_manifest()
+        m.update(seed=5, replicas=300)
+        m["solver"]["dt"] = 1 / 128
+        m["analysis"] = {
+            "extremes": {"radii": [2, 4, 8], "tail_lambdas": [3.0]},
+            "moments": {"ks": [1, 2, 3, 4]},
+            "localize": {"betas": [1.5, 2, 3], "k": 2},
+            "independence": {"beta": 1.5, "points": [[0.0], [7.0]]},
+        }
+        assert exp.run(m, tmp_path / "b", threads=2).complete
+        digests = {name: hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest() for name in ESTIMATOR_PINS}
+        assert digests == ESTIMATOR_PINS
 
     def test_read_bundle_verifies_hash(self, tmp_path):
         out = str(tmp_path / "rt")
