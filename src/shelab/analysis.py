@@ -84,21 +84,27 @@ def _run_call(i: int):
     return _worker_calls[i]()
 
 
+def _check_threads(threads: int) -> None:
+    if not threads >= 1:
+        raise AnalysisError(f"threads = {threads} violates threads >= 1")
+
+
 def fork_map(calls: Sequence[Callable], threads: int = 1) -> list:
     """Run independent zero-argument calls; their results in call order.
 
-    ``threads`` is the number of worker processes.  With ``threads > 1`` and
+    ``threads`` >= 1 counts the worker processes.  With ``threads > 1`` and
     more than one call, the calls run in up to ``threads`` processes forked
     from the caller, so a call need not be picklable (the fork inherits it),
     but its side effects on the caller's objects are lost: it must return
     everything it computes.  Only the results and any exception travel back,
     pickled.  This needs POSIX ``fork``, and fork_map must be called from
     one thread, since forking a process that runs other threads is unsafe.
-    With one call, or ``threads <= 1``, the calls run in the calling
+    With one call, or ``threads == 1``, the calls run in the calling
     process.  An exception surfaces from the first failing call in call
     order, whatever the worker count.
     """
-    if threads <= 1 or len(calls) <= 1:
+    _check_threads(threads)
+    if threads == 1 or len(calls) <= 1:
         return [call() for call in calls]
     # imported here so that runs without workers do not load (and hold the
     # memory of) multiprocessing

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-One verb per analysis; each run verb takes the matching block of a JSON
-manifest, runs it through experiments.run and writes a bundle directory.
-`report` renders a bundle's summary.  Exit codes: 0 bundle complete,
-2 validation failure (an unreadable manifest included), 3 bundle partial.
+One verb per analysis; each run verb runs the matching block of a JSON
+manifest, its only run input besides the worker count and the bundle path,
+through experiments.run and prints what `report` prints for the bundle.
+Exit codes: 0 bundle complete, 2 validation failure (an unreadable or
+missing manifest included), 3 bundle partial.
 """
 
 from __future__ import annotations
@@ -27,24 +28,6 @@ from .experiments import (
 VERBS = [verb.replace("_", "-") for verb in _ANALYSES]
 
 
-def _add_run_flags(p):
-    p.add_argument("--manifest", help="path to a manifest JSON")
-    p.add_argument("--seed", type=int, help="override the manifest seed")
-    p.add_argument("--replicas", type=int, help="override the manifest replica count")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="run replica chunks and oracle orders in up to N worker processes (default 1)",
-    )
-    p.add_argument("--out", help="bundle directory to create (must not exist)")
-    p.add_argument(
-        "--emit-gnuplot",
-        action="store_true",
-        help="write plots.gp next to the CSVs",
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every verb, built once per process: parsing does not
@@ -57,7 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in VERBS:
         p = sub.add_parser(verb, help=f"run the {verb.replace('-', '_')} analysis of a manifest")
-        _add_run_flags(p)
+        p.add_argument("--manifest", required=True, help="path to a manifest JSON")
+        p.add_argument("--threads", type=int, default=1,
+                       help="run replica chunks and oracle orders in up to N worker processes (default 1)")
+        p.add_argument("--out", help="bundle directory to create (must not exist)")
     rep = sub.add_parser("report", help="render a bundle's summary as a table")
     rep.add_argument("bundle", help="bundle directory")
     return parser
@@ -65,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_verb(verb: str, args) -> int:
     key = verb.replace("-", "_")
-    if args.manifest is None:
-        print(f"{verb}: --manifest is required", file=sys.stderr)
-        return 2
     try:
         manifest = load_manifest(args.manifest)
     except (OSError, ValueError) as e:  # ValueError: malformed JSON or text
@@ -77,42 +60,33 @@ def _run_verb(verb: str, args) -> int:
     if not isinstance(blocks, dict):
         print(f"{verb}: manifest {args.manifest} and its analysis must be JSON objects", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        manifest["seed"] = args.seed
-    if args.replicas is not None:
-        manifest["replicas"] = args.replicas
     if key not in blocks:
         print(f"{verb}: manifest has no analysis/{key} block", file=sys.stderr)
         return 2
     manifest["analysis"] = {key: blocks[key]}
     out = args.out or f"bundle-{key}-{manifest_hash(manifest)[:8]}"
     try:
-        bundle = run(manifest, out, threads=args.threads, emit_gnuplot=args.emit_gnuplot)
+        run(manifest, out, threads=args.threads)
     except (ManifestError, BundleError) as e:
         print(str(e), file=sys.stderr)
         return 2
-    info = bundle.summary["analyses"].get(key, {})
-    print(f"bundle: {bundle.path}")
-    print(f"manifest_hash: {bundle.manifest_sha}")
-    for k, v in info.items():
-        print(f"{k}: {v}")
-    if not bundle.complete:
-        for fverb, msg in bundle.summary["failures"].items():
-            print(f"FAILED {fverb}: {msg}", file=sys.stderr)
-        return 3
-    return 0
+    return _report(out)
+
+
+def _report(path) -> int:
+    try:
+        bundle = read_bundle(path)
+    except (BundleError, OSError, json.JSONDecodeError) as e:
+        print(f"report: {e}", file=sys.stderr)
+        return 2
+    print(render_report(bundle))
+    return 0 if bundle.complete else 3
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb == "report":
-        try:
-            bundle = read_bundle(args.bundle)
-        except (BundleError, OSError, json.JSONDecodeError) as e:
-            print(f"report: {e}", file=sys.stderr)
-            return 2
-        print(render_report(bundle))
-        return 0 if bundle.complete else 3
+        return _report(args.bundle)
     return _run_verb(args.verb, args)
 
 

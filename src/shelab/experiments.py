@@ -17,17 +17,17 @@ for its rungs, increments, tails, fit and verdict.
 
 Running a manifest produces a bundle directory written atomically (build
 in a temporary sibling, then rename): a canonical copy of the manifest,
-the CSVs and field snapshots the analyses write, and summary.json, whose
-entry for each analysis lists its files.  The SHA-256 hash of the
-canonical manifest is recorded in the summary and as a comment line in
-every CSV, and the report reader refuses bundles whose manifest no longer
-matches the recorded hash.
+the CSVs and field snapshots the analyses write, plots.gp, which draws the
+CSVs, and summary.json, whose entry for each analysis lists its files.
+The SHA-256 hash of the canonical manifest is recorded in the summary and
+as a comment line in every CSV, and the report reader refuses bundles
+whose manifest no longer matches the recorded hash.
 
-Determinism contract: identical manifests produce bit-identical CSVs,
+Determinism contract: identical manifests produce bit-identical bundles,
 whatever the number of worker processes (``threads``), because every
 replica's noise is a pure function of (seed, stream id), each oracle order
 draws from its own seeded generators, and results merge in stream order.
-Wallclock metadata lives only in summary.json.
+Only summary.json differs, in the worker count and wallclock it records.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ def _plan(manifest: dict, threads: int) -> tuple:
             errors.append(f"{where}: {e}")
 
     seed = collect("seed", check_seed, manifest["seed"])
+    collect("threads", an._check_threads, threads)
     model = collect("model", CorrelationModel.from_dict, manifest["model"])
     grid = collect("grid", LatticeGrid.from_dict, manifest["grid"]) if "grid" in manifest else None
     sb = manifest.get("solver")
@@ -432,7 +433,7 @@ class ResultBundle:
         return bool(self.summary.get("complete"))
 
 
-def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> ResultBundle:
+def run(manifest: dict, out, threads: int = 1) -> ResultBundle:
     """Validate and execute a manifest, writing an atomic bundle directory.
 
     Analyses that raise are recorded as failures and the rest continue; the
@@ -471,10 +472,9 @@ def run(manifest: dict, out, threads: int = 1, emit_gnuplot: bool = False) -> Re
             "analyses": summary,
         }
         (tmp / "summary.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        if emit_gnuplot:
-            header = ["set datafile separator comma", "set datafile commentschars '#'",
-                      "set key autotitle columnhead", "set terminal pngcairo size 900,600"]
-            (tmp / "plots.gp").write_text("\n".join(header + plots) + "\n")
+        header = ["set datafile separator comma", "set datafile commentschars '#'",
+                  "set key autotitle columnhead", "set terminal pngcairo size 900,600"]
+        (tmp / "plots.gp").write_text("\n".join(header + plots) + "\n")
         os.rename(tmp, out)
     except Exception:
         shutil.rmtree(tmp, ignore_errors=True)

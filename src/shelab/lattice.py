@@ -90,10 +90,7 @@ class LatticeGrid:
 
     def nearest_index(self, points) -> tuple:
         """Nearest lattice site(s) for signed coordinates, as an index tuple."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1 and self.d == 1:
-            pts = pts.reshape(-1, 1)
-        idx = np.rint(pts / self.dx).astype(int) % self.m
+        idx = np.rint(np.asarray(points, dtype=float) / self.dx).astype(int) % self.m
         return tuple(idx[..., k] for k in range(self.d))
 
     def ball_mask(self, radius: float) -> np.ndarray:

@@ -64,14 +64,12 @@ class SolverError(ValueError):
 class SolverBlowup(RuntimeError):
     """Raised when a field stops being finite; carries time and magnitude."""
 
-    def __init__(self, t, max_abs, streams=None):
+    def __init__(self, t, max_abs, streams):
         self.t = t
         self.max_abs = max_abs
         self.streams = streams
-        msg = f"field not finite at t={t:.6g} (max |u| before failure {max_abs:.3e})"
-        if streams is not None:
-            msg += f", streams {list(streams)}"
-        super().__init__(msg)
+        super().__init__(f"field not finite at t={t:.6g} (max |u| before failure {max_abs:.3e}), "
+                         f"streams {list(streams)}")
 
     def __reduce__(self):
         # args holds only the message; rebuild from the fields instead, so a

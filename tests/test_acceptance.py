@@ -7,6 +7,7 @@ replica counts are frozen; the whole module is budgeted for a single
 desk machine.
 """
 
+import json
 import math
 import os
 import time
@@ -343,11 +344,19 @@ def test_bundle_determinism_across_workers(accept, tmp_path):
             "oracle": {"ks": [2, 3], "walkers": 400, "inner_steps": 32},
         },
     }
-    csvs = []
+    bundles = []
     for threads in (1, 2):
         out = tmp_path / f"w{threads}"
         assert exp.run(manifest, out, threads=threads).complete
-        csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        bundles.append({p.name: p.read_bytes() for p in out.iterdir()})
+    csvs = [{name: data for name, data in bundle.items() if name.endswith(".csv")} for bundle in bundles]
     names = sorted(csvs[0])
     ok = len(names) == 6 and csvs[0] == csvs[1]
     accept(ok, f"{len(names)} CSVs byte-identical at threads 1 vs 2 over 3 chunks: {', '.join(names)}")
+    # the rest of the bundle: the same file names, every file but summary.json
+    # byte-identical, and summaries that differ only in threads and wallclock
+    summaries = [json.loads(bundle.pop("summary.json")) for bundle in bundles]
+    assert {"manifest.json", "plots.gp"} <= set(bundles[0]) and bundles[0] == bundles[1]
+    for summary in summaries:
+        del summary["threads"], summary["wallclock_s"]
+    assert summaries[0] == summaries[1]

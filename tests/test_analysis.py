@@ -73,6 +73,17 @@ class TestReplicaMap:
         an.replica_map(fn, 256, threads=4)
         assert pids == [os.getpid()]
 
+    def test_thread_count_below_one_refused(self):
+        calls = []
+
+        def fn(streams):
+            calls.append(streams)
+            return np.zeros((len(streams), 1))
+
+        with pytest.raises(an.AnalysisError, match=r"threads = 0 violates threads >= 1"):
+            an.replica_map(fn, 4, threads=0)
+        assert calls == []
+
     def test_blowup_crosses_the_process_boundary(self):
         cfg = small_cfg(level=1e308)
 

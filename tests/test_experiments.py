@@ -462,7 +462,7 @@ class TestRunBundles:
         bundle = exp.run(m, out, threads=2)
         assert bundle.complete
         assert os.path.isdir(out)
-        assert sorted(os.listdir(out)) == ["manifest.json", "moments.csv", "summary.json"]
+        assert sorted(os.listdir(out)) == ["manifest.json", "moments.csv", "plots.gp", "summary.json"]
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert summary["manifest_hash"] == exp.manifest_hash(m)
         assert summary["complete"] is True
@@ -504,7 +504,8 @@ class TestRunBundles:
         assert calls == {"from_dict": 1, **{verb: 1 for verb in exp._ANALYSES}}
         # the analyses' files entries name every file of the bundle once
         listed = [name for entry in bundle.summary["analyses"].values() for name in entry["files"]]
-        assert sorted(listed) == sorted(set(os.listdir(tmp_path / "b")) - {"manifest.json", "summary.json"})
+        bundle_files = {"manifest.json", "plots.gp", "summary.json"}
+        assert sorted(listed) == sorted(set(os.listdir(tmp_path / "b")) - bundle_files)
 
     def test_runner_names_no_verb(self):
         # what is particular to an analysis lives in its _prepare_<verb>
@@ -632,7 +633,8 @@ class TestRunBundles:
         m["analysis"] = {"extremes": {"radii": [2, 4], "tail_lambdas": [3.0]}}
         bundle = exp.run(m, tmp_path / "b")
         assert bundle.complete
-        assert sorted(os.listdir(tmp_path / "b")) == ["manifest.json", "summary.json", "sup_stats.csv", "tails.csv"]
+        assert sorted(os.listdir(tmp_path / "b")) == ["manifest.json", "plots.gp", "summary.json", "sup_stats.csv",
+                                                      "tails.csv"]
         summary = json.loads((tmp_path / "b" / "summary.json").read_text(), parse_constant=pytest.fail)
         entry = summary["analyses"]["extremes"]
         assert entry["psi_stderr"] is None and entry["verdict"] in ("saturating", "growing", "inconclusive")
@@ -674,7 +676,7 @@ class TestRunBundles:
         m = base_manifest()
         m["analysis"]["noise_selftest"] = {"lags": [0, 1], "slices": 16}
         out = str(tmp_path / "gp")
-        exp.run(m, out, emit_gnuplot=True)
+        exp.run(m, out)
         text = open(os.path.join(out, "plots.gp")).read()
         assert "'moments.csv' using 1:3 " in text
         # x is lag_distance, column 2, as the axis label says
@@ -715,16 +717,26 @@ class TestCli:
         m["replicas"] = 8
         mp = write_manifest(tmp_path, m)
         assert cli_main(["moments", "--manifest", mp, "--out", str(tmp_path / "pf")]) == 3
-        assert "FAILED moments" in capsys.readouterr().err
+        assert "[FAILED moments]" in capsys.readouterr().out
 
-    def test_seed_override_changes_output(self, tmp_path):
+    @pytest.mark.parametrize("level, code", [(1.0, 0), (1e308, 3)], ids=["complete", "partial"])
+    def test_run_verb_prints_the_report(self, tmp_path, capsys, level, code):
+        # what a run verb prints is what report prints for its bundle
+        m = base_manifest()
+        m["solver"]["u0"]["level"] = level
+        m["replicas"] = 8
+        out = str(tmp_path / "b")
+        assert cli_main(["moments", "--manifest", write_manifest(tmp_path, m), "--out", out]) == code
+        ran = capsys.readouterr()
+        assert cli_main(["report", out]) == code
+        assert ran.out == capsys.readouterr().out and ran.err == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_exits_two(self, tmp_path, capsys, threads):
         mp = write_manifest(tmp_path, base_manifest())
-        o1, o2 = str(tmp_path / "s1"), str(tmp_path / "s2")
-        assert cli_main(["moments", "--manifest", mp, "--out", o1]) == 0
-        assert cli_main(["moments", "--manifest", mp, "--out", o2, "--seed", "99"]) == 0
-        a = open(os.path.join(o1, "moments.csv")).readlines()[2]
-        b = open(os.path.join(o2, "moments.csv")).readlines()[2]
-        assert a != b
+        assert cli_main(["moments", "--manifest", mp, "--out", str(tmp_path / "b"), "--threads", threads]) == 2
+        assert f"threads: threads = {threads} violates threads >= 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["m.json"]
 
     def test_report_verb(self, tmp_path, capsys):
         mp = write_manifest(tmp_path, base_manifest())
@@ -795,20 +807,26 @@ class TestCli:
         assert os.listdir(tmp_path) == ([] if text is None else ["m.json"])
 
     @pytest.mark.parametrize(
-        "argv", [["boundedness", "--manifest", "m.json"], ["oracle", "--model", "m.json"]],
-        ids=["boundedness-verb", "oracle-model"],
+        "argv",
+        [["boundedness", "--manifest", "m.json"], ["oracle", "--model", "m.json"],
+         ["moments", "--manifest", "m.json", "--seed", "99"], ["moments", "--manifest", "m.json", "--replicas", "8"],
+         ["moments", "--manifest", "m.json", "--emit-gnuplot"]],
+        ids=["boundedness-verb", "oracle-model", "seed", "replicas", "emit-gnuplot"],
     )
     def test_removed_verb_and_options_do_not_parse(self, argv):
         with pytest.raises(SystemExit) as ei:
             cli.build_parser().parse_args(argv)
         assert ei.value.code == 2
 
-    def test_every_run_verb_takes_the_six_run_flags(self):
+    def test_every_run_verb_takes_the_three_run_flags(self):
         assert len(cli.VERBS) == 8
         sub = next(a for a in cli.build_parser()._actions if a.dest == "verb")
         for verb in cli.VERBS:
-            options = [a.option_strings[-1] for a in sub.choices[verb]._actions if a.dest != "help"]
-            assert options == ["--manifest", "--seed", "--replicas", "--threads", "--out", "--emit-gnuplot"]
+            options = {a.option_strings[-1]: a.required for a in sub.choices[verb]._actions if a.dest != "help"}
+            assert options == {"--manifest": True, "--threads": False, "--out": False}
 
     def test_missing_manifest_is_validation_error(self, capsys):
-        assert cli_main(["simulate"]) == 2
+        with pytest.raises(SystemExit) as ei:
+            cli_main(["simulate"])
+        assert ei.value.code == 2
+        assert "--manifest" in capsys.readouterr().err

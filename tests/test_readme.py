@@ -1,6 +1,6 @@
 """The examples of README.md work as written: its python blocks run, in
 order, in one namespace, its JSON manifests validate, its shelab command
-lines parse, and its list of verbs is the CLI's."""
+lines parse, and its lists of verbs and flags are the CLI's."""
 
 import json
 import re
@@ -42,6 +42,19 @@ def test_verb_lists_agree():
     table = {verb.replace("_", "-") for verb in experiments._ANALYSES}
     schema = {verb.replace("_", "-") for verb in experiments._schema()["properties"]["analysis"]["properties"]}
     assert set(cli.VERBS) == table == schema == readme
+
+
+def test_flag_lists_agree():
+    # every --flag the README names, in prose or on a shelab command line, is
+    # an option of a CLI verb, and it names every option of the run verbs;
+    # the install lines name pip's flags, not shelab's
+    prose = re.sub(r"```sh\n.*?```", "", README.read_text(), flags=re.S)
+    commands = [line for block in blocks("sh") for line in block.splitlines() if line.startswith("shelab ")]
+    readme = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join([prose, *commands])))
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "verb")
+    options = {verb: {o for a in p._actions for o in a.option_strings} for verb, p in sub.choices.items()}
+    assert readme <= set().union(*options.values())
+    assert set().union(*(options[verb] for verb in cli.VERBS)) - {"-h", "--help"} <= readme
 
 
 def test_command_lines_parse():
