@@ -34,9 +34,8 @@ cfg = sl.SolverConfig(
 t_final = 0.5
 
 # A run evolves a batch of replicas, one per stream id; take the first.
-fld = sl.SolutionField(grid, t_final, sl.solve_batch(cfg, t_final, 5, [0])[0])
-print(f"one path: t={fld.t}, sites={fld.values.shape}, mean={fld.values.mean():.4f}, "
-      f"max={fld.values.max():.4f}")
+path = sl.solve_batch(cfg, t_final, 5, [0])[0]
+print(f"one path: t={t_final}, sites={path.shape}, mean={path.mean():.4f}, max={path.max():.4f}")
 
 # 2000 replicas, each replica is one stream id of the same seed.
 vals = sl.solve_batch(cfg, t_final, 5, list(range(2000)))
@@ -59,13 +58,14 @@ pam = sl.SolverConfig(
     dt=1 / 256,
     u0=sl.U0Spec(kind="constant", level=1.0),
 )
-fld2 = sl.SolutionField(grid, t_final, sl.solve_batch(pam, t_final, 5, [0])[0])
-ratio = fld2.values.max() / np.median(fld2.values)
-print(f"multiplicative path: min={fld2.values.min():.4f}  peak/median={ratio:.2f}")
+pam_path = sl.solve_batch(pam, t_final, 5, [0])[0]
+ratio = pam_path.max() / np.median(pam_path)
+print(f"multiplicative path: min={pam_path.min():.4f}  peak/median={ratio:.2f}")
 
-# Snapshots are one JSON header line plus raw doubles; they reload exactly.
+# Snapshots are one JSON header line (grid, kappa and sigma kind from the
+# config) plus raw doubles; they reload exactly.
 with tempfile.TemporaryDirectory() as tmp:
-    path = f"{tmp}/field.snap"
-    exp.save_snapshot(path, fld2, pam.kappa, pam.sigma.kind, seed=5)
-    header, data = exp.load_snapshot(path)
-    print(f"snapshot round trip: exact={np.array_equal(data, fld2.values)}  t={header['t']}")
+    snap = f"{tmp}/field.snap"
+    exp.save_snapshot(snap, pam, t_final, pam_path, seed=5)
+    header, data = exp.load_snapshot(snap)
+    print(f"snapshot round trip: exact={np.array_equal(data, pam_path)}  t={header['t']}")

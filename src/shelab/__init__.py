@@ -23,7 +23,6 @@ from .correlation import (
 from .lattice import (
     LatticeError,
     LatticeGrid,
-    d_separation,
     propagator_multiplier,
 )
 from .noise import (
@@ -37,7 +36,6 @@ from .noise import (
 from .solver import (
     LocalizationConfig,
     SigmaFunction,
-    SolutionField,
     SolverBlowup,
     SolverConfig,
     SolverError,

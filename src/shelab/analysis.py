@@ -48,7 +48,6 @@ from scipy import optimize
 from scipy.special import logsumexp
 
 from .correlation import GAUSSIAN_H, RIESZ, CorrelationModel
-from .lattice import d_separation
 from .noise import check_seed
 from .solver import (
     LocalizationConfig,
@@ -224,6 +223,8 @@ def check_moments(scenario: Scenario, ks: Sequence[int], n_replicas: int) -> tup
     """Raise unless estimate_moments can run; returns the probe indices."""
     if not ks or any(int(k) < 1 for k in ks):
         raise AnalysisError("moment orders must be at least one, each >= 1")
+    if len(scenario.probes) < 1:
+        raise AnalysisError(f"probes = {list(scenario.probes)} violates len(probes) >= 1")
     _check_replicas(n_replicas)
     check_solve(scenario.cfg, scenario.t_final)
     return scenario.probe_indices()
@@ -691,12 +692,10 @@ def independence_test(
     off = corr[~np.eye(corr.shape[0], dtype=bool)]
     max_abs = float(np.max(np.abs(off)))
     band = 4.0 / math.sqrt(n_replicas)
-    P = pts.shape[0]
-    seps = np.full((P, P), np.inf)
-    for a in range(P):
-        for b in range(P):
-            if a != b:
-                seps[a, b] = d_separation(pts[a], pts[b], period=grid.period)
+    # per-coordinate torus gaps of every pair, reduced to their smallest
+    gap = np.abs(pts[:, None] - pts[None, :]) % grid.period
+    seps = np.minimum(gap, grid.period - gap).min(axis=-1)
+    np.fill_diagonal(seps, np.inf)
     required = 2.0 * loc.depth() * loc.beta * (1.0 + math.sqrt(t_final))
     return IndependenceResult(
         points=[tuple(p) for p in pts],

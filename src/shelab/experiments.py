@@ -55,7 +55,6 @@ from .noise import NoiseError, check_covariance_selftest, check_seed, covariance
 from .solver import (
     LocalizationConfig,
     SigmaFunction,
-    SolutionField,
     SolverConfig,
     SolverError,
     U0Spec,
@@ -173,12 +172,10 @@ def _prepare_dalang(blk: dict, run: _Run):
 
 def _prepare_noise_selftest(blk: dict, run: _Run):
     cfg = run.cfg
-    check_covariance_selftest(cfg.model, cfg.grid, blk["lags"], blk["slices"], blk.get("level"))
+    check_covariance_selftest(cfg.model, cfg.grid, blk["lags"], blk["slices"])
 
     def call(files):
-        rows, cross = covariance_selftest(
-            cfg.model, cfg.grid, cfg.dt, blk["lags"], blk["slices"], seed=run.seed, level=blk.get("level")
-        )
+        rows, cross = covariance_selftest(cfg.model, cfg.grid, cfg.dt, blk["lags"], blk["slices"], seed=run.seed)
         columns = ("lag_cells", "lag_distance", "target", "empirical", "stderr")
         files.csv("noise_selftest.csv", columns, [[r[c] for c in columns] for r in rows],
                   plot=("lag_distance", ("target", "empirical")))
@@ -193,8 +190,11 @@ def _prepare_noise_selftest(blk: dict, run: _Run):
 
 def _prepare_simulate(blk: dict, run: _Run):
     t_final = run.solver["t_final"]
+    times = blk["record_times"]
     problems = []
-    for t_rec in blk["record_times"]:
+    if any(a >= b for a, b in zip(times, times[1:])):
+        problems.append(f"record_times = {times} violates strictly increasing")
+    for t_rec in times:
         if t_rec > t_final + 1e-12:
             problems.append(f"record time {t_rec} exceeds t_final {t_final}")
         try:
@@ -206,16 +206,14 @@ def _prepare_simulate(blk: dict, run: _Run):
 
     def call(files):
         # the field of stream 0 at each record time
-        fields = [SolutionField(run.cfg.grid, t, solve_batch(run.cfg, t, run.seed, [0])[0])
-                  for t in blk["record_times"]]
+        fields = [(t, solve_batch(run.cfg, t, run.seed, [0])[0]) for t in times]
         stats = (np.mean, np.var, np.min, np.max, lambda v: np.max(np.abs(v)))
         files.csv("field_stats.csv", ("t", "mean", "var", "min", "max", "sup"),
-                  [[fld.t] + [float(stat(fld.values)) for stat in stats] for fld in fields], plot=("t", ("var",)))
+                  [[t] + [float(stat(values)) for stat in stats] for t, values in fields], plot=("t", ("var",)))
         if blk.get("snapshot"):
-            for fld in fields:
-                name = f"snapshot_t{_fmt(float(fld.t))}.field"
-                save_snapshot(files.path(name), fld, run.cfg.kappa, run.sigma.kind, run.seed)
-        return {"record_times": [fld.t for fld in fields]}
+            for t, values in fields:
+                save_snapshot(files.path(f"snapshot_t{_fmt(float(t))}.field"), run.cfg, t, values, run.seed)
+        return {"record_times": times}
 
     return call
 
@@ -398,20 +396,21 @@ class _Files:
             self.plots += [f"set output '{png}'", f"set xlabel '{x}'", f"plot {', '.join(curves)}"]
 
 
-def save_snapshot(path, fld: SolutionField, kappa: float, sigma_kind: str, seed: int):
-    """Flat float64 array prefixed by one JSON header line."""
+def save_snapshot(path, cfg: SolverConfig, t: float, values: np.ndarray, seed: int):
+    """The field values of a run of cfg at time t, as a flat float64 array
+    prefixed by one JSON header line."""
     header = {
-        "grid": fld.grid.to_dict(),
-        "t": fld.t,
-        "kappa": kappa,
-        "sigma": sigma_kind,
+        "grid": cfg.grid.to_dict(),
+        "t": t,
+        "kappa": cfg.kappa,
+        "sigma": cfg.sigma.kind,
         "seed": seed,
         "dtype": "<f8",
-        "shape": list(fld.values.shape),
+        "shape": list(values.shape),
     }
     with open(path, "wb") as fh:
         fh.write(canonical_json(header).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def load_snapshot(path):

@@ -126,20 +126,3 @@ def propagator_multiplier(grid: LatticeGrid, kappa: float, tau: float) -> np.nda
     mult = np.exp(-0.5 * kappa * tau * _freq_sq_cached(grid))
     mult.setflags(write=False)
     return mult
-
-
-def d_separation(x, y, period: float | None = None) -> float:
-    """Smallest per-coordinate separation min_l |x_l - y_l|.
-
-    With a period L the coordinate differences are reduced to the torus:
-    min(|x_l - y_l| mod L, L - |x_l - y_l| mod L).
-    """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    if xv.shape != yv.shape:
-        raise LatticeError("points must share a shape")
-    diff = np.abs(xv - yv)
-    if period is not None:
-        diff = diff % period
-        diff = np.minimum(diff, period - diff)
-    return float(np.min(diff))

@@ -161,33 +161,33 @@ def kernel_multiplier(model: CorrelationModel, grid: LatticeGrid, level: Optiona
     return _multiplier_cached(model, grid, None if level is None else float(level))
 
 
-def correlate_array(white: np.ndarray, model: CorrelationModel, grid: LatticeGrid, level=None) -> np.ndarray:
+def correlate_array(white: np.ndarray, model: CorrelationModel, grid: LatticeGrid) -> np.ndarray:
     """Array-level correlation pass; leading axes are treated as a batch."""
-    mult = kernel_multiplier(model, grid, level)
+    mult = kernel_multiplier(model, grid)
     axes = tuple(range(white.ndim - grid.d, white.ndim))
     spec = np.fft.rfftn(white, axes=axes)
     spec *= mult
     return np.fft.irfftn(spec, s=grid.shape, axes=axes)
 
 
-def effective_covariance(model: CorrelationModel, grid: LatticeGrid, level=None) -> np.ndarray:
+def effective_covariance(model: CorrelationModel, grid: LatticeGrid) -> np.ndarray:
     """Grid-regularized covariance f_eff indexed by lag.
 
     f_eff[z] = L^{-d} sum_k |H_k|^2 exp(i xi_k . z); a correlated slice has
     E[zeta(x) zeta(x+z)] = dt * f_eff[z].
     """
-    mult = kernel_multiplier(model, grid, level)
+    mult = kernel_multiplier(model, grid)
     return np.fft.irfftn(mult * mult, s=grid.shape, axes=tuple(range(grid.d))) / grid.cell_volume
 
 
-def check_covariance_selftest(model: CorrelationModel, grid: LatticeGrid, lags, n_slices: int, level=None) -> list:
+def check_covariance_selftest(model: CorrelationModel, grid: LatticeGrid, lags, n_slices: int) -> list:
     """Raise unless covariance_selftest can run; returns the lags as ints."""
     if n_slices < 2:
         raise NoiseError("need at least two slices")
     lags = [int(l) for l in lags]
     if any(l < 0 or l >= grid.m for l in lags):
         raise NoiseError(f"lags must lie in [0, m), got {lags}")
-    kernel_multiplier(model, grid, level)
+    kernel_multiplier(model, grid)
     return lags
 
 
@@ -198,7 +198,6 @@ def covariance_selftest(
     lags: "list[int]",
     n_slices: int,
     seed: int = 0,
-    level=None,
 ):
     """Empirical check of the slice covariance against dt * f_eff.
 
@@ -216,8 +215,8 @@ def covariance_selftest(
     lag_distance, target, empirical, stderr and cross_time is a dict with
     mean, stderr, n_pairs.
     """
-    lags = check_covariance_selftest(model, grid, lags, n_slices, level)
-    f_eff = effective_covariance(model, grid, level)
+    lags = check_covariance_selftest(model, grid, lags, n_slices)
+    f_eff = effective_covariance(model, grid)
     src = WhiteNoiseSource(seed=seed, stream_id=0)
     axes = tuple(range(1, 1 + grid.d))
     lag_means = np.empty((len(lags), n_slices))
@@ -229,7 +228,7 @@ def covariance_selftest(
         first, stop = max(start - 1, 0), min(start + chunk, n_slices)
         w[0, 0] = w[0, -1]
         white_batch([src], start, grid, dt, w[:, 1 : 1 + stop - start])
-        zeta = correlate_array(w[0, 1 + first - start : 1 + stop - start], model, grid, level)
+        zeta = correlate_array(w[0, 1 + first - start : 1 + stop - start], model, grid)
         own = zeta[start - first:]
         for li, lag in enumerate(lags):
             lag_means[li, start:stop] = (own * np.roll(own, -lag, axis=1)).mean(axis=axes)

@@ -182,13 +182,6 @@ class SolverConfig:
             raise SolverError("model and grid dimensions differ")
 
 
-@dataclass
-class SolutionField:
-    grid: LatticeGrid
-    t: float
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class LocalizationConfig:
     """Cutoff level and window factor beta >= 1."""
@@ -300,20 +293,14 @@ def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int]):
     return draw
 
 
-def solve_batch(
-    cfg: SolverConfig,
-    t_final: float,
-    seed: int,
-    streams: Sequence[int],
-    collect_stats: Optional[dict] = None,
-) -> np.ndarray:
+def solve_batch(cfg: SolverConfig, t_final: float, seed: int, streams: Sequence[int]) -> np.ndarray:
     """Evolve a batch of replicas to t_final; returns values (n_rep, *grid.shape)."""
-    n_steps = _steps_for(t_final, cfg.dt)
-    return _solve_batch(cfg, n_steps, streams, _white_hat(cfg, seed, streams), collect_stats)
+    return next(_coupled_batch(cfg, [None], t_final, seed, streams))
 
 
 def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_hat, collect_stats=None) -> np.ndarray:
-    """solve_batch driven by white_hat(j), the transformed white slices of step j."""
+    """solve_batch driven by white_hat(j), the transformed white slices of step j.
+    A multiplicative run counts its clamped sites into collect_stats."""
     grid = cfg.grid
     H = kernel_multiplier(cfg.model, grid, None)
     P = propagator_multiplier(grid, cfg.kappa, cfg.dt)
@@ -467,7 +454,7 @@ def _coupled_batch(cfg: SolverConfig, levels: Sequence, t_final: float, seed: in
     of their white noise: None is the full solution, a LocalizationConfig
     its localized Picard iterate.  More than one level keeps the transformed
     draws, n_steps x len(streams) x F complex; one level reads them as they
-    are drawn, as solve_batch does."""
+    are drawn.  Every lattice solve enters here."""
     n_steps = _steps_for(t_final, cfg.dt)
     draw = _white_hat(cfg, seed, streams)
     if len(levels) > 1:

@@ -535,6 +535,17 @@ class TestLocalizationCurve:
             an.localization_error_curve(cfg, 0.25, [], k=2, n_replicas=8)
 
 
+def separation_cfg():
+    # a d = 2 torus of period 4
+    return sl.SolverConfig(
+        grid=sl.LatticeGrid(d=2, m=16, dx=0.25),
+        model=sl.CorrelationModel.gaussian_h(d=2, width=1.0, amplitude=1.0),
+        sigma=sl.SigmaFunction.linear(c=1.0),
+        kappa=1.0,
+        dt=1 / 128,
+    )
+
+
 class TestIndependence:
     def test_far_points_pass_on_cutoff_noise(self):
         # required separation: 2 * depth 2 * beta 3 * (1 + sqrt(0.25)) = 18,
@@ -557,3 +568,30 @@ class TestIndependence:
         assert not res.exact
         assert not res.passed
         assert res.max_abs_offdiag > res.null_band
+
+    def test_separation_is_the_smallest_coordinate_gap(self):
+        # the conservative metric for disjoint box windows: the smallest
+        # per-coordinate distance, not the Euclidean one; no pair wraps here
+        pts = [(0.0, 0.0), (0.75, 1.0), (-0.5, -0.25)]
+        res = an.independence_test(separation_cfg(), sl.LocalizationConfig(beta=1.5), 0.25, pts, 8, seed=5)
+        assert res.separations[0, 1] == pytest.approx(0.75)
+        assert res.separations[0, 2] == pytest.approx(0.25)
+        assert res.separations[1, 2] == pytest.approx(1.25)
+        np.testing.assert_array_equal(res.separations, res.separations.T)
+        assert np.all(np.diag(res.separations) == math.inf)
+
+    def test_separation_takes_the_torus_minimal_image(self):
+        # on a period-4 torus the third point is 0.35 from the second in x,
+        # wrapping
+        cfg = separation_cfg()
+        pts = [(0.0, 0.0), (1.75, -1.5), (-1.9, 1.0)]
+        res = an.independence_test(cfg, sl.LocalizationConfig(beta=1.5), 0.25, pts, 8, seed=5)
+        L = cfg.grid.period
+        for a, x in enumerate(pts):
+            for b, y in enumerate(pts):
+                if a == b:
+                    assert res.separations[a, b] == math.inf
+                else:
+                    brute = min(abs(xl - yl - k * L) for xl, yl in zip(x, y) for k in (-1, 0, 1))
+                    assert res.separations[a, b] == pytest.approx(brute, rel=1e-12)
+        assert res.separations[1, 2] == pytest.approx(0.35)

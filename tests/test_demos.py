@@ -1,12 +1,16 @@
-"""The demos read only names the package has, checked without running them.
+"""The demos read only names the package has, and the quick ones run.
 
 Each demo is parsed; every attribute it reads off a name bound to shelab,
 shelab.analysis or shelab.experiments must resolve on that module, so a
-renamed or deleted public name fails here rather than in a demo run.
+renamed or deleted public name fails here rather than in a demo run.  The
+demos that take a few seconds also run to completion.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,12 @@ def test_demo_reads_only_existing_names(demo):
         and not hasattr(importlib.import_module(aliases[node.value.id]), node.attr)
     )
     assert missing == [], f"{demo.name} reads names the package lacks: {missing}"
+
+
+@pytest.mark.parametrize("name", ["02_solve_and_snapshot", "04_localization_and_independence"])
+def test_quick_demo_runs(name):
+    demo = DEMOS[0].parent / f"{name}.py"
+    src = str(demo.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

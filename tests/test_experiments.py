@@ -104,14 +104,14 @@ RULE_GAPS = [
         id="moments-probe-dimension",
     ),
     pytest.param(
+        "moments", {"analysis": {"moments": {"ks": [2], "probes": []}}},
+        lambda m: an.estimate_moments(an.Scenario(cfg=manifest_cfg(m), t_final=T, probes=()), [2], R),
+        id="moments-no-probes",
+    ),
+    pytest.param(
         "noise_selftest", {"analysis": {"noise_selftest": {"lags": [64], "slices": 4}}},
         lambda m: sl.covariance_selftest(GAUSS, manifest_cfg(m).grid, 1 / 256, [64], 4),
         id="selftest-lag-beyond-grid",
-    ),
-    pytest.param(
-        "noise_selftest", {"analysis": {"noise_selftest": {"lags": [0], "slices": 4, "level": 0.5}}},
-        lambda m: sl.covariance_selftest(GAUSS, manifest_cfg(m).grid, 1 / 256, [0], 4, level=0.5),
-        id="selftest-cutoff-below-one",
     ),
     pytest.param(
         "extremes", {"analysis": {"extremes": {"radii": [4, 2]}}},
@@ -350,19 +350,52 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "verb, key",
-        [("localize", "n_picard"), ("independence", "n_picard"), ("oracle", "reg_scale"), ("oracle", "u0_level")],
+        [("localize", "n_picard"), ("independence", "n_picard"), ("oracle", "reg_scale"), ("oracle", "u0_level"),
+         ("noise_selftest", "level")],
     )
     def test_derived_values_are_not_settable(self, tmp_path, capsys, verb, key):
         # the Picard depth follows from beta, the oracle cutoff from
-        # kappa * t / inner_steps and the oracle's u0 level from solver/u0
+        # kappa * t / inner_steps and the oracle's u0 level from solver/u0;
+        # the self-test checks the full kernel, whose taper is kernel_multiplier's
         blocks = {"localize": {"betas": [2], "k": 2}, "independence": {"beta": 2, "points": [[0.0], [6.0]]},
-                  "oracle": ORACLE}
+                  "oracle": ORACLE, "noise_selftest": {"lags": [0], "slices": 4}}
         m = broken({"analysis": {verb: {**blocks[verb], key: 1}}})
         assert exp.validate_manifest(m) == [
             f"analysis/{verb}: Additional properties are not allowed ('{key}' was unexpected)"
         ]
-        assert cli_main([verb, "--manifest", write_manifest(tmp_path, m), "--out", str(tmp_path / "b")]) == 2
+        mp = write_manifest(tmp_path, m)
+        assert cli_main([verb.replace("_", "-"), "--manifest", mp, "--out", str(tmp_path / "b")]) == 2
         assert f"'{key}' was unexpected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times", [[0.25, 0.25], [0.25, 0.125]], ids=["repeated", "decreasing"])
+    def test_record_times_strictly_increase(self, tmp_path, times):
+        # one snapshot per record time: a repeat would overwrite its file
+        m = base_manifest()
+        m["solver"]["dt"] = 1 / 128
+        m["analysis"] = {"simulate": {"record_times": times, "snapshot": True}}
+        expected = [f"simulate: record_times = {times} violates strictly increasing"]
+        assert exp.validate_manifest(m) == expected
+        with pytest.raises(exp.ManifestError) as ei:
+            exp.run(m, tmp_path / "b")
+        assert ei.value.errors == expected
+        assert os.listdir(tmp_path) == []
+
+    def test_each_analysis_reads_exactly_its_schema_properties(self):
+        # a manifest field that no code reads fails here
+        tree = ast.parse(Path(exp.__file__).read_text())
+        schema = exp._schema()["properties"]["analysis"]["properties"]
+        read = {}
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_prepare_"):
+                keys = read[fn.name[len("_prepare_"):]] = set()
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "blk":
+                        keys.add(node.slice.value)
+                    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                          and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                          and node.func.value.id == "blk"):
+                        keys.add(node.args[0].value)
+        assert read == {verb: set(blk["properties"]) for verb, blk in schema.items()}
 
     @pytest.mark.parametrize("where, changes, library_call", RULE_GAPS)
     def test_library_rule_fails_validation_not_the_run(self, tmp_path, capsys, where, changes, library_call):
@@ -436,14 +469,13 @@ class TestSnapshots:
             dt=0.015625,
             u0=sl.U0Spec(kind="constant", level=1.0),
         )
-        fld = sl.SolutionField(cfg.grid, 0.25, sl.solve_batch(cfg, 0.25, 7, [0])[0])
+        values = sl.solve_batch(cfg, 0.25, 7, [0])[0]
         p = tmp_path / "snap.field"
-        exp.save_snapshot(str(p), fld, cfg.kappa, cfg.sigma.kind, 7)
+        exp.save_snapshot(str(p), cfg, 0.25, values, 7)
         header, data = exp.load_snapshot(str(p))
-        assert np.array_equal(data, fld.values)
-        assert header["t"] == 0.25
-        assert header["seed"] == 7
-        assert header["grid"]["m"] == 64
+        assert np.array_equal(data, values)
+        assert header == {"grid": {"d": 1, "m": 64, "dx": 0.25}, "t": 0.25, "kappa": 1.0, "sigma": "linear",
+                          "seed": 7, "dtype": "<f8", "shape": [64]}
 
 
 ESTIMATOR_PINS = {
@@ -452,6 +484,30 @@ ESTIMATOR_PINS = {
     "moments.csv": "3cac1fd4c3b13b0637ac48b2178e7ebd041ed5507d58fa1be222739ad8613771",
     "sup_stats.csv": "6e1b4f9d5f4c778763b38e6eb32c840349bc3fb557a246fceb175b1730dae371",
     "tails.csv": "198aa8b6c79efe2ceae47609eac66f74d3d51aaa6260110c71f5f829b30ff015",
+}
+
+# A d = 2 run of the analyses that solve one replica or test the noise:
+# its simulate snapshots, self-test rows and independence pairs, the third
+# point's pairs wrapping on the torus in x.
+FIELD_MANIFEST = {
+    "version": 1,
+    "seed": 5,
+    "replicas": 8,
+    "model": {"kind": "gaussian_h", "d": 2, "width": 1.0, "amplitude": 1.0},
+    "grid": {"d": 2, "m": 16, "dx": 0.25},
+    "solver": {"kappa": 1.0, "dt": 0.0078125, "t_final": 0.25, "sigma": {"kind": "linear", "c": 1.0}},
+    "analysis": {
+        "simulate": {"record_times": [0.125, 0.25], "snapshot": True},
+        "noise_selftest": {"lags": [0, 1, 3], "slices": 300},
+        "independence": {"beta": 1.5, "points": [[0.0, 0.0], [1.75, -1.5], [-1.9, 1.0]]},
+    },
+}
+FIELD_PINS = {
+    "field_stats.csv": "8c93158ce4ad93cb7604ca41e8baf640340ffcc1e30e6e8173cfc520b58116e3",
+    "independence.csv": "41b22032dba8c31106ddecca86d0ec0258ef87d7cecfa0a6cf4e539ee5ed42cc",
+    "noise_selftest.csv": "961f2fea38d74d46d2a90cdb732a79d7979e87e6b26d7083327dd9b52e456212",
+    "snapshot_t0.125.field": "fd5f0af5d4a9a3a780a3163076223552a90306e97b5d48978f4cfa19c692722d",
+    "snapshot_t0.25.field": "c7279c437ad7c61a95743ab49189abfdb4ab3db09a0af8d294220085b85642c1",
 }
 
 
@@ -659,6 +715,11 @@ class TestRunBundles:
         assert exp.run(m, tmp_path / "b", threads=2).complete
         digests = {name: hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest() for name in ESTIMATOR_PINS}
         assert digests == ESTIMATOR_PINS
+
+    def test_field_and_selftest_files_pinned(self, tmp_path):
+        assert exp.run(FIELD_MANIFEST, tmp_path / "b").complete
+        digests = {name: hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest() for name in FIELD_PINS}
+        assert digests == FIELD_PINS
 
     def test_read_bundle_verifies_hash(self, tmp_path):
         out = str(tmp_path / "rt")

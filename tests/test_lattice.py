@@ -157,28 +157,3 @@ class TestSampledKernel:
         for i in (0, 3, 17):
             images = sum(heat(xs[i] + k * L) for k in range(-4, 5))
             assert K[i] == pytest.approx(images * g.dx, rel=1e-10)
-
-
-class TestSeparation:
-    # the metric is the smallest per-coordinate distance: the conservative
-    # notion for disjointness of box windows
-    def test_min_coordinate_distance(self):
-        assert sl.d_separation(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(3.0)
-        assert sl.d_separation(np.array([1.0]), np.array([-2.0])) == pytest.approx(3.0)
-
-    def test_torus_minimal_image(self):
-        L = 10.0
-        a = np.array([0.5, 0.5])
-        b = np.array([9.5, 4.5])
-        # coordinate distances reduce to 1 (wrapping) and 4
-        assert sl.d_separation(a, b, period=L) == pytest.approx(1.0)
-        brute = min(
-            min(abs(a[0] - (b[0] + i * L)), abs(a[1] - (b[1] + j * L)))
-            for i in (-1, 0, 1)
-            for j in (-1, 0, 1)
-        )
-        assert sl.d_separation(a, b, period=L) == pytest.approx(brute)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(LatticeError):
-            sl.d_separation(np.array([0.0, 0.0]), np.array([1.0]))

@@ -226,7 +226,8 @@ class TestCutoff:
         h = gridded_kernel(GAUSS, n)
         xs = GRID.axis_coords()
         assert np.abs(h[np.abs(xs) > n + 1e-9]).max() < 1e-15
-        f_eff = sl.effective_covariance(GAUSS, GRID, n)
+        mult = sl.kernel_multiplier(GAUSS, GRID, n)
+        f_eff = np.fft.irfftn(mult * mult, s=GRID.shape, axes=(0,)) / GRID.cell_volume
         torus = np.minimum(np.abs(xs), GRID.period - np.abs(xs))
         far = np.abs(f_eff[torus > 2 * n + 1e-9])
         assert far.max() < 1e-15

@@ -270,7 +270,8 @@ class TestSolveBatch:
     def test_clamp_statistics_collected(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=6.0))
         stats = {}
-        sl.solve_batch(cfg, 0.25, seed=3, streams=range(8), collect_stats=stats)
+        streams = range(8)
+        _solve_batch(cfg, 16, streams, _white_hat(cfg, 3, streams), stats)  # 16 steps of DT: t = 0.25
         assert stats.get("clamped", 0) > 0
         assert stats.get("worst_negative", 0.0) <= 0.0
 
