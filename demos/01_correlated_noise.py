@@ -42,8 +42,8 @@ for model in (gauss, riesz):
 
 # Lattice noise slices.  Each slice is one time increment of the smoothed
 # field; slices are independent in time, correlated in space.  Slice j of a
-# stream is a pure function of (seed, stream id, j), so any step can be drawn
-# without drawing the ones before it.
+# stream is a pure function of (seed, stream id, j), but a stream is drawn
+# forward: a source hands out its steps in order, each once.
 grid = sl.LatticeGrid(d=1, m=128, dx=0.25)
 dt = 1.0 / 64
 src = sl.WhiteNoiseSource(seed=42, stream_id=0)

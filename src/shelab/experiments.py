@@ -27,7 +27,9 @@ Determinism contract: identical manifests produce bit-identical bundles,
 whatever the number of worker processes (``threads``), because every
 replica's noise is a pure function of (seed, stream id), each oracle order
 draws from its own seeded generators, and results merge in stream order.
-Only summary.json differs, in the worker count and wallclock it records.
+Only summary.json differs, in the worker count and wallclock it records;
+it also records the environment (Python, numpy and scipy versions, platform
+and core count), since the bits rest on numpy's generator and FFT.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import tempfile
 import time
@@ -47,6 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import jsonschema
+import scipy
 
 from . import analysis as an
 from .correlation import CorrelationModel, CorrelationError, dalang_condition
@@ -465,6 +469,8 @@ def run(manifest: dict, out, threads: int = 1) -> ResultBundle:
             "seed": plan.seed,
             "replicas": plan.replicas,
             "threads": threads,
+            "env": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+                    "platform": platform.platform(), "cpu_count": os.cpu_count()},
             "complete": not failures,
             "failures": failures,
             "wallclock_s": round(time.perf_counter() - t0, 3),
@@ -509,6 +515,7 @@ def render_report(bundle: ResultBundle) -> str:
         f"bundle: {bundle.path}",
         f"manifest hash: {bundle.manifest_sha}",
         f"seed={s.get('seed')} replicas={s.get('replicas')} complete={s.get('complete')}",
+        " ".join(["env:"] + [f"{k}={v}" for k, v in s.get("env", {}).items()] + [f"workers={s.get('threads')}"]),
     ]
     for verb, info in sorted(s.get("analyses", {}).items()):
         lines.append(f"[{verb}]")

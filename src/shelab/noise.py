@@ -3,16 +3,22 @@
 One time slice of the driving noise over a step dt is built in two stages:
 
 1. white noise: independent N(0, dt / dx^d) per site, the cell-averaged
-   increment of a Brownian sheet;
+   increment of a Brownian sheet, drawn as its transform w_hat on the rfft
+   grid: one complex normal per mode with E|w_hat_k|^2 = N dt / dx^d (N =
+   m^d sites), twice that on the planes k_last = 0 and m/2.  There irfftn
+   keeps only the Hermitian part (w_hat_k + conj(w_hat_-k)) / 2, which has
+   the law of the rfft of real white noise, so irfftn(w_hat) is exactly a
+   white slice;
 2. spatial correlation: circular convolution with the model kernel h,
    realized in Fourier space as
 
-       zeta = irfftn( rfftn(w) * H ),    H[k] = h_hat(xi_k),
+       zeta = irfftn( w_hat * H ),    H[k] = h_hat(xi_k),
 
    where h_hat is the continuum transform of h evaluated on the lattice
    frequencies.  With this normalization E[zeta(x) zeta(y)] = dt * f_eff(x-y)
    where f_eff(z) = L^{-d} sum_k f_hat(xi_k) exp(i xi_k . z) is the
    grid-regularized covariance (the periodization of f over torus images).
+   H is real and even, so irfftn drops the same part of w_hat * H.
 
 For a riesz model h_hat blows up at frequency zero; the zero mode is set to
 the value at the smallest nonzero lattice frequency 2 pi / L.
@@ -29,15 +35,17 @@ floating-point roundoff.
 
 Reproducibility: a slice is a pure function of (seed, stream_id, step).
 Each stream is one SFC64 generator seeded from SeedSequence([seed,
-stream_id]) and drawn forward: step j is the normals [j S, (j + 1) S) of
-its stream, S the number of sites, so a source draws its steps in order
-and refuses any other.  A normal costs a variable number of words (the
-ziggurat rejects some), so a step's place in the word stream is unknown
-until its predecessors are drawn; there is no random access.  white_batch
-draws k consecutive steps of every source of a batch, one generator call
-per source, and scales the whole block once; step j has the same bits
-however many steps each call draws, since the generator buffers nothing
-between calls and the scaling multiplies every value by one scalar.
+stream_id]) and drawn forward: step j is the normals [2 j F, 2 (j + 1) F)
+of its stream, F the number of modes, read as complex numbers, so a source
+draws its steps in order and refuses any other.  A normal costs a variable
+number of words (the ziggurat rejects some), so a step's place in the word
+stream is unknown until its predecessors are drawn; there is no random
+access.  white_batch draws k consecutive steps of every source of a batch,
+one generator call per source, and scales the whole block once by a
+per-mode factor; step j has the same bits however many steps each call
+draws, since the generator buffers nothing between calls.  The real
+slice's bits also rest on numpy's c2r transform dropping the imaginary
+parts named above.
 """
 
 from __future__ import annotations
@@ -85,31 +93,39 @@ class WhiteNoiseSource:
         self._rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, int(self.stream_id)])))
 
     def white_at(self, step: int, grid: LatticeGrid, dt: float) -> np.ndarray:
-        """White-noise array of this source's next step, which must be step."""
-        out = np.empty(grid.shape)
-        white_batch([self], step, grid, dt, out[None, None])
-        return out
+        """White-noise array of this source's next step, which must be step:
+        the irfftn of its drawn transform."""
+        what = np.empty((1, 1) + grid.rfft_shape(), dtype=complex)
+        white_batch([self], step, grid, dt, what)
+        return np.fft.irfftn(what[0, 0], s=grid.shape, axes=tuple(range(grid.d)))
 
 
 def white_batch(sources: Sequence[WhiteNoiseSource], step: int, grid: LatticeGrid, dt: float, out: np.ndarray):
-    """Draw the k steps step, ..., step + k - 1 of every source into out, a
-    C-contiguous float64 array of shape (len(sources), k, *grid.shape), k >= 1;
-    out[i, l] holds step + l of sources[i].  Every source must be at step."""
+    """Draw the transforms of the k white slices step, ..., step + k - 1 of
+    every source into out, a C-contiguous complex128 array of shape
+    (len(sources), k, *grid.rfft_shape()), k >= 1; out[i, l] holds step + l
+    of sources[i].  Every source must be at step."""
     if not dt > 0:
         raise NoiseError("dt must be positive")
+    fshape = grid.rfft_shape()
     if not (isinstance(out, np.ndarray) and out.ndim == 2 + grid.d and out.shape[0] == len(sources)
-            and out.shape[1] >= 1 and out.shape[2:] == grid.shape and out.dtype == np.float64
+            and out.shape[1] >= 1 and out.shape[2:] == fshape and out.dtype == np.complex128
             and out.flags.c_contiguous):
-        want = ", ".join(map(str, (len(sources), "k") + grid.shape))
-        raise NoiseError(f"out must be a C-contiguous float64 array of shape ({want}), k >= 1, got {np.shape(out)}")
+        want = ", ".join(map(str, (len(sources), "k") + fshape))
+        raise NoiseError(f"out must be a C-contiguous complex128 array of shape ({want}), k >= 1, "
+                         f"got {np.shape(out)}")
     for src in sources:
         if src.next_step != step:
             raise NoiseError(f"stream {src.stream_id} expects step {src.next_step}, got step {step}: "
                              "a source draws its steps in order, each once")
-    for src, row in zip(sources, out):
+    parts = out.view(np.float64)
+    for src, row in zip(sources, parts):
         src._rng.standard_normal(out=row)
         src.next_step += out.shape[1]
-    out *= math.sqrt(dt / grid.cell_volume)
+    # one factor per mode, for its real and its imaginary part
+    scale = np.full(fshape, math.sqrt(grid.n_sites * dt / (2.0 * grid.cell_volume)))
+    scale[..., [0, -1]] = math.sqrt(grid.n_sites * dt / grid.cell_volume)
+    parts *= np.repeat(scale, 2, axis=-1)
     return out
 
 
@@ -202,12 +218,13 @@ def covariance_selftest(
     """Empirical check of the slice covariance against dt * f_eff.
 
     Draws n_slices consecutive correlated slices (stream 0, steps
-    0..n_slices-1) in chunks of 2048, a chunk after the first carrying the
-    last white slice of the chunk before it so that every consecutive pair
-    lies in one chunk.  Each slice's spatially averaged lag products along
-    the first axis go into a (len(lags), n_slices) array, each pair's
-    averaged product into an (n_slices - 1,) array, and each row reduces
-    once to its mean and std / sqrt(n).  The lag means are compared with the
+    0..n_slices-1) in chunks of 2048, each slice one irfftn(w_hat * H), a
+    chunk after the first carrying the last white draw of the chunk before
+    it so that every consecutive pair lies in one chunk.  Each slice's
+    spatially averaged lag products along the first axis go into a
+    (len(lags), n_slices) array, each pair's averaged product into an
+    (n_slices - 1,) array, and each row reduces once to its mean and
+    std / sqrt(n).  The lag means are compared with the
     multiplier-derived target; the pair mean must sit in a null band (the
     noise is white in time).
 
@@ -217,18 +234,19 @@ def covariance_selftest(
     """
     lags = check_covariance_selftest(model, grid, lags, n_slices)
     f_eff = effective_covariance(model, grid)
+    H = kernel_multiplier(model, grid)
     src = WhiteNoiseSource(seed=seed, stream_id=0)
     axes = tuple(range(1, 1 + grid.d))
     lag_means = np.empty((len(lags), n_slices))
     pair_means = np.empty(n_slices - 1)
     chunk = 2048
-    # w[0, 1:] takes a chunk's white slices, w[0, 0] the last one of the chunk before
-    w = np.empty((1, 1 + min(chunk, n_slices)) + grid.shape)
+    # w[0, 1:] takes a chunk's white draws, w[0, 0] the last one of the chunk before
+    w = np.empty((1, 1 + min(chunk, n_slices)) + grid.rfft_shape(), dtype=complex)
     for start in range(0, n_slices, chunk):
         first, stop = max(start - 1, 0), min(start + chunk, n_slices)
         w[0, 0] = w[0, -1]
         white_batch([src], start, grid, dt, w[:, 1 : 1 + stop - start])
-        zeta = correlate_array(w[0, 1 + first - start : 1 + stop - start], model, grid)
+        zeta = np.fft.irfftn(w[0, 1 + first - start : 1 + stop - start] * H, s=grid.shape, axes=axes)
         own = zeta[start - first:]
         for li, lag in enumerate(lags):
             lag_means[li, start:stop] = (own * np.roll(own, -lag, axis=1)).mean(axis=axes)

@@ -38,7 +38,12 @@ Replica batches: the batch entry points evolve many replicas at once with
 the grid axes last; each replica's noise depends only on (seed, stream_id,
 step), so results are invariant to batch composition and thread count.
 Every engine reads the steps in order: a call owns one forward-drawn
-source per stream and draws BLOCK steps of all of them at a time.
+source per stream and draws BLOCK steps of all of them at a time, the last
+block only up to the final step.  The noise is drawn in Fourier space
+(noise.white_batch): white_hat(j) is the transform of the white slice of
+step j, so zeta_j = irfftn(white_hat(j) * H) with no forward transform.
+The spectral path runs no FFT between its first and its final field; a
+real-space step runs three, zeta_j and the propagation pair.
 
 Buffers: a call allocates its buffers once and steps in place; the noise
 white_hat(j) is read-only and valid until the next draw overwrites it.
@@ -271,24 +276,30 @@ def _check_finite(t: float, u: np.ndarray, streams: Sequence[int]) -> None:
 BLOCK = 4
 
 
-def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int]):
-    """Step j -> transform of every stream's white-noise slice of step j, in a
-    buffer that the next call overwrites.  Steps come in order (a step of the
-    block last drawn may come again); the streams are drawn BLOCK at a time."""
+def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int], n_steps: int):
+    """Step j -> transform of every stream's white-noise slice of step j, a
+    view of a buffer that a later draw overwrites.  Steps come in order (a
+    step of the block last drawn may come again) and stop before n_steps;
+    the streams are drawn BLOCK steps at a time, the last block only up to
+    step n_steps - 1."""
     # One source per stream, owned by this call, so no thread shares one.
     sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
     grid = cfg.grid
-    axes = tuple(range(1, 1 + grid.d))
-    w = np.empty((len(sources), BLOCK) + grid.shape)
-    what = np.empty((len(sources),) + grid.rfft_shape(), dtype=complex)
-    first = -BLOCK  # the step in w[:, 0]
+    fshape = grid.rfft_shape()
+    buf = np.empty((len(sources) * BLOCK,) + fshape, dtype=complex)
+    block = buf.reshape((len(sources), BLOCK) + fshape)
+    first = -BLOCK  # the step in block[:, 0]
 
     def draw(j):
-        nonlocal first
-        if not first <= j < first + BLOCK:
-            white_batch(sources, j, grid, cfg.dt, w)
+        nonlocal first, block
+        if not first <= j < first + block.shape[1]:
+            if not j < n_steps:
+                raise SolverError(f"step {j} is past the last step {n_steps - 1}")
+            k = min(BLOCK, n_steps - j)
+            block = buf[: len(sources) * k].reshape((len(sources), k) + fshape)
+            white_batch(sources, j, grid, cfg.dt, block)
             first = j
-        return np.fft.rfftn(w[:, j - first], axes=axes, out=what)
+        return block[:, j - first]
 
     return draw
 
@@ -313,11 +324,10 @@ def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_
         # sigma does not look at the field, so the whole run can stay spectral;
         # overflow is detected on the final field
         uhat = np.broadcast_to(np.fft.rfftn(u0), spec.shape).copy()
-        eps0 = cfg.sigma.eps0
+        mult = cfg.sigma.eps0 * H
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_steps):
-                np.multiply(H, white_hat(j), out=spec)
-                spec *= eps0
+                np.multiply(mult, white_hat(j), out=spec)
                 uhat += spec
                 uhat *= P
             u = np.fft.irfftn(uhat, s=grid.shape, axes=axes)
@@ -456,7 +466,7 @@ def _coupled_batch(cfg: SolverConfig, levels: Sequence, t_final: float, seed: in
     draws, n_steps x len(streams) x F complex; one level reads them as they
     are drawn.  Every lattice solve enters here."""
     n_steps = _steps_for(t_final, cfg.dt)
-    draw = _white_hat(cfg, seed, streams)
+    draw = _white_hat(cfg, seed, streams, n_steps)
     if len(levels) > 1:
         what = np.empty((n_steps, len(streams)) + cfg.grid.rfft_shape(), dtype=complex)
         for j in range(n_steps):

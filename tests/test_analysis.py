@@ -490,7 +490,7 @@ class TestLocalizationCurve:
         # any seeded number shows here
         curve = an.localization_error_curve(small_cfg(), 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=48, seed=17)
         assert hashlib.sha256(np.array([curve.errors, curve.stderrs]).tobytes()).hexdigest() == (
-            "bccaa2adbb02fb49f034419cb2277c819a52efa3688e2f3b7eea6228905a7b73"
+            "1fbd7036b0a3dab2bfb130155ef87abc3d18c32f36696567c7cb9b7c00c19ece"
         )
 
     def test_one_noise_draw_per_chunk(self, monkeypatch):

@@ -479,11 +479,11 @@ class TestSnapshots:
 
 
 ESTIMATOR_PINS = {
-    "independence.csv": "0f01ccba9b0d11f27596e752ca4f459b5cc61592fac9c45339a3ea73395d8fe2",
-    "localize.csv": "301e7b8ae513ea837f8f48a23064b0594461a0ea65e6c2d352410e1f44ae44f4",
-    "moments.csv": "3cac1fd4c3b13b0637ac48b2178e7ebd041ed5507d58fa1be222739ad8613771",
-    "sup_stats.csv": "6e1b4f9d5f4c778763b38e6eb32c840349bc3fb557a246fceb175b1730dae371",
-    "tails.csv": "198aa8b6c79efe2ceae47609eac66f74d3d51aaa6260110c71f5f829b30ff015",
+    "independence.csv": "7264fdeaaf70a26022559d1f7bc18abdbe567abdfa8c58f2dbc6435db9057947",
+    "localize.csv": "d716860e21465e588f64333a6bea5fce5367c0470eea115dd988aa0aa316b464",
+    "moments.csv": "ce911c1a8ac8f7e566abd6c04fa0cdeb25ccf8f0d0234cc8f07f2bab150de41e",
+    "sup_stats.csv": "d7ba5d74c5ec0cee28c80d9882cb107327d9d321c53bd97920c85a2f03f40b02",
+    "tails.csv": "feea9c26ad4e071b59671e8326cf7fca7b0382822f78f3faaf1f4256a483f5e2",
 }
 
 # A d = 2 run of the analyses that solve one replica or test the noise:
@@ -503,11 +503,11 @@ FIELD_MANIFEST = {
     },
 }
 FIELD_PINS = {
-    "field_stats.csv": "8c93158ce4ad93cb7604ca41e8baf640340ffcc1e30e6e8173cfc520b58116e3",
-    "independence.csv": "41b22032dba8c31106ddecca86d0ec0258ef87d7cecfa0a6cf4e539ee5ed42cc",
-    "noise_selftest.csv": "961f2fea38d74d46d2a90cdb732a79d7979e87e6b26d7083327dd9b52e456212",
-    "snapshot_t0.125.field": "fd5f0af5d4a9a3a780a3163076223552a90306e97b5d48978f4cfa19c692722d",
-    "snapshot_t0.25.field": "c7279c437ad7c61a95743ab49189abfdb4ab3db09a0af8d294220085b85642c1",
+    "field_stats.csv": "03ba1e6dd0d7d719ab255d15e6f9817e8c6e0d04171a66a927d8cfa3bcbf44c2",
+    "independence.csv": "a938367d86f9ad8d6001d7b676b25ee0aec12e51d369784673f5984bb6ce946f",
+    "noise_selftest.csv": "4ce6125cb732e6bcbe633f0222778e69398a3c069f8b0e7c5ce44bcaa832905c",
+    "snapshot_t0.125.field": "641d17fdfb94716f6cd3603b1a2144ff103c74b6f701a30346dee2d41a445c87",
+    "snapshot_t0.25.field": "d8a0219641e8b75bdc581b0f8d29912becbf5ca6bdaa19544c4f3a864eec4faa",
 }
 
 
@@ -678,11 +678,11 @@ class TestRunBundles:
                            increments[i], increment_stderrs[i]]
         assert len(lines) == 2 + len(radii)
 
-    @pytest.mark.parametrize("seed", [3, 0])
+    @pytest.mark.parametrize("seed", [4, 0])
     def test_extremes_keeps_its_probe_without_a_fit(self, tmp_path, seed):
         # a flat-u0 PAM run at t = 0.25 has mean log sup <= 0 on some rungs:
-        # at seed 3 on both, so the fit refuses; at seed 0 the two rungs fit
-        # exactly, with no stderr
+        # at seed 4 on the first, so the fit refuses; at seed 0 the two rungs
+        # fit exactly, with no stderr
         m = base_manifest()
         m.update(seed=seed, replicas=8)
         m["solver"]["dt"] = 1 / 128
@@ -694,7 +694,7 @@ class TestRunBundles:
         summary = json.loads((tmp_path / "b" / "summary.json").read_text(), parse_constant=pytest.fail)
         entry = summary["analyses"]["extremes"]
         assert entry["psi_stderr"] is None and entry["verdict"] in ("saturating", "growing", "inconclusive")
-        if seed == 3:
+        if seed == 4:
             assert entry["psi_hat"] is None and entry["r2"] is None
             assert entry["psi_refused"] == "fewer than two positive mean-log-sup values"
         else:
@@ -750,6 +750,11 @@ class TestRunBundles:
         text = exp.render_report(exp.read_bundle(out))
         assert "moments" in text
         assert exp.manifest_hash(base_manifest())[:8] in text
+        # the environment the bits rest on, from summary.json
+        env = json.loads(open(os.path.join(out, "summary.json")).read())["env"]
+        assert set(env) == {"python", "numpy", "scipy", "platform", "cpu_count"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert f"numpy={np.__version__} " in text and text.splitlines()[3].endswith(" workers=1")
 
 
 class TestCli:

@@ -55,12 +55,24 @@ class TestWhiteSource:
         assert abs(np.corrcoef(x, z)[0, 1]) < 4 / math.sqrt(n)
 
 
-def reference_white(seed, stream_id, step, grid, dt):
-    """Step step of a fresh SFC64 seeded from SeedSequence([seed, stream_id]):
-    the normals [step * S, (step + 1) * S) of that stream, S = grid.n_sites."""
+def reference_hat(seed, stream_id, step, grid, dt):
+    """Transform of step step of a fresh SFC64 seeded from SeedSequence([seed,
+    stream_id]): the normals [2 step F, 2 (step + 1) F) of that stream, F the
+    number of rfft modes, as F complex normals (real part first), scaled to
+    E|w_hat_k|^2 = N dt / dx^d inside and twice that on the planes k_last = 0
+    and k_last = m/2."""
+    fshape = grid.rfft_shape()
+    F = math.prod(fshape)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, stream_id])))
-    normals = rng.standard_normal((step + 1) * grid.n_sites)[step * grid.n_sites :]
-    return np.sqrt(dt / grid.cell_volume) * normals.reshape(grid.shape)
+    normals = rng.standard_normal(2 * (step + 1) * F)[2 * step * F :].reshape(fshape + (2,))
+    var = np.full(fshape, grid.n_sites * dt / grid.cell_volume)
+    var[..., 1:-1] /= 2
+    return (normals * np.sqrt(var)[..., None]).view(complex)[..., 0]
+
+
+def reference_white(seed, stream_id, step, grid, dt):
+    """The real white slice of reference_hat: its irfftn."""
+    return np.fft.irfftn(reference_hat(seed, stream_id, step, grid, dt), s=grid.shape, axes=tuple(range(grid.d)))
 
 
 class TestGeneratorReset:
@@ -106,9 +118,14 @@ class TestGeneratorReset:
         assert np.array_equal(copy.white_at(14, GRID, DT), reference_white(8, 1, 14, GRID, DT))
 
 
+def hat_block(rows, k, grid=GRID):
+    return np.empty((rows, k) + grid.rfft_shape(), dtype=complex)
+
+
 class TestWhiteBatch:
-    # one call draws k consecutive steps for many sources; out[i, l] must be
-    # the bits of sources[i].white_at(step + l), and so of a fresh generator
+    # one call draws the transforms of k consecutive steps for many sources;
+    # out[i, l] must be the bits of a fresh generator's step step + l, and
+    # its irfftn the bits of sources[i].white_at(step + l)
     def test_rows_match_white_at_and_fresh_generator(self):
         grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
         for grid in (GRID, grid2):
@@ -116,13 +133,14 @@ class TestWhiteBatch:
             twins = [sl.WhiteNoiseSource(seed=3, stream_id=s) for s in (5, 0, 9)]
             step = 0
             for k in (3, 1, 2):
-                out = np.full((3, k) + grid.shape, np.nan)
+                out = np.full((3, k) + grid.rfft_shape(), np.nan, dtype=complex)
                 assert white_batch(sources, step, grid, DT, out) is out
                 for src, twin, row in zip(sources, twins, out):
                     for lag, slice_ in enumerate(row):
-                        assert slice_.tobytes() == twin.white_at(step + lag, grid, DT).tobytes()
-                        want = reference_white(3, src.stream_id, step + lag, grid, DT)
+                        want = reference_hat(3, src.stream_id, step + lag, grid, DT)
                         assert slice_.tobytes() == want.tobytes()
+                        white = np.fft.irfftn(slice_, s=grid.shape, axes=tuple(range(grid.d)))
+                        assert white.tobytes() == twin.white_at(step + lag, grid, DT).tobytes()
                 step += k
             assert [src.next_step for src in sources] == [6] * 3
 
@@ -132,7 +150,7 @@ class TestWhiteBatch:
             sources = [sl.WhiteNoiseSource(seed=12, stream_id=s) for s in (0, 3)]
             parts, step = [], 0
             for k in blocks:
-                parts.append(white_batch(sources, step, GRID, DT, np.empty((2, k) + GRID.shape)))
+                parts.append(white_batch(sources, step, GRID, DT, hat_block(2, k)))
                 step += k
             return np.concatenate(parts, axis=1).tobytes()
 
@@ -142,35 +160,88 @@ class TestWhiteBatch:
         # a source behind or ahead of the batch's step is named with the step
         # it expects, and no source of the batch draws
         sources = [sl.WhiteNoiseSource(seed=1, stream_id=s) for s in range(3)]
-        white_batch(sources[:2], 0, GRID, DT, np.empty((2, 2) + GRID.shape))
+        white_batch(sources[:2], 0, GRID, DT, hat_block(2, 2))
         with pytest.raises(NoiseError, match="stream 2 expects step 0, got step 2"):
-            white_batch(sources, 2, GRID, DT, np.empty((3, 1) + GRID.shape))
+            white_batch(sources, 2, GRID, DT, hat_block(3, 1))
         with pytest.raises(NoiseError, match="stream 0 expects step 2, got step 1"):
-            white_batch(sources, 1, GRID, DT, np.empty((3, 1) + GRID.shape))
+            white_batch(sources, 1, GRID, DT, hat_block(3, 1))
         assert [src.next_step for src in sources] == [2, 2, 0]
 
     def test_bad_dt_refused(self):
-        out = np.empty((1, 1) + GRID.shape)
+        out = hat_block(1, 1)
         for dt in (0.0, -DT, math.nan):
             with pytest.raises(NoiseError, match="dt must be positive"):
                 white_batch([sl.WhiteNoiseSource(seed=1)], 0, GRID, dt, out)
 
     def test_wrong_buffer_refused(self):
         sources = [sl.WhiteNoiseSource(seed=1, stream_id=s) for s in range(2)]
-        m = GRID.m
-        want = r"C-contiguous float64 array of shape \(2, k, 128\), k >= 1"
-        with pytest.raises(NoiseError, match=want + r", got \(2, 3, 129\)"):
-            white_batch(sources, 0, GRID, DT, np.empty((2, 3, m + 1)))
-        for bad in (np.empty((2, 1, m), dtype=np.float32), np.empty((2, 1, 2 * m))[..., ::2],
-                    np.empty((m, 1, 2)).T, [[[0.0] * m]] * 2, np.empty((2, 0, m)), np.empty((2, m))):
+        f = GRID.m // 2 + 1
+        want = r"C-contiguous complex128 array of shape \(2, k, 65\), k >= 1"
+        with pytest.raises(NoiseError, match=want + r", got \(2, 3, 66\)"):
+            white_batch(sources, 0, GRID, DT, np.empty((2, 3, f + 1), dtype=complex))
+        for bad in (np.empty((2, 1, f)), np.empty((2, 1, f), dtype=np.complex64),
+                    np.empty((2, 1, GRID.m), dtype=complex), np.empty((2, 1, 2 * f), dtype=complex)[..., ::2],
+                    np.empty((f, 1, 2), dtype=complex).T, [[[0j] * f]] * 2, hat_block(2, 0),
+                    np.empty((2, f), dtype=complex)):
             with pytest.raises(NoiseError, match=want):
                 white_batch(sources, 0, GRID, DT, bad)
         # a row count other than the number of sources: zip over sources and
         # rows would stop at the shorter one and leave rows undrawn
         for rows in (1, 3):
-            with pytest.raises(NoiseError, match=rf"got \({rows}, 1, 128\)"):
-                white_batch(sources, 0, GRID, DT, np.zeros((rows, 1, m)))
+            with pytest.raises(NoiseError, match=rf"got \({rows}, 1, 65\)"):
+                white_batch(sources, 0, GRID, DT, hat_block(rows, 1))
         assert [src.next_step for src in sources] == [0, 0]
+
+
+# The law of the drawn transform in d = 1, 2 and 3.  Each check compares a
+# mean over LAW_STEPS steps with its target in units of its empirical
+# stderr.  The three grids make 1 553 comparisons (per-site variances, lags,
+# modes); a two-sided Bonferroni band at a family-wise rate of 1e-4 is 5.4
+# stderrs, and 6 leaves room for the skew of a mean of chi-square terms.
+LAW_STEPS = 4000
+LAW_Z = 6.0
+LAW_GRIDS = [sl.LatticeGrid(d=1, m=16, dx=0.5), sl.LatticeGrid(d=2, m=8, dx=0.5), sl.LatticeGrid(d=3, m=8, dx=0.5)]
+
+
+def law_draws(grid):
+    what = np.empty((1, LAW_STEPS) + grid.rfft_shape(), dtype=complex)
+    white_batch([sl.WhiteNoiseSource(seed=21, stream_id=0)], 0, grid, DT, what)
+    return what[0]
+
+
+def within_band(samples, target):
+    """Per column of samples (steps first): |mean - target| <= LAW_Z stderrs."""
+    samples = samples.reshape(LAW_STEPS, -1)
+    stderr = samples.std(axis=0) / math.sqrt(LAW_STEPS)
+    return np.abs(samples.mean(axis=0) - np.ravel(target)) <= LAW_Z * stderr
+
+
+@pytest.mark.parametrize("grid", LAW_GRIDS, ids=["d1", "d2", "d3"])
+class TestDrawLaw:
+    def test_real_slice_is_white(self, grid):
+        # irfftn of a draw: variance dt / dx^d at every site, and the site
+        # mean of w(x) w(x + z) centred on 0 at every lag z != 0
+        axes = tuple(range(1, 1 + grid.d))
+        w = np.fft.irfftn(law_draws(grid), s=grid.shape, axes=axes)
+        var = DT / grid.cell_volume
+        assert within_band(w * w, var).all()
+        lagged = np.fft.irfftn(np.abs(np.fft.rfftn(w, axes=axes)) ** 2, s=grid.shape, axes=axes) / grid.n_sites
+        target = np.zeros(grid.shape)
+        target.flat[0] = var
+        assert within_band(lagged, target).all()
+
+    def test_modes_have_the_law_of_rfft_of_white_noise(self, grid):
+        # rfftn(irfftn(w_hat)): E|.|^2 = N dt / dx^d on every mode, and the
+        # self-conjugate modes (every index 0 or m/2) are real
+        axes = tuple(range(1, 1 + grid.d))
+        back = np.fft.rfftn(np.fft.irfftn(law_draws(grid), s=grid.shape, axes=axes), axes=axes)
+        power = grid.n_sites * DT / grid.cell_volume
+        assert within_band(np.abs(back) ** 2, power).all()
+        self_conjugate = np.ones(grid.rfft_shape(), dtype=bool)
+        for k in np.ix_(*(np.arange(n) for n in grid.rfft_shape())):
+            self_conjugate &= (k == 0) | (k == grid.m // 2)
+        assert self_conjugate.sum() == 2**grid.d
+        assert np.abs(back[:, self_conjugate].imag).max() <= 1e-12 * math.sqrt(power)
 
 
 class TestKernelMultiplier:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import shelab as sl
+from shelab.noise import white_batch
 from shelab.solver import SolverError, _kernel_stack, _mild_sum_batch, _solve_batch, _white_hat
 
 
@@ -87,11 +88,15 @@ class TestU0AndConfig:
 
 def step_loop(cfg, t, seed, stream_id):
     """Reference path: one exponential-Euler step at a time,
-    u <- P_dt[u + sigma(u) * zeta_j], with zeta_j the correlated white slice j."""
+    u <- P_dt[u + sigma(u) * zeta_j], with zeta_j = irfftn(w_hat_j * H) the
+    correlated slice of step j's white-noise transform w_hat_j."""
     src = sl.WhiteNoiseSource(seed=seed, stream_id=stream_id)
+    H = sl.kernel_multiplier(cfg.model, GRID)
+    what = np.empty((1, 1) + GRID.rfft_shape(), dtype=complex)
     u = cfg.u0.render(GRID)
     for j in range(round(t / cfg.dt)):
-        zeta = sl.correlate_array(src.white_at(j, GRID, cfg.dt), cfg.model, GRID)
+        white_batch([src], j, GRID, cfg.dt, what)
+        zeta = np.fft.irfftn(what[0, 0] * H, s=GRID.shape, axes=(0,))
         spec = np.fft.rfftn(u + cfg.sigma(u) * zeta, axes=(0,))
         spec *= sl.propagator_multiplier(GRID, cfg.kappa, cfg.dt)
         u = np.fft.irfftn(spec, s=GRID.shape, axes=(0,))
@@ -169,7 +174,7 @@ class TestSolveBatch:
         def coarse_noise(factor):
             # step j of a run at factor * cfg_s.dt is driven by the sum of the
             # finest run's steps j * factor .. (j + 1) * factor - 1
-            fine = _white_hat(cfg_s, 9, streams)
+            fine = _white_hat(cfg_s, 9, streams, 256)
 
             def draw(j):
                 total = fine(j * factor).copy()  # the next draw reuses the buffer
@@ -191,8 +196,8 @@ class TestSolveBatch:
     @pytest.mark.parametrize(
         "sigma, digest",
         [
-            (sl.SigmaFunction.constant(eps0=0.5), "4c1147ef4367d401a019a4ce2d10494a55dcf2f843126821badbbf866339aeb7"),
-            (sl.SigmaFunction.linear(c=1.0), "dcffc9fb63aff71dfe3bc3c83fdda251293865ee67926268f5aef4f678fc58ec"),
+            (sl.SigmaFunction.constant(eps0=0.5), "d857415d8ded4ea8cd6a5a80518c8f6b635525dfc6b3441abd99389ba9db8f92"),
+            (sl.SigmaFunction.linear(c=1.0), "0700d63366b55544da221abe26026f809eda26cea311ef2c9a0901d3054ecb62"),
         ],
         ids=["constant", "linear"],
     )
@@ -209,14 +214,15 @@ class TestSolveBatch:
         assert exc.value.t <= 0.5
 
     def test_spectral_blowup_reported_at_final_time(self):
-        # one stream overflows only in the final transform: the spectral path
-        # checks the field it returns, and overflow shows as the blowup only
+        # streams 0, 1 and 3 overflow only in the final transform: the
+        # spectral path checks the field it returns, and overflow shows as
+        # the blowup only
         cfg = make_cfg(sl.SigmaFunction.constant(eps0=2e306), grid=sl.LatticeGrid(d=1, m=64, dx=0.25))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sl.SolverBlowup) as exc:
                 sl.solve_batch(cfg, 0.25, seed=2, streams=range(8))
-        assert (exc.value.t, exc.value.streams) == (0.25, [0])
+        assert (exc.value.t, exc.value.streams) == (0.25, [0, 1, 3])
         assert math.isfinite(exc.value.max_abs)
 
     def test_blowup_pickles(self):
@@ -242,8 +248,7 @@ class TestSolveBatch:
     @pytest.mark.parametrize("block", [1, 7])
     def test_bytes_independent_of_draw_block(self, monkeypatch, block):
         # a step's bits do not depend on how many steps one generator call
-        # draws; 7 does not divide the 16 steps, so the last block runs past
-        # the end
+        # draws; 7 does not divide the 16 steps, so the last block is shorter
         runs = [
             lambda: sl.solve_batch(make_cfg(sl.SigmaFunction.constant(eps0=0.5)), 0.25, 9, range(3)),
             lambda: sl.solve_batch(make_cfg(sl.SigmaFunction.linear(c=1.0)), 0.25, 9, range(3)),
@@ -257,7 +262,7 @@ class TestSolveBatch:
         # a step of the last drawn block may be read again; any other step
         # but the next one is refused, naming the step the streams expect
         block = sl.solver.BLOCK
-        draw = _white_hat(make_cfg(sl.SigmaFunction.linear(c=1.0)), 9, [4])
+        draw = _white_hat(make_cfg(sl.SigmaFunction.linear(c=1.0)), 9, [4], 16)
         first = draw(0).copy()
         draw(1)
         assert draw(0).tobytes() == first.tobytes()
@@ -267,11 +272,34 @@ class TestSolveBatch:
             with pytest.raises(sl.NoiseError, match=f"stream 4 expects step {2 * block}, got step {j}"):
                 draw(j)
 
+    def test_draws_stop_at_the_last_step(self, monkeypatch):
+        # 17 steps are four blocks of BLOCK = 4 and one of 1: each path draws
+        # every step of every stream once and nothing past the last
+        calls = []
+
+        def counted(sources, step, grid, dt, out):
+            calls.extend((src.stream_id, step + lag) for src in sources for lag in range(out.shape[1]))
+            return white_batch(sources, step, grid, dt, out)
+
+        monkeypatch.setattr(sl.solver, "white_batch", counted)
+        cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
+        for run in (lambda: sl.solve_batch(make_cfg(sl.SigmaFunction.constant(eps0=0.5)), 17 * DT, 9, [2, 5]),
+                    lambda: sl.solve_batch(cfg, 17 * DT, 9, [2, 5]),
+                    lambda: sl.localized_solve_batch(cfg, ENGINE_LOC, 17 * DT, 9, [2, 5])):
+            calls.clear()
+            run()
+            assert sorted(calls) == [(s, j) for s in (2, 5) for j in range(17)]
+        draw = _white_hat(cfg, 9, [2], 17)
+        for j in range(17):
+            draw(j)
+        with pytest.raises(SolverError, match="step 17 is past the last step 16"):
+            draw(17)
+
     def test_clamp_statistics_collected(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=6.0))
         stats = {}
         streams = range(8)
-        _solve_batch(cfg, 16, streams, _white_hat(cfg, 3, streams), stats)  # 16 steps of DT: t = 0.25
+        _solve_batch(cfg, 16, streams, _white_hat(cfg, 3, streams, 16), stats)  # 16 steps of DT: t = 0.25
         assert stats.get("clamped", 0) > 0
         assert stats.get("worst_negative", 0.0) <= 0.0
 
@@ -304,7 +332,7 @@ def picard(cfg, t, iterations, seed, stream_id, beta=None):
     """Picard iterate of the mild equation: with beta None the plain one (full
     kernel, no window), else the localized one at any depth."""
     streams = [stream_id]
-    return _mild_sum_batch(cfg, t, streams, iterations, beta, _white_hat(cfg, seed, streams))[0]
+    return _mild_sum_batch(cfg, t, streams, iterations, beta, _white_hat(cfg, seed, streams, round(t / cfg.dt)))[0]
 
 
 class TestPicardAndLocalized:
@@ -380,7 +408,7 @@ class TestLocalizedEngine:
         # to any seeded number shows here
         vals = sl.localized_solve_batch(make_cfg(sl.SigmaFunction.linear(c=1.0)), ENGINE_LOC, 0.25, 9, range(3))
         assert hashlib.sha256(vals.tobytes()).hexdigest() == (
-            "897ee58da94c31e0ddc5756ab2d613947754c940f56d1e7125a360f21137160d"
+            "9b1f0df9890703f6c9f4390c2cb1ad2550c24c0dedde25d094422941a79d61a2"
         )
 
     def test_batch_composition_invariance(self):
@@ -406,10 +434,10 @@ class TestLocalizedEngine:
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
         streams = range(19)
         n, depth = round(0.25 / DT), sl.LocalizationConfig(beta=beta).depth()
-        got = _mild_sum_batch(cfg, 0.25, streams, depth, beta, _white_hat(cfg, 4, streams))
+        got = _mild_sum_batch(cfg, 0.25, streams, depth, beta, _white_hat(cfg, 4, streams, n))
         K = _kernel_stack(cfg, n, beta, range(1, n + 1))
         H = sl.kernel_multiplier(cfg.model, GRID, beta)
-        draw = _white_hat(cfg, 4, streams)
+        draw = _white_hat(cfg, 4, streams, n)
         zeta = np.array([np.fft.irfft(draw(j) * H, n=GRID.m) for j in range(n)])
         u0 = cfg.u0.render(GRID)
         det = [np.fft.irfft(np.fft.rfft(u0) * sl.propagator_multiplier(GRID, cfg.kappa, i * DT), n=GRID.m)
