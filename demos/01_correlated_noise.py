@@ -43,12 +43,13 @@ for model in (gauss, riesz):
 # Lattice noise slices.  Each slice is one time increment of the smoothed
 # field; slices are independent in time, correlated in space.  Slice j of a
 # stream is a pure function of (seed, stream id, j), but a stream is drawn
-# forward: a source hands out its steps in order, each once.
+# forward: white_steps yields the steps in order, each once, as the
+# transforms of white slices, and the solvers correlate a step the same
+# way, with one inverse FFT of its product with the kernel multiplier.
 grid = sl.LatticeGrid(d=1, m=128, dx=0.25)
 dt = 1.0 / 64
-src = sl.WhiteNoiseSource(seed=42, stream_id=0)
-white = src.white_at(0, grid, dt)
-slice0 = sl.correlate_array(white, gauss, grid)
+white_hat = next(sl.white_steps(42, [0], grid, dt, 1))[0]
+slice0 = np.fft.irfftn(white_hat * sl.kernel_multiplier(gauss, grid), s=grid.shape, axes=(0,))
 print(f"\none noise slice: shape={slice0.shape}, std={slice0.std():.4f}")
 
 # Short self-test: empirical lag covariance over 20k slices vs dt * f_eff.

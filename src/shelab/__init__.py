@@ -28,10 +28,10 @@ from .lattice import (
 from .noise import (
     NoiseError,
     WhiteNoiseSource,
-    correlate_array,
     covariance_selftest,
     effective_covariance,
     kernel_multiplier,
+    white_steps,
 )
 from .solver import (
     LocalizationConfig,

@@ -175,11 +175,13 @@ def _check_replicas(n_replicas: int) -> None:
 
 
 def _point_array(points, d: int) -> np.ndarray:
-    """Points as an (n, d) array; each point must have d coordinates."""
+    """Points as an (n, d) array; each point must have d finite coordinates."""
     rows = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
     for p, row in zip(points, rows):
         if row.shape != (d,):
             raise AnalysisError(f"point {p} does not have {d} coordinates")
+        if not np.isfinite(row).all():
+            raise AnalysisError(f"point {p} has a coordinate that is not finite")
     return np.array(rows).reshape(len(rows), d)
 
 
@@ -499,7 +501,7 @@ def wilson_interval(x: int, n: int) -> tuple:
 
 def check_tail_threshold(lam: float) -> None:
     """Raise unless lam > e, the tail regime of the growth statements."""
-    if lam <= math.e:
+    if not lam > math.e:
         raise AnalysisError(f"tail threshold must exceed e ~ 2.718, got {lam}")
 
 

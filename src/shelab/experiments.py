@@ -95,6 +95,12 @@ def load_manifest(path) -> dict:
         return json.load(fh)
 
 
+# Draft 7 counts an integral float such as 1.0 as an integer; a count, an
+# index or a dimension must be a Python int, so only a non-bool int is one.
+_Validator = jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=(
+    jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool))))
+
 # What the library raises when a rule of a run is violated.
 _RULE_ERRORS = (CorrelationError, LatticeError, NoiseError, SolverError, an.AnalysisError)
 
@@ -119,7 +125,7 @@ def _plan(manifest: dict, threads: int) -> tuple:
     builds, and the prepared call of each analysis.  Each object and each
     call is built once."""
     errors = []
-    validator = jsonschema.Draft7Validator(_schema())
+    validator = _Validator(_schema())
     for err in sorted(validator.iter_errors(manifest), key=lambda e: list(e.absolute_path)):
         loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
         errors.append(f"{loc}: {err.message}")

@@ -31,7 +31,7 @@ class LatticeGrid:
     dx: float
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
+        if not (isinstance(self.d, (int, np.integer)) and self.d in (1, 2, 3)):
             raise LatticeError(f"d must be 1, 2 or 3, got {self.d}")
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 8 and _is_power_of_two(self.m)):
             raise LatticeError(f"m must be a power of two >= 8, got {self.m}")

@@ -43,9 +43,10 @@ stream is unknown until its predecessors are drawn; there is no random
 access.  white_batch draws k consecutive steps of every source of a batch,
 one generator call per source, and scales the whole block once by a
 per-mode factor; step j has the same bits however many steps each call
-draws, since the generator buffers nothing between calls.  The real
-slice's bits also rest on numpy's c2r transform dropping the imaginary
-parts named above.
+draws, since the generator buffers nothing between calls.  The noise is
+white in time, so the lattice engines read each step once, in order, from
+white_steps.  The real slice's bits also rest on numpy's c2r transform
+dropping the imaginary parts named above.
 """
 
 from __future__ import annotations
@@ -129,6 +130,27 @@ def white_batch(sources: Sequence[WhiteNoiseSource], step: int, grid: LatticeGri
     return out
 
 
+# Steps of white noise drawn per generator call.  Step j's bits do not
+# depend on it; a larger block saves calls but holds more slices at once.
+BLOCK = 4
+
+
+def white_steps(seed: int, streams: Sequence[int], grid: LatticeGrid, dt: float, n_steps: int):
+    """Yield the transform of every stream's white slice of each step 0 ..
+    n_steps - 1, in order: shape (len(streams), *grid.rfft_shape()), a view
+    that the next draw overwrites.  It owns one source per stream, so no
+    thread shares one, and draws BLOCK steps of all of them at a time, the
+    last block only up to step n_steps - 1."""
+    sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
+    fshape = grid.rfft_shape()
+    buf = np.empty((len(sources) * BLOCK,) + fshape, dtype=complex)
+    for first in range(0, n_steps, BLOCK):
+        k = min(BLOCK, n_steps - first)
+        block = white_batch(sources, first, grid, dt, buf[: len(sources) * k].reshape((len(sources), k) + fshape))
+        for lag in range(k):
+            yield block[:, lag]
+
+
 def _require_kernel(model: CorrelationModel):
     if not model.has_kernel:
         raise NoiseError(
@@ -175,15 +197,6 @@ def kernel_multiplier(model: CorrelationModel, grid: LatticeGrid, level: Optiona
     gives the full kernel.
     """
     return _multiplier_cached(model, grid, None if level is None else float(level))
-
-
-def correlate_array(white: np.ndarray, model: CorrelationModel, grid: LatticeGrid) -> np.ndarray:
-    """Array-level correlation pass; leading axes are treated as a batch."""
-    mult = kernel_multiplier(model, grid)
-    axes = tuple(range(white.ndim - grid.d, white.ndim))
-    spec = np.fft.rfftn(white, axes=axes)
-    spec *= mult
-    return np.fft.irfftn(spec, s=grid.shape, axes=axes)
 
 
 def effective_covariance(model: CorrelationModel, grid: LatticeGrid) -> np.ndarray:

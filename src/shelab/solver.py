@@ -37,16 +37,14 @@ bits do not depend on its batch.
 Replica batches: the batch entry points evolve many replicas at once with
 the grid axes last; each replica's noise depends only on (seed, stream_id,
 step), so results are invariant to batch composition and thread count.
-Every engine reads the steps in order: a call owns one forward-drawn
-source per stream and draws BLOCK steps of all of them at a time, the last
-block only up to the final step.  The noise is drawn in Fourier space
-(noise.white_batch): white_hat(j) is the transform of the white slice of
-step j, so zeta_j = irfftn(white_hat(j) * H) with no forward transform.
-The spectral path runs no FFT between its first and its final field; a
-real-space step runs three, zeta_j and the propagation pair.
+Every engine iterates the steps of noise.white_steps once, in order: step
+j is w_hat_j, the transform of the white slice of step j, so zeta_j =
+irfftn(w_hat_j * H) with no forward transform.  The spectral path runs no
+FFT between its first and its final field; a real-space step runs three,
+zeta_j and the propagation pair.
 
-Buffers: a call allocates its buffers once and steps in place; the noise
-white_hat(j) is read-only and valid until the next draw overwrites it.
+Buffers: a call allocates its buffers once and steps in place; it reads
+each step of the noise and does not write it.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ import numpy as np
 
 from .correlation import CorrelationModel
 from .lattice import LatticeGrid, propagator_multiplier
-from .noise import WhiteNoiseSource, kernel_multiplier, white_batch
+from .noise import kernel_multiplier, white_steps
 
 
 class SolverError(ValueError):
@@ -271,46 +269,14 @@ def _check_finite(t: float, u: np.ndarray, streams: Sequence[int]) -> None:
     raise SolverBlowup(t, peak, bad)
 
 
-# Steps of white noise drawn per generator call.  Step j's bits do not
-# depend on it; a larger block saves calls but holds more slices at once.
-BLOCK = 4
-
-
-def _white_hat(cfg: SolverConfig, seed: int, streams: Sequence[int], n_steps: int):
-    """Step j -> transform of every stream's white-noise slice of step j, a
-    view of a buffer that a later draw overwrites.  Steps come in order (a
-    step of the block last drawn may come again) and stop before n_steps;
-    the streams are drawn BLOCK steps at a time, the last block only up to
-    step n_steps - 1."""
-    # One source per stream, owned by this call, so no thread shares one.
-    sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
-    grid = cfg.grid
-    fshape = grid.rfft_shape()
-    buf = np.empty((len(sources) * BLOCK,) + fshape, dtype=complex)
-    block = buf.reshape((len(sources), BLOCK) + fshape)
-    first = -BLOCK  # the step in block[:, 0]
-
-    def draw(j):
-        nonlocal first, block
-        if not first <= j < first + block.shape[1]:
-            if not j < n_steps:
-                raise SolverError(f"step {j} is past the last step {n_steps - 1}")
-            k = min(BLOCK, n_steps - j)
-            block = buf[: len(sources) * k].reshape((len(sources), k) + fshape)
-            white_batch(sources, j, grid, cfg.dt, block)
-            first = j
-        return block[:, j - first]
-
-    return draw
-
-
 def solve_batch(cfg: SolverConfig, t_final: float, seed: int, streams: Sequence[int]) -> np.ndarray:
     """Evolve a batch of replicas to t_final; returns values (n_rep, *grid.shape)."""
     return next(_coupled_batch(cfg, [None], t_final, seed, streams))
 
 
-def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_hat, collect_stats=None) -> np.ndarray:
-    """solve_batch driven by white_hat(j), the transformed white slices of step j.
+def _solve_batch(cfg: SolverConfig, streams: Sequence[int], n_steps: int, steps, collect_stats=None) -> np.ndarray:
+    """solve_batch over n_steps driven by steps, an iterator of the
+    transformed white slices of each step, as noise.white_steps yields them.
     A multiplicative run counts its clamped sites into collect_stats."""
     grid = cfg.grid
     H = kernel_multiplier(cfg.model, grid, None)
@@ -326,8 +292,8 @@ def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_
         uhat = np.broadcast_to(np.fft.rfftn(u0), spec.shape).copy()
         mult = cfg.sigma.eps0 * H
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(n_steps):
-                np.multiply(mult, white_hat(j), out=spec)
+            for what in steps:
+                np.multiply(mult, what, out=spec)
                 uhat += spec
                 uhat *= P
             u = np.fft.irfftn(uhat, s=grid.shape, axes=axes)
@@ -336,8 +302,8 @@ def _solve_batch(cfg: SolverConfig, n_steps: int, streams: Sequence[int], white_
 
     u = np.broadcast_to(u0, (len(streams),) + grid.shape).copy()
     g = np.empty_like(u)
-    for j in range(n_steps):
-        np.multiply(white_hat(j), H, out=spec)
+    for j, what in enumerate(steps):
+        np.multiply(what, H, out=spec)
         np.fft.irfftn(spec, s=grid.shape, axes=axes, out=g)
         # g holds zeta, then u + sigma(u) zeta; overflow is detected below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -383,11 +349,11 @@ def _kernel_stack(cfg: SolverConfig, n: int, beta: Optional[float], rows: Sequen
 @np.errstate(over="ignore", invalid="ignore")
 def _mild_sum_batch(
     cfg: SolverConfig,
-    t_final: float,
     streams: Sequence[int],
+    n: int,
+    steps,
     n_iter: int,
     beta: Optional[float],
-    white_hat,
 ) -> np.ndarray:
     """Final-time Picard iterate of the mild equation, optionally windowed
     and tapered; shape (len(streams), *grid.shape).  n_iter >= 1.
@@ -396,10 +362,9 @@ def _mild_sum_batch(
     heat kernel of every stochastic convolution evaluated at time s to the
     box |z_l| <= beta*sqrt(s).  None keeps the full kernel and a window that
     covers the torus: the plain Picard iteration, which the tests check
-    against solve_batch.  white_hat is the noise, as for _solve_batch.
+    against solve_batch.  n and steps are the noise, as for _solve_batch.
     """
     grid = cfg.grid
-    n = _steps_for(t_final, cfg.dt)
     R = len(streams)
     W = GROUP_WIDTH
     axes = tuple(range(-grid.d, 0))
@@ -408,8 +373,8 @@ def _mild_sum_batch(
     H = kernel_multiplier(cfg.model, grid, beta)
 
     zeta = np.empty((n, R) + grid.shape)
-    for j in range(n):
-        np.fft.irfftn(white_hat(j) * H, s=grid.shape, axes=axes, out=zeta[j])
+    for j, what in enumerate(steps):
+        np.fft.irfftn(what * H, s=grid.shape, axes=axes, out=zeta[j])
     # One pass needs only the final time.
     K = _kernel_stack(cfg, n, beta, range(1, n + 1) if n_iter > 1 else range(n, n + 1))
 
@@ -443,7 +408,7 @@ def _mild_sum_batch(
                 np.matmul(K[:, : n - 1, : n - 1], G[:, : n - 1], out=traj)
         acc = np.moveaxis(np.matmul(K[:, -1:], G).reshape(fshape + (W,)), -1, 0)
         np.fft.irfftn(acc[:r] + det_hat[n], s=grid.shape, axes=axes, out=final[g0 : g0 + r])
-    _check_finite(t_final, final, streams)
+    _check_finite(n * cfg.dt, final, streams)
     return final
 
 
@@ -466,12 +431,13 @@ def _coupled_batch(cfg: SolverConfig, levels: Sequence, t_final: float, seed: in
     draws, n_steps x len(streams) x F complex; one level reads them as they
     are drawn.  Every lattice solve enters here."""
     n_steps = _steps_for(t_final, cfg.dt)
-    draw = _white_hat(cfg, seed, streams, n_steps)
+    steps = white_steps(seed, streams, cfg.grid, cfg.dt, n_steps)
     if len(levels) > 1:
         what = np.empty((n_steps, len(streams)) + cfg.grid.rfft_shape(), dtype=complex)
-        for j in range(n_steps):
-            what[j] = draw(j)
-        draw = what.__getitem__
+        for j, step in enumerate(steps):
+            what[j] = step
     for level in levels:
-        yield (_solve_batch(cfg, n_steps, streams, draw) if level is None
-               else _mild_sum_batch(cfg, t_final, streams, level.depth(), level.beta, draw))
+        if len(levels) > 1:
+            steps = iter(what)
+        yield (_solve_batch(cfg, streams, n_steps, steps) if level is None
+               else _mild_sum_batch(cfg, streams, n_steps, steps, level.depth(), level.beta))

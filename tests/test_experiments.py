@@ -198,6 +198,36 @@ RULE_GAPS = [
         lambda m: an.localization_error_curve(manifest_cfg(m), T, [math.nan], 2, R),
         id="localize-beta-nan",
     ),
+    pytest.param(
+        "extremes", {"analysis": {"extremes": {"radii": [2, 4], "tail_lambdas": [math.nan]}}},
+        lambda m: an.tail_estimate(np.full(R, 3.0), math.nan),
+        id="extremes-tail-lambda-nan",
+    ),
+    pytest.param(
+        "independence", {"analysis": {"independence": {"beta": 2, "points": [[0.0], [math.nan]]}}},
+        lambda m: an.independence_test(manifest_cfg(m), sl.LocalizationConfig(beta=2), T, [[0.0], [math.nan]], R),
+        id="independence-point-nan",
+    ),
+    pytest.param(
+        "moments", {"analysis": {"moments": {"ks": [2], "probes": [[math.nan]]}}},
+        lambda m: an.estimate_moments(an.Scenario(cfg=manifest_cfg(m), t_final=T, probes=((math.nan,),)), [2], R),
+        id="moments-probe-nan",
+    ),
+]
+
+# Integer fields written as integral floats, which draft 7 counts as
+# integers: each must fail the schema, not a run.
+INTEGRAL_FLOATS = [
+    pytest.param("moments", {"grid/d": 1.0}, "grid/d", id="grid-d"),
+    pytest.param("moments", {"replicas": 4.0}, "replicas", id="replicas"),
+    pytest.param("oracle", {"analysis": {"oracle": {**ORACLE, "walkers": 16.0}}}, "analysis/oracle/walkers",
+                 id="oracle-walkers"),
+    pytest.param("oracle", {"analysis": {"oracle": {**ORACLE, "inner_steps": 16.0}}},
+                 "analysis/oracle/inner_steps", id="oracle-inner-steps"),
+    pytest.param("oracle", {"analysis": {"oracle": {**ORACLE, "ks": [2, 3.0]}}}, "analysis/oracle/ks/1",
+                 id="oracle-ks-entry"),
+    pytest.param("noise_selftest", {"analysis": {"noise_selftest": {"lags": [0], "slices": 4.0}}},
+                 "analysis/noise_selftest/slices", id="selftest-slices"),
 ]
 
 
@@ -408,6 +438,19 @@ class TestValidation:
         assert cli_main([verb.replace("_", "-"), "--manifest", mp, "--out", str(tmp_path / "b")]) == 2
         assert str(ei.value) in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["m.json"]  # no bundle, not even a partial one
+
+    @pytest.mark.parametrize("verb, changes, where", INTEGRAL_FLOATS)
+    def test_integer_fields_refuse_integral_floats(self, tmp_path, capsys, verb, changes, where):
+        m = broken(changes)
+        value = m
+        for key in where.split("/"):
+            value = value[int(key)] if isinstance(value, list) else value[key]
+        expected = f"{where}: {value} is not of type 'integer'"
+        assert exp.validate_manifest(m) == [expected]
+        mp = write_manifest(tmp_path, m)
+        assert cli_main([verb.replace("_", "-"), "--manifest", mp, "--out", str(tmp_path / "b")]) == 2
+        assert expected in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["m.json"]
 
     def test_rules_of_different_blocks_are_reported_together(self):
         m = broken({"solver/dt": 1 / 8, "analysis": {"moments": {"ks": [2]}, "localize": {"betas": [2], "k": 0},
@@ -678,14 +721,15 @@ class TestRunBundles:
                            increments[i], increment_stderrs[i]]
         assert len(lines) == 2 + len(radii)
 
-    @pytest.mark.parametrize("seed", [4, 0])
-    def test_extremes_keeps_its_probe_without_a_fit(self, tmp_path, seed):
-        # a flat-u0 PAM run at t = 0.25 has mean log sup <= 0 on some rungs:
-        # at seed 4 on the first, so the fit refuses; at seed 0 the two rungs
-        # fit exactly, with no stderr
+    @pytest.mark.parametrize("seed, level", [(4, 0.01), (0, 1.0)], ids=["4", "0"])
+    def test_extremes_keeps_its_probe_without_a_fit(self, tmp_path, seed, level):
+        # under PAM u is linear in u0's level, so at level 0.01 every rung's
+        # mean log sup is below 0 whatever the draw, and the fit refuses; at
+        # level 1 and seed 0 the two rungs fit exactly, with no stderr
         m = base_manifest()
         m.update(seed=seed, replicas=8)
         m["solver"]["dt"] = 1 / 128
+        m["solver"]["u0"]["level"] = level
         m["analysis"] = {"extremes": {"radii": [2, 4], "tail_lambdas": [3.0]}}
         bundle = exp.run(m, tmp_path / "b")
         assert bundle.complete
@@ -694,7 +738,7 @@ class TestRunBundles:
         summary = json.loads((tmp_path / "b" / "summary.json").read_text(), parse_constant=pytest.fail)
         entry = summary["analyses"]["extremes"]
         assert entry["psi_stderr"] is None and entry["verdict"] in ("saturating", "growing", "inconclusive")
-        if seed == 4:
+        if level < 1:
             assert entry["psi_hat"] is None and entry["r2"] is None
             assert entry["psi_refused"] == "fewer than two positive mean-log-sup values"
         else:

@@ -21,6 +21,8 @@ class TestGridGeometry:
             sl.LatticeGrid(d=0, m=16, dx=0.5)
         with pytest.raises(LatticeError):
             sl.LatticeGrid(d=4, m=16, dx=0.5)
+        with pytest.raises(LatticeError, match="d must be 1, 2 or 3, got 1.0"):
+            sl.LatticeGrid(d=1.0, m=16, dx=0.5)  # an integral float is not a dimension
         with pytest.raises(LatticeError):
             sl.LatticeGrid(d=1, m=24, dx=0.5)  # not a power of two
         with pytest.raises(LatticeError):

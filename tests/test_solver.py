@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 import shelab as sl
-from shelab.noise import white_batch
-from shelab.solver import SolverError, _kernel_stack, _mild_sum_batch, _solve_batch, _white_hat
+from shelab.noise import white_batch, white_steps
+from shelab.solver import SolverError, _kernel_stack, _mild_sum_batch, _solve_batch
 
 
 GRID = sl.LatticeGrid(d=1, m=128, dx=0.25)
@@ -174,18 +175,12 @@ class TestSolveBatch:
         def coarse_noise(factor):
             # step j of a run at factor * cfg_s.dt is driven by the sum of the
             # finest run's steps j * factor .. (j + 1) * factor - 1
-            fine = _white_hat(cfg_s, 9, streams, 256)
+            fine = white_steps(9, streams, GRID, cfg_s.dt, 256)
+            for _ in range(256 // factor):
+                yield sum(next(fine) for _ in range(factor))
 
-            def draw(j):
-                total = fine(j * factor).copy()  # the next draw reuses the buffer
-                for r in range(1, factor):
-                    total += fine(j * factor + r)
-                return total
-
-            return draw
-
-        a = _solve_batch(cfg, 16, streams, coarse_noise(16))
-        b = _solve_batch(cfg_q, 64, streams, coarse_noise(4))
+        a = _solve_batch(cfg, streams, 16, coarse_noise(16))
+        b = _solve_batch(cfg_q, streams, 64, coarse_noise(4))
         c = sl.solve_batch(cfg_s, 0.25, 9, streams)
         e_coarse = float(np.sqrt(np.mean((a - c) ** 2)))
         e_mid = float(np.sqrt(np.mean((b - c) ** 2)))
@@ -255,22 +250,21 @@ class TestSolveBatch:
             lambda: sl.localized_solve_batch(make_cfg(sl.SigmaFunction.linear(c=1.0)), ENGINE_LOC, 0.25, 9, range(3)),
         ]
         want = [run().tobytes() for run in runs]
-        monkeypatch.setattr(sl.solver, "BLOCK", block)
+        monkeypatch.setattr(sl.noise, "BLOCK", block)
         assert [run().tobytes() for run in runs] == want
 
     def test_noise_steps_come_in_order(self):
-        # a step of the last drawn block may be read again; any other step
-        # but the next one is refused, naming the step the streams expect
-        block = sl.solver.BLOCK
-        draw = _white_hat(make_cfg(sl.SigmaFunction.linear(c=1.0)), 9, [4], 16)
-        first = draw(0).copy()
-        draw(1)
-        assert draw(0).tobytes() == first.tobytes()
-        for j in range(1, block + 1):  # step block starts the second block
-            draw(j)
-        for j in (0, 2 * block + 1):
-            with pytest.raises(sl.NoiseError, match=f"stream 4 expects step {2 * block}, got step {j}"):
-                draw(j)
+        # 10 steps are two blocks of BLOCK = 4 and one of 2: white_steps
+        # yields each step once, in order, with the bits of fresh streams
+        # drawn one step at a time
+        streams = [4, 9]
+        got = [step.copy() for step in white_steps(9, streams, GRID, DT, 10)]
+        assert len(got) == 10
+        sources = [sl.WhiteNoiseSource(seed=9, stream_id=s) for s in streams]
+        want = np.empty((len(streams), 1) + GRID.rfft_shape(), dtype=complex)
+        for j, step in enumerate(got):
+            white_batch(sources, j, GRID, DT, want)
+            assert step.tobytes() == want[:, 0].tobytes()
 
     def test_draws_stop_at_the_last_step(self, monkeypatch):
         # 17 steps are four blocks of BLOCK = 4 and one of 1: each path draws
@@ -281,7 +275,7 @@ class TestSolveBatch:
             calls.extend((src.stream_id, step + lag) for src in sources for lag in range(out.shape[1]))
             return white_batch(sources, step, grid, dt, out)
 
-        monkeypatch.setattr(sl.solver, "white_batch", counted)
+        monkeypatch.setattr(sl.noise, "white_batch", counted)
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
         for run in (lambda: sl.solve_batch(make_cfg(sl.SigmaFunction.constant(eps0=0.5)), 17 * DT, 9, [2, 5]),
                     lambda: sl.solve_batch(cfg, 17 * DT, 9, [2, 5]),
@@ -289,17 +283,26 @@ class TestSolveBatch:
             calls.clear()
             run()
             assert sorted(calls) == [(s, j) for s in (2, 5) for j in range(17)]
-        draw = _white_hat(cfg, 9, [2], 17)
-        for j in range(17):
-            draw(j)
-        with pytest.raises(SolverError, match="step 17 is past the last step 16"):
-            draw(17)
+
+    def test_solver_holds_no_draw_policy(self):
+        # noise.white_steps alone reads the stream: the solver names none
+        # of the parts it is built from, so the draw policy cannot drift back
+        tree = ast.parse(Path(sl.solver.__file__).read_text())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+        assert named & {"white_batch", "WhiteNoiseSource", "BLOCK"} == set()
 
     def test_clamp_statistics_collected(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=6.0))
         stats = {}
         streams = range(8)
-        _solve_batch(cfg, 16, streams, _white_hat(cfg, 3, streams, 16), stats)  # 16 steps of DT: t = 0.25
+        _solve_batch(cfg, streams, 16, white_steps(3, streams, GRID, DT, 16), stats)  # 16 steps of DT: t = 0.25
         assert stats.get("clamped", 0) > 0
         assert stats.get("worst_negative", 0.0) <= 0.0
 
@@ -331,8 +334,8 @@ class TestThreadedFarm:
 def picard(cfg, t, iterations, seed, stream_id, beta=None):
     """Picard iterate of the mild equation: with beta None the plain one (full
     kernel, no window), else the localized one at any depth."""
-    streams = [stream_id]
-    return _mild_sum_batch(cfg, t, streams, iterations, beta, _white_hat(cfg, seed, streams, round(t / cfg.dt)))[0]
+    streams, n = [stream_id], round(t / cfg.dt)
+    return _mild_sum_batch(cfg, streams, n, white_steps(seed, streams, cfg.grid, cfg.dt, n), iterations, beta)[0]
 
 
 class TestPicardAndLocalized:
@@ -434,11 +437,10 @@ class TestLocalizedEngine:
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
         streams = range(19)
         n, depth = round(0.25 / DT), sl.LocalizationConfig(beta=beta).depth()
-        got = _mild_sum_batch(cfg, 0.25, streams, depth, beta, _white_hat(cfg, 4, streams, n))
+        got = _mild_sum_batch(cfg, streams, n, white_steps(4, streams, GRID, DT, n), depth, beta)
         K = _kernel_stack(cfg, n, beta, range(1, n + 1))
         H = sl.kernel_multiplier(cfg.model, GRID, beta)
-        draw = _white_hat(cfg, 4, streams, n)
-        zeta = np.array([np.fft.irfft(draw(j) * H, n=GRID.m) for j in range(n)])
+        zeta = np.array([np.fft.irfft(what * H, n=GRID.m) for what in white_steps(4, streams, GRID, DT, n)])
         u0 = cfg.u0.render(GRID)
         det = [np.fft.irfft(np.fft.rfft(u0) * sl.propagator_multiplier(GRID, cfg.kappa, i * DT), n=GRID.m)
                for i in range(n + 1)]
