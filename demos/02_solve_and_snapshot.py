@@ -2,11 +2,13 @@
 Solving the stochastic heat equation on a periodic lattice
 ==========================================================
 
-Runs the spectral exponential-Euler scheme for du = (kappa/2) Lap u dt
-+ sigma(u) dF with Gaussian-kernel noise through solve_batch, which evolves
-one replica per stream id (a single path is a batch of one), checks the
-additive-noise variance against its closed quadrature, and round-trips a
-snapshot file.
+Solves du = (kappa/2) Lap u dt + sigma(u) dF with Gaussian-kernel noise
+through solve_batch, which evolves one replica per stream id (a single path
+is a batch of one).  With additive noise (constant sigma) the
+exponential-Euler scheme is linear in the noise, so solve_batch draws the
+final field from its exact law in one step; the parabolic Anderson run
+steps the scheme in real space.  The demo checks the additive-noise variance
+against its closed quadrature and round-trips a snapshot file.
 """
 
 import math

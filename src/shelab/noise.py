@@ -44,8 +44,9 @@ access.  white_batch draws k consecutive steps of every source of a batch,
 one generator call per source, and scales the whole block once by a
 per-mode factor; step j has the same bits however many steps each call
 draws, since the generator buffers nothing between calls.  The noise is
-white in time, so the lattice engines read each step once, in order, from
-white_steps.  The real slice's bits also rest on numpy's c2r transform
+white in time, so the lattice engines read steps from white_steps once
+each, in order: a stepped engine every step, the constant-sigma full field
+one step per record time, each standing for a whole interval.  The real slice's bits also rest on numpy's c2r transform
 dropping the imaginary parts named above.
 """
 

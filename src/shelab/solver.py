@@ -37,11 +37,13 @@ bits do not depend on its batch.
 Replica batches: the batch entry points evolve many replicas at once with
 the grid axes last; each replica's noise depends only on (seed, stream_id,
 step), so results are invariant to batch composition and thread count.
-Every engine iterates the steps of noise.white_steps once, in order: step
-j is w_hat_j, the transform of the white slice of step j, so zeta_j =
-irfftn(w_hat_j * H) with no forward transform.  The spectral path runs no
-FFT between its first and its final field; a real-space step runs three,
-zeta_j and the propagation pair.
+The engines read the steps of noise.white_steps once, in order: step j is
+w_hat_j, the transform of the white slice of step j, so zeta_j =
+irfftn(w_hat_j * H) with no forward transform.  A full field solved alone
+with constant sigma is not stepped: one drawn step per record time has the
+step loop's exact law.  Any other full field steps: a real-space step runs
+three FFTs, zeta_j and the propagation pair; a constant-sigma level coupled
+to localized ones runs none between its first and its final field.
 
 Buffers: a call allocates its buffers once and steps in place; it reads
 each step of the noise and does not write it.
@@ -274,35 +276,69 @@ def solve_batch(cfg: SolverConfig, t_final: float, seed: int, streams: Sequence[
     return next(_coupled_batch(cfg, [None], t_final, seed, streams))
 
 
+def _record_batch(cfg: SolverConfig, times: Sequence[float], seed: int, streams: Sequence[int]):
+    """Yield the full field of streams at each of times, strictly increasing,
+    from one pass over their noise.  Any sigma but constant steps to the last
+    time, recording as it goes.  Constant sigma makes the spectral step linear
+    in the noise: n more steps give P^n u_hat + eps0 H sum_{j<n} P^(n-j)
+    w_hat_j, and the sum is one complex normal per mode, a step's variance
+    times G = sum_{i=1..n} P^(2i).  So interval i is driven by step i alone,
+    scaled by sqrt(G): the step loop's exact joint law at the record times."""
+    grid = cfg.grid
+    counts = [_steps_for(t, cfg.dt) for t in times]
+    if cfg.sigma.kind != "constant":
+        yield from _stepped_fields(cfg, streams, counts, white_steps(seed, streams, grid, cfg.dt, counts[-1]))
+        return
+    a = cfg.kappa * cfg.dt * grid.freq_sq_mesh()  # P^2 = exp(-a)
+    mult = cfg.sigma.eps0 * kernel_multiplier(cfg.model, grid, None)
+    uhat = np.fft.rfftn(cfg.u0.render(grid))
+    for n, dn, what in zip(counts, np.diff([0] + counts), white_steps(seed, streams, grid, cfg.dt, len(counts))):
+        with np.errstate(invalid="ignore"):  # the zero mode, 0 / 0, is set below
+            gain = np.exp(-a) * np.expm1(-dn * a) / np.expm1(-a)
+        gain[a == 0] = dn
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is detected on the field
+            uhat = np.exp(-0.5 * dn * a) * uhat + mult * np.sqrt(gain) * what
+            u = np.fft.irfftn(uhat, s=grid.shape, axes=tuple(range(1, 1 + grid.d)))
+        _check_finite(n * cfg.dt, u, streams)
+        yield u
+
+
 def _solve_batch(cfg: SolverConfig, streams: Sequence[int], n_steps: int, steps, collect_stats=None) -> np.ndarray:
-    """solve_batch over n_steps driven by steps, an iterator of the
-    transformed white slices of each step, as noise.white_steps yields them.
-    A multiplicative run counts its clamped sites into collect_stats."""
+    """The step loop of a full level coupled to others: the field after
+    n_steps driven by steps, an iterator of the transformed white slices of
+    each step, as noise.white_steps yields them.  A multiplicative run
+    counts its clamped sites into collect_stats."""
+    if cfg.sigma.kind != "constant":
+        return next(_stepped_fields(cfg, streams, [n_steps], steps, collect_stats))
+    # sigma does not look at the field, so the whole run can stay spectral;
+    # overflow is detected on the final field
+    grid = cfg.grid
+    P = propagator_multiplier(grid, cfg.kappa, cfg.dt)
+    uhat = np.broadcast_to(np.fft.rfftn(cfg.u0.render(grid)), (len(streams),) + grid.rfft_shape()).copy()
+    spec = np.empty_like(uhat)
+    mult = cfg.sigma.eps0 * kernel_multiplier(cfg.model, grid, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for what in steps:
+            np.multiply(mult, what, out=spec)
+            uhat += spec
+            uhat *= P
+        u = np.fft.irfftn(uhat, s=grid.shape, axes=tuple(range(1, 1 + grid.d)))
+    _check_finite(n_steps * cfg.dt, u, streams)
+    return u
+
+
+def _stepped_fields(cfg: SolverConfig, streams: Sequence[int], counts: Sequence[int], steps, collect_stats=None):
+    """Yield the field after each of counts steps, strictly increasing, of
+    the real-space step loop driven by steps, as for _solve_batch."""
     grid = cfg.grid
     H = kernel_multiplier(cfg.model, grid, None)
     P = propagator_multiplier(grid, cfg.kappa, cfg.dt)
     axes = tuple(range(1, 1 + grid.d))
     stats = collect_stats if collect_stats is not None else {}
-
-    u0 = cfg.u0.render(grid)
     spec = np.empty((len(streams),) + grid.rfft_shape(), dtype=complex)
-    if cfg.sigma.kind == "constant":
-        # sigma does not look at the field, so the whole run can stay spectral;
-        # overflow is detected on the final field
-        uhat = np.broadcast_to(np.fft.rfftn(u0), spec.shape).copy()
-        mult = cfg.sigma.eps0 * H
-        with np.errstate(over="ignore", invalid="ignore"):
-            for what in steps:
-                np.multiply(mult, what, out=spec)
-                uhat += spec
-                uhat *= P
-            u = np.fft.irfftn(uhat, s=grid.shape, axes=axes)
-        _check_finite(n_steps * cfg.dt, u, streams)
-        return u
-
-    u = np.broadcast_to(u0, (len(streams),) + grid.shape).copy()
+    u = np.broadcast_to(cfg.u0.render(grid), (len(streams),) + grid.shape).copy()
     g = np.empty_like(u)
-    for j, what in enumerate(steps):
+    for j, what in enumerate(steps, 1):
         np.multiply(what, H, out=spec)
         np.fft.irfftn(spec, s=grid.shape, axes=axes, out=g)
         # g holds zeta, then u + sigma(u) zeta; overflow is detected below
@@ -314,8 +350,10 @@ def _solve_batch(cfg: SolverConfig, streams: Sequence[int], n_steps: int, steps,
             np.fft.irfftn(spec, s=grid.shape, axes=axes, out=u)
         if cfg.sigma.is_multiplicative:
             _clamp_negatives(u, stats)
-        _check_finite((j + 1) * cfg.dt, u, streams)
-    return u
+        _check_finite(j * cfg.dt, u, streams)
+        if j in counts:
+            # u is stepped in place, so an earlier record is a copy
+            yield u if j == counts[-1] else u.copy()
 
 
 # Replicas per group of the time contraction.  It is fixed, not sized to
@@ -427,9 +465,14 @@ def localized_solve_batch(
 def _coupled_batch(cfg: SolverConfig, levels: Sequence, t_final: float, seed: int, streams):
     """Yield the field of streams at each of levels, all driven by one draw
     of their white noise: None is the full solution, a LocalizationConfig
-    its localized Picard iterate.  More than one level keeps the transformed
-    draws, n_steps x len(streams) x F complex; one level reads them as they
-    are drawn.  Every lattice solve enters here."""
+    its localized Picard iterate.  The single level None is _record_batch's
+    field at t_final.  Other levels step through every drawn step: more than
+    one keeps the transformed draws, n_steps x len(streams) x F complex; one
+    reads them as they are drawn.  Every lattice solve enters here, but
+    simulate's, which enters _record_batch with all its record times."""
+    if list(levels) == [None]:
+        yield from _record_batch(cfg, [t_final], seed, streams)
+        return
     n_steps = _steps_for(t_final, cfg.dt)
     steps = white_steps(seed, streams, cfg.grid, cfg.dt, n_steps)
     if len(levels) > 1:

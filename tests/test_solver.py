@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import shelab as sl
+import shelab.experiments as exp
 from shelab.noise import white_batch, white_steps
 from shelab.solver import SolverError, _kernel_stack, _mild_sum_batch, _solve_batch
 
@@ -122,8 +123,10 @@ class TestSolveBatch:
         assert np.array_equal(solo, batch)
 
     def test_fast_path_equals_step_loop(self):
+        # the spectral step loop that a full level coupled to localized ones
+        # runs; a lone full level draws once instead (TestExactAdditive)
         cfg = make_cfg(sl.SigmaFunction.constant(eps0=0.7))
-        fast = sl.solve_batch(cfg, 0.25, 13, [2])[0]
+        fast = _solve_batch(cfg, [2], 16, white_steps(13, [2], GRID, DT, 16))[0]
         assert np.allclose(fast, step_loop(cfg, 0.25, 13, 2), atol=1e-12)
 
     def test_general_path_equals_step_loop(self):
@@ -191,13 +194,13 @@ class TestSolveBatch:
     @pytest.mark.parametrize(
         "sigma, digest",
         [
-            (sl.SigmaFunction.constant(eps0=0.5), "d857415d8ded4ea8cd6a5a80518c8f6b635525dfc6b3441abd99389ba9db8f92"),
+            (sl.SigmaFunction.constant(eps0=0.5), "b18b5cf51d356b970ef41fb6ee0b0ff277d061b6be91a08c9599a356f4d64f37"),
             (sl.SigmaFunction.linear(c=1.0), "0700d63366b55544da221abe26026f809eda26cea311ef2c9a0901d3054ecb62"),
         ],
         ids=["constant", "linear"],
     )
     def test_default_bits_pinned(self, sigma, digest):
-        # Exact bytes of the spectral (constant sigma) and the real-space
+        # Exact bytes of the one-draw (constant sigma) and the real-space
         # (linear sigma) path; a change to any seeded number shows here
         vals = sl.solve_batch(make_cfg(sigma), 0.25, 9, range(3))
         assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
@@ -209,15 +212,14 @@ class TestSolveBatch:
         assert exc.value.t <= 0.5
 
     def test_spectral_blowup_reported_at_final_time(self):
-        # streams 0, 1 and 3 overflow only in the final transform: the
-        # spectral path checks the field it returns, and overflow shows as
-        # the blowup only
+        # stream 1 overflows only in the final transform: the one-draw path
+        # checks the field it returns, and overflow shows as the blowup only
         cfg = make_cfg(sl.SigmaFunction.constant(eps0=2e306), grid=sl.LatticeGrid(d=1, m=64, dx=0.25))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sl.SolverBlowup) as exc:
                 sl.solve_batch(cfg, 0.25, seed=2, streams=range(8))
-        assert (exc.value.t, exc.value.streams) == (0.25, [0, 1, 3])
+        assert (exc.value.t, exc.value.streams) == (0.25, [1])
         assert math.isfinite(exc.value.max_abs)
 
     def test_blowup_pickles(self):
@@ -267,8 +269,9 @@ class TestSolveBatch:
             assert step.tobytes() == want[:, 0].tobytes()
 
     def test_draws_stop_at_the_last_step(self, monkeypatch):
-        # 17 steps are four blocks of BLOCK = 4 and one of 1: each path draws
-        # every step of every stream once and nothing past the last
+        # 17 steps are four blocks of BLOCK = 4 and one of 1: each stepped
+        # path draws every step of every stream once and nothing past the
+        # last; constant sigma draws step 0 of each stream, and nothing more
         calls = []
 
         def counted(sources, step, grid, dt, out):
@@ -277,8 +280,9 @@ class TestSolveBatch:
 
         monkeypatch.setattr(sl.noise, "white_batch", counted)
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
-        for run in (lambda: sl.solve_batch(make_cfg(sl.SigmaFunction.constant(eps0=0.5)), 17 * DT, 9, [2, 5]),
-                    lambda: sl.solve_batch(cfg, 17 * DT, 9, [2, 5]),
+        sl.solve_batch(make_cfg(sl.SigmaFunction.constant(eps0=0.5)), 17 * DT, 9, [2, 5])
+        assert calls == [(2, 0), (5, 0)]
+        for run in (lambda: sl.solve_batch(cfg, 17 * DT, 9, [2, 5]),
                     lambda: sl.localized_solve_batch(cfg, ENGINE_LOC, 17 * DT, 9, [2, 5])):
             calls.clear()
             run()
@@ -305,6 +309,69 @@ class TestSolveBatch:
         _solve_batch(cfg, streams, 16, white_steps(3, streams, GRID, DT, 16), stats)  # 16 steps of DT: t = 0.25
         assert stats.get("clamped", 0) > 0
         assert stats.get("worst_negative", 0.0) <= 0.0
+
+
+def exact_additive_cov(cfg, n, lag):
+    """Covariance of two sites lag cells apart along the last axis after n
+    constant-sigma steps: eps0^2 dt / L^d sum_k w_k H_k^2 G_k cos(xi_k lag dx)
+    over the rfft modes, with G = sum_{i=1..n} P^(2i) summed term by term and
+    w_k = 2 off the planes k_last = 0 and m/2, which the rfft holds whole."""
+    grid = cfg.grid
+    H = np.asarray(sl.kernel_multiplier(cfg.model, grid))
+    P2 = np.exp(-cfg.kappa * cfg.dt * grid.freq_sq_mesh())
+    G = sum(P2**i for i in range(1, n + 1))
+    w = np.full(H.shape, 2.0)
+    w[..., [0, -1]] = 1.0
+    xi_last = 2.0 * math.pi * np.fft.rfftfreq(grid.m, d=grid.dx)
+    cos = np.cos(xi_last * lag * grid.dx)
+    return cfg.sigma.eps0**2 * cfg.dt / grid.period**grid.d * float(np.sum(w * H * H * G * cos))
+
+
+class TestExactAdditive:
+    @pytest.mark.parametrize("d, m", [(1, 64), (2, 16), (3, 8)])
+    def test_one_draw_matches_exact_covariance(self, d, m):
+        # the site variance and the lag-1 and lag-2 covariances, each the
+        # site mean of one replica's (u(x) - 1)(u(x + lag) - 1) averaged over
+        # replicas, against the step loop's exact law
+        grid = sl.LatticeGrid(d=d, m=m, dx=0.25)
+        cfg = make_cfg(sl.SigmaFunction.constant(eps0=0.9), grid=grid,
+                       model=sl.CorrelationModel.gaussian_h(d=d, width=0.5, amplitude=1.0))
+        R = 8000  # a stderr of 0.5%: a G off by one step is 2-5% off
+        u = sl.solve_batch(cfg, 0.25, 3, range(R)) - 1.0
+        for lag in (0, 1, 2):
+            per_rep = (u * np.roll(u, lag, axis=-1)).reshape(R, -1).mean(axis=1)
+            want = exact_additive_cov(cfg, 16, lag)
+            z = abs(per_rep.mean() - want) / (per_rep.std(ddof=1) / math.sqrt(R))
+            assert z < 4.0, (lag, per_rep.mean(), want, z)
+
+    def test_simulate_increment_independent_of_earlier_field(self, tmp_path):
+        # after a record at n1 steps, the field at n2 is P^(n2 - n1) times it
+        # plus a fresh Gaussian: the phases of that increment, mode by mode,
+        # are uncorrelated with those of the earlier field.  A solve per time
+        # would scale one drawn step at both, and read exactly 1
+        manifest = {
+            "version": 1, "seed": 4, "replicas": 1,
+            "model": {"kind": "gaussian_h", "d": 1, "width": 0.25, "amplitude": 1.0},
+            "grid": {"d": 1, "m": 256, "dx": 0.25},
+            "solver": {"kappa": 1.0, "dt": 1 / 256, "t_final": 0.5, "sigma": {"kind": "constant", "eps0": 1.0}},
+            "analysis": {"simulate": {"record_times": [0.25, 0.5], "snapshot": True}},
+        }
+        assert exp.run(manifest, tmp_path / "b").complete
+        recorded = [exp.load_snapshot(str(tmp_path / "b" / f"snapshot_t{t}.field"))[1] for t in ("0.25", "0.5")]
+        cfg = make_cfg(sl.SigmaFunction.constant(eps0=1.0), dt=1 / 256, grid=sl.LatticeGrid(d=1, m=256, dx=0.25),
+                       model=sl.CorrelationModel.gaussian_h(d=1, width=0.25, amplitude=1.0))
+        P = sl.propagator_multiplier(cfg.grid, cfg.kappa, 0.25)
+
+        def phase_corr(u1, u2):
+            # modes 1 .. m/2 - 1; the zero and Nyquist modes are real
+            h1, h2 = np.fft.rfft(u1)[1:-1], np.fft.rfft(u2)[1:-1]
+            inc = h2 - P[1:-1] * h1
+            return float(np.real(np.vdot(h1 / np.abs(h1), inc / np.abs(inc)))) / len(h1)
+
+        F = cfg.grid.m // 2 - 1
+        assert abs(phase_corr(*recorded)) < 4.0 / math.sqrt(F)
+        redrawn = [sl.solve_batch(cfg, t, 4, [0])[0] for t in (0.25, 0.5)]
+        assert phase_corr(*redrawn) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestThreadedFarm:
