@@ -34,6 +34,11 @@ log means and the final one.  Without a resampling the result is the plain
 average and the stderr of the log-mean is a delete-one jackknife over
 walkers; after one, walkers share ancestors, so the jackknife runs over
 the independent populations, and their disagreement flags the estimate.
+
+The orders of one oracle block share one walk (_fk_ladder): each step
+draws the motions once, for the largest order, mixed so that every order
+keeps its own law, and one evaluation of f gives every order its pair sum.
+The orders of a block are therefore positively correlated.
 """
 
 from __future__ import annotations
@@ -368,26 +373,73 @@ def fk_moment_oracle(
     is set when they disagree: a relative stderr above 50%, read on the log
     scale as log_stderr > log 1.5.
 
-    Only differences between walkers enter the pair sum and the weights, so
-    the walk carries the k - 1 motions y_i = (b^i - b^0) / sqrt(dt) relative
-    to walker 0, in units of one step, walkers-last (y[i - 1, c, m]: motion
-    i, coordinate c, walker m).  A step draws one (k - 1, d, M) block xi of
-    standard normals and adds xi + c * sum_i xi_i, c = (sqrt(k) - 1) / (k - 1),
-    whose covariance I + 11^T is that of the increments of b^i - b^0.  Pairs
-    (0, j) read y_j and pairs (i, j) read y_i - y_j; f is evaluated on their
-    squared distances in reused (pairs, M) buffers.
+    This is the shared walk of _fk_ladder, which an oracle block runs once
+    for all its orders, at the one order k: a step draws (k - 1) * d
+    normals per walker.
     """
     check_oracle(model, kappa, t, k, u0_level)
+    return _fk_ladder(model, kappa, t, [k], cfg, u0_level)[0]
+
+
+@dataclass(eq=False)  # a walk removes its orders by identity
+class _FkOrder:
+    """One order's weights, populations and log normalizers; acc is the row
+    of the pair-sum buffer that holds its pair sum."""
+
+    k: int
+    S: np.ndarray
+    acc: np.ndarray
+    log_norm: np.ndarray
+    walk: _FkWalk
+    resamplings: int = 0
+
+
+@dataclass
+class _FkWalk:
+    """Motions y (motion, coordinate, walker; row 0 stays zero) and the
+    orders that read them, lowest first."""
+
+    y: np.ndarray
+    orders: list
+
+
+def _fk_ladder(
+    model: CorrelationModel,
+    kappa: float,
+    t: float,
+    ks: Sequence[int],
+    cfg: FkOracleConfig,
+    u0_level: float,
+) -> list:
+    """fk_moment_oracle at every order in ks, on one walk; results in ks order.
+
+    Only differences between motions enter the pair sum and the weights, so
+    the walk carries y_i = (b^i - b^0) / sqrt(dt) relative to b^0, in units
+    of one step, walkers-last (y[i, c, m]: motion i, coordinate c, walker
+    m; y_0 stays zero).  With K = max(ks), a step draws one (K - 1, d, M)
+    block xi of standard normals and adds xi + c * sum_i xi_i to
+    y_1..y_{K-1}, c = (sqrt(K) - 1) / (K - 1): any k - 1 of these motions
+    then have the increment covariance I + 11^T of b^i - b^0, so each
+    order's walk has the law it has when run alone.  The orders share the
+    walk, so their estimates are positively correlated; each stderr is that
+    order's own.  Pairs (i, j), i < j, are ordered by j, so the pairs among
+    b^0..b^(k-1) are the first k(k-1)/2 rows of one (pairs, M) buffer, and
+    a running sum of the per-j block sums gives every order its pair sum
+    from one evaluation of f.  Each order keeps its own weights and
+    populations.  It reads the shared walk until its first resampling, then
+    moves a copy of its own k - 1 motions by the same increments.
+    """
     M, n_inner = cfg.walkers, cfg.inner_steps
     dt = t / n_inner
     r_reg = math.sqrt(kappa * dt)
     d = model.d
+    K = max(ks)
     rng, resample_rng = (np.random.Generator(np.random.SFC64(np.random.SeedSequence([cfg.seed, tag])))
                          for tag in (0x6F7261636C65, 0x726573616D70))
-    y = np.zeros((k - 1, d, M))
-    xi = np.empty((k - 1, d, M))
+    y = np.zeros((K, d, M))
+    xi = np.empty((K - 1, d, M))
     mix = np.empty((d, M))
-    c_mix = (math.sqrt(k) - 1.0) / (k - 1)
+    c_mix = (math.sqrt(K) - 1.0) / (K - 1)
     # f(sqrt(kappa) |b^i - b^j|) = amp * g(q) for the squared distance q in step units
     if model.kind == RIESZ:
         amp = model.c0 * r_reg ** (-model.alpha)  # g(q) = max(q, 1)^(-alpha/2): r >= r_reg
@@ -395,87 +447,107 @@ def fk_moment_oracle(
         amp, gauss = model.f_at_zero(), -kappa * dt / (4.0 * model.width**2)  # g(q) = exp(gauss q)
     else:
         amp = model.c  # g = 1
-    # Pairs (i, j), i < j, in row-major order: pairs (i, .) are rows rows[i]:rows[i + 1].
-    rows = np.cumsum([0] + list(range(k - 1, 0, -1)))
-    diff, q = np.empty((2, rows[-1], M))
-    acc = np.empty(M)
+    # pairs (., j) are rows first[j]:first[j] + j
+    first = [j * (j - 1) // 2 for j in range(K + 1)]
+    diff, q = np.empty((2, first[K], M))
+    cum = np.empty((K - 1, M))
     # Each population holds at least one walker; a single walker never resamples.
     starts = np.linspace(0, M, min(_FK_BLOCKS, M) + 1).astype(int)
     sizes = np.diff(starts)
-    log_norm = np.zeros(sizes.size)
-    resamplings = 0
 
-    def pair_sum():
-        """sum over pairs of g(q), into acc."""
+    def pair_sums(y, n):
+        """sum of g(q) over the pairs among y_0..y_j into cum[j - 1], for j < n."""
+        qn, dn = q[: first[n]], diff[: first[n]]
         for c in range(d):
-            yc, dst = y[:, c], (q if c == 0 else diff)
-            dst[: k - 1] = yc
-            for i in range(1, k - 1):
-                np.subtract(yc[i - 1], yc[i:], out=dst[rows[i] : rows[i + 1]])
+            yc, dst = y[:, c], (qn if c == 0 else dn)
+            for j in range(1, n):
+                np.subtract(yc[j], yc[:j], out=dst[first[j] : first[j + 1]])
             np.multiply(dst, dst, out=dst)
             if c:
-                np.add(q, diff, out=q)
+                np.add(qn, dn, out=qn)
         if model.kind == RIESZ:
-            np.maximum(q, 1.0, out=q)
-            np.sqrt(q, out=q)
-            np.power(q, -model.alpha, out=q)  # after sqrt: at alpha = 1 cheaper than q ** -0.5
+            np.maximum(qn, 1.0, out=qn)
+            np.sqrt(qn, out=qn)
+            np.power(qn, -model.alpha, out=qn)  # after sqrt: at alpha = 1 cheaper than q ** -0.5
         elif model.kind == GAUSSIAN_H:
-            np.multiply(q, gauss, out=q)
-            np.exp(q, out=q)
+            np.multiply(qn, gauss, out=qn)
+            np.exp(qn, out=qn)
         else:
-            q.fill(1.0)
-        return np.sum(q, axis=0, out=acc)
+            qn.fill(1.0)
+        for j in range(1, n):
+            np.add.reduce(qn[first[j] : first[j + 1]], axis=0, out=cum[j - 1])
+            if j > 1:
+                np.add(cum[j - 2], cum[j - 1], out=cum[j - 1])
 
-    def block_weights():
+    def block_weights(S):
         """Weights exp(S) scaled per population, their sums, log mean weights."""
         top = np.maximum.reduceat(S, starts[:-1])
         e = np.exp(S - np.repeat(top, sizes))
         tot = np.add.reduceat(e, starts[:-1])
         return e, tot, top + np.log(tot / sizes)
 
-    # S = 2 amp * trapezoid sum of dt * pair_sum over the inner steps
-    S = amp * dt * pair_sum()
+    # S = 2 amp * trapezoid sum of dt * pair sum over the inner steps
+    pair_sums(y, K)
+    walks = [_FkWalk(y, [])]
+    orders = [_FkOrder(k, amp * dt * cum[k - 2], cum[k - 2], np.zeros(sizes.size), walks[0])
+              for k in sorted(set(ks))]
+    walks[0].orders += orders
     for step in range(1, n_inner + 1):
         rng.standard_normal(out=xi)
-        np.sum(xi, axis=0, out=mix)
+        np.add.reduce(xi, axis=0, out=mix)
         mix *= c_mix
-        y += xi
-        y += mix
-        pair_sum()
-        acc *= 2.0 * amp * dt if step < n_inner else amp * dt
-        S += acc
-        if step == n_inner or np.ptp(S) <= _FK_SAFE_LOG_SPREAD:
+        scale = 2.0 * amp * dt if step < n_inner else amp * dt
+        for w in walks:
+            n = w.orders[-1].k
+            moved = w.y[1:n]
+            moved += xi[: n - 1]
+            moved += mix
+            pair_sums(w.y, n)
+            for o in w.orders:
+                o.acc *= scale
+                o.S += o.acc
+        if step == n_inner:
             continue
-        e, tot, log_w = block_weights()
-        low = tot * tot < 0.5 * sizes * np.add.reduceat(e * e, starts[:-1])
-        for b in np.flatnonzero(low):
-            lo, hi = starts[b], starts[b + 1]
-            log_norm[b] += log_w[b]
-            y[..., lo:hi] = y[..., lo + _systematic_resample(e[lo:hi], resample_rng.random())]
-            S[lo:hi] = 0.0
-            resamplings += 1
+        for o in orders:
+            if np.ptp(o.S) <= _FK_SAFE_LOG_SPREAD:
+                continue
+            e, tot, log_w = block_weights(o.S)
+            low = tot * tot < 0.5 * sizes * np.add.reduceat(e * e, starts[:-1])
+            for b in np.flatnonzero(low):
+                if len(o.walk.orders) > 1:  # leave the shared walk for a copy of its own motions
+                    o.walk.orders.remove(o)
+                    o.walk = _FkWalk(o.walk.y[: o.k].copy(), [o])
+                    walks.append(o.walk)
+                lo, hi = starts[b], starts[b + 1]
+                o.log_norm[b] += log_w[b]
+                y_o = o.walk.y
+                y_o[..., lo:hi] = y_o[..., lo + _systematic_resample(e[lo:hi], resample_rng.random())]
+                o.S[lo:hi] = 0.0
+                o.resamplings += 1
 
-    if resamplings == 0:
-        log_mean, log_se = _log_mean_jackknife(S)
-        heavy = _heavy_tail_flag(np.exp(S - np.max(S)))
-    else:
-        log_mean, log_se = _log_mean_jackknife(log_norm + block_weights()[2])
-        heavy = log_se > math.log(1.5)
-    log_total = log_mean + k * math.log(u0_level)
-    estimate = math.exp(log_total) if log_total < 700 else math.inf
-    stderr = estimate * log_se if math.isfinite(estimate) else math.inf
-    return FkOracleResult(
-        k=k,
-        t=t,
-        log_mean=log_total,
-        log_stderr=log_se,
-        estimate=estimate,
-        stderr=stderr,
-        heavy_tail=bool(heavy),
-        walkers=M,
-        reg_scale=r_reg,
-        resamplings=resamplings,
-    )
+    results = {}
+    for o in orders:
+        if o.resamplings == 0:
+            log_mean, log_se = _log_mean_jackknife(o.S)
+            heavy = _heavy_tail_flag(np.exp(o.S - np.max(o.S)))
+        else:
+            log_mean, log_se = _log_mean_jackknife(o.log_norm + block_weights(o.S)[2])
+            heavy = log_se > math.log(1.5)
+        log_total = log_mean + o.k * math.log(u0_level)
+        estimate = math.exp(log_total) if log_total < 700 else math.inf
+        results[o.k] = FkOracleResult(
+            k=o.k,
+            t=t,
+            log_mean=log_total,
+            log_stderr=log_se,
+            estimate=estimate,
+            stderr=estimate * log_se if math.isfinite(estimate) else math.inf,
+            heavy_tail=bool(heavy),
+            walkers=M,
+            reg_scale=r_reg,
+            resamplings=o.resamplings,
+        )
+    return [results[k] for k in ks]
 
 
 @dataclass

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=f"run the {verb.replace('-', '_')} analysis of a manifest")
         p.add_argument("--manifest", required=True, help="path to a manifest JSON")
         p.add_argument("--threads", type=int, default=1,
-                       help="run replica chunks and oracle orders in up to N worker processes (default 1)")
+                       help="run replica chunks in up to N worker processes (default 1)")
         p.add_argument("--out", help="bundle directory to create (must not exist)")
     rep = sub.add_parser("report", help="render a bundle's summary as a table")
     rep.add_argument("bundle", help="bundle directory")

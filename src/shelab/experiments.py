@@ -25,8 +25,9 @@ whose manifest no longer matches the recorded hash.
 
 Determinism contract: identical manifests produce bit-identical bundles,
 whatever the number of worker processes (``threads``), because every
-replica's noise is a pure function of (seed, stream id), each oracle order
-draws from its own seeded generators, and results merge in stream order.
+replica's noise is a pure function of (seed, stream id), an oracle block
+draws from its own seeded generators in the calling process, and results
+merge in stream order.
 Only summary.json differs, in the worker count and wallclock it records;
 it also records the environment (Python, numpy and scipy versions, platform
 and core count), since the bits rest on numpy's generator and FFT.
@@ -43,7 +44,6 @@ import shutil
 import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -112,7 +112,7 @@ class _Run:
 
     seed: Optional[int]
     replicas: int
-    threads: int  # worker processes for replica chunks and oracle orders
+    threads: int  # worker processes for replica chunks
     model: Optional[CorrelationModel]
     solver: Optional[dict]  # the solver block as written
     sigma: Optional[SigmaFunction]
@@ -258,10 +258,9 @@ def _prepare_oracle(blk: dict, run: _Run):
     ks = blk.get("ks", named)
     for order in named + ks:
         an.check_oracle(*args, order, run.u0.level)
-    orders = [partial(an.fk_moment_oracle, *args, order, ocfg, u0_level=run.u0.level) for order in ks]
 
     def call(files):
-        out = an.fork_map(orders, run.threads)
+        out = an._fk_ladder(*args, ks, ocfg, run.u0.level)  # one walk for every order
         columns = ("k", "t", "estimate", "stderr", "log_mean", "log_stderr", "heavy_tail", "walkers", "reg_scale")
         files.csv("oracle.csv", columns, [[getattr(r, c) for c in columns] for r in out])
         return {

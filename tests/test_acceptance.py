@@ -320,9 +320,9 @@ def test_bundle_determinism(accept, tmp_path):
 
 
 def test_bundle_determinism_across_workers(accept, tmp_path):
-    # 600 replicas make three 256-replica chunks, so at threads=2 the chunks,
-    # and the oracle's two orders, run in forked workers while threads=1
-    # runs them in this process
+    # 600 replicas make three 256-replica chunks, so at threads=2 the chunks
+    # run in forked workers while threads=1 runs them in this process; the
+    # oracle's two orders share one walk in this process at either count
     manifest = {
         "version": 1,
         "seed": 23,

@@ -235,7 +235,7 @@ FK_PINNED = [
     ("riesz", 2, 5, 1.0, 2, 30.49034570806728, 0.3916550154751353, 34),
     ("riesz", 2, 9, 0.5, 8, 88.00849007774423, 7.370136650829403, 54),
     ("gaussian_h", 3, 2, 1.0, 5, 3.143304222435866, 0.04165041463902215, 1),
-    ("gaussian_h", 3, 5, 1.0, 5, 36.71778660310302, 0.6656809592152527, 21),
+    ("gaussian_h", 3, 5, 1.0, 5, 36.717786603103015, 0.6656809592152475, 21),
     ("gaussian_h", 3, 9, 1.0, 1, 140.29939533349415, 0.4742218182406056, 45),
 ]
 
@@ -328,10 +328,11 @@ class TestFkOracle:
     )
     def test_seeded_bits_pinned(self, kind, d, k, t, seed, log_mean, log_stderr, resamplings):
         # Exact values of the walker step in relative coordinates: k - 1
-        # motions drawn walkers-last, f summed over a (pairs, M) buffer one
-        # pair after another.  Summing the pairs pairwise instead, as numpy
-        # does along a contiguous axis of 8 or more, changes the result of
-        # the riesz d=2, k=5 and the gaussian_h k=9 cases at their seeds.
+        # motions drawn walkers-last, f summed over a (pairs, M) buffer whose
+        # pairs (i, j) are ordered by j, the pairs of each j summed one
+        # after another and the per-j sums added in a running sum.  Another
+        # summation order moves the last bits: ordering the pairs by i
+        # instead moves the gaussian_h k=5 case.
         if kind == "riesz":
             model = sl.CorrelationModel.riesz(d=d, alpha=0.5 if d == 1 else 1.0, c0=0.7)
         else:
@@ -351,6 +352,41 @@ class TestFkOracle:
         v = np.array([an.fk_moment_oracle(model, 1.0, 1.0, 5, cfg).log_mean for cfg in runs])
         se = float(np.std(v, ddof=1)) / math.sqrt(v.size)
         assert abs(float(np.mean(v)) - ref) < 4.0 * math.hypot(se, ref_se), (np.mean(v), se)
+
+    def test_ladder_on_constant_model_is_exact(self):
+        c = sl.CorrelationModel.constant(d=1, c=0.3)
+        ladder = an._fk_ladder(c, 1.0, 1.0, [2, 3, 4], an.FkOracleConfig(walkers=32, inner_steps=16), 1.0)
+        for k, res in zip((2, 3, 4), ladder):
+            assert res.k == k
+            assert res.estimate == pytest.approx(math.exp(0.3 * k * (k - 1)), rel=1e-12)
+
+    def test_ladder_top_order_is_the_single_order_walk(self):
+        # The ladder draws the block and mixes it as a lone call at its top
+        # order does; without a resampling nothing else touches that order.
+        cfg = an.FkOracleConfig(walkers=5000, inner_steps=256, seed=1)
+        ladder = an._fk_ladder(GAUSS, 1.0, 0.25, [2, 3, 4], cfg, 1.0)
+        assert [r.resamplings for r in ladder] == [0, 0, 0]
+        assert ladder[-1] == an.fk_moment_oracle(GAUSS, 1.0, 0.25, 4, cfg)
+
+    def test_ladder_orders_fork_and_keep_their_law(self):
+        # Every order resamples, a different number of times: 5 and 3 each
+        # leave the shared walk for a copy while 2 still reads it.  Each
+        # must still read its own pair sum and agree with a lone call
+        # at its order (an order that read the last row of the pair sums
+        # after leaving puts k = 3 off by 23 stderrs).
+        model = sl.CorrelationModel.riesz(d=2, alpha=1.0, c0=0.7)
+        cfg = an.FkOracleConfig(walkers=4000, inner_steps=128, seed=7)
+        ladder = an._fk_ladder(model, 1.0, 1.0, [2, 3, 5], cfg, 1.0)
+        assert 0 < ladder[0].resamplings < ladder[1].resamplings < ladder[2].resamplings
+        for res in ladder:
+            alone = an.fk_moment_oracle(model, 1.0, 1.0, res.k, cfg)
+            z = abs(res.log_mean - alone.log_mean) / math.hypot(res.log_stderr, alone.log_stderr)
+            assert z < 4.0, (res.k, res.log_mean, alone.log_mean, z)
+
+    def test_ladder_rows_follow_ks(self):
+        ladder = an._fk_ladder(GAUSS, 1.0, 0.5, [3, 2, 3], an.FkOracleConfig(walkers=200, inner_steps=16), 1.0)
+        assert [r.k for r in ladder] == [3, 2, 3]
+        assert ladder[0] == ladder[2]
 
     def test_order_validation(self):
         c = sl.CorrelationModel.constant(d=1, c=0.3)

@@ -340,6 +340,19 @@ class TestValidation:
             out = tmp_path / "_".join(map(str, ks))
             assert exp.run(m, out).summary["analyses"]["oracle"]["ks"] == ks
 
+    def test_oracle_block_walks_once(self, monkeypatch, tmp_path):
+        # every order of a block reads one walk, whatever the worker count
+        calls, ladder = [], an._fk_ladder
+
+        def spy(model, kappa, t, ks, cfg, u0_level):
+            calls.append(list(ks))
+            return ladder(model, kappa, t, ks, cfg, u0_level)
+
+        monkeypatch.setattr(an, "_fk_ladder", spy)
+        m = broken({"analysis": {"oracle": {"ks": [2, 3, 4], "walkers": 16, "inner_steps": 16}}})
+        exp.run(m, tmp_path / "b", threads=2)
+        assert calls == [[2, 3, 4]]
+
     def test_oracle_checks_every_order_it_names(self):
         m = broken({"analysis": {"oracle": {**ORACLE, "k": 0, "ks": [2, 3]}}})
         assert exp.validate_manifest(m) == ["oracle: oracle moment order k = 0 violates k >= 2"]
