@@ -42,8 +42,7 @@ w_hat_j, the transform of the white slice of step j, so zeta_j =
 irfftn(w_hat_j * H) with no forward transform.  A full field solved alone
 with constant sigma is not stepped: one drawn step per record time has the
 step loop's exact law.  Any other full field steps: a real-space step runs
-three FFTs, zeta_j and the propagation pair; a constant-sigma level coupled
-to localized ones runs none between its first and its final field.
+three FFTs, zeta_j and the propagation pair.
 
 Buffers: a call allocates its buffers once and steps in place; it reads
 each step of the noise and does not write it.
@@ -203,16 +202,16 @@ class LocalizationConfig:
         return int(math.floor(math.log(self.beta))) + 1
 
 
-def _steps_for(t_final: float, dt: float) -> int:
-    if not t_final > 0:
-        raise SolverError("t_final must be positive")
-    n = t_final / dt
+def _steps_for(t: float, dt: float, name: str = "t_final") -> int:
+    if not t > 0:
+        raise SolverError(f"{name} must be positive")
+    n = t / dt
     n_round = round(n)
     broken = []
     if n_round < 1 or abs(n - n_round) > 1e-9 * max(1.0, n_round):
-        broken.append(f"t_final={t_final} is not an integer multiple of dt={dt}")
-    if dt > t_final / 16.0 + 1e-15:
-        broken.append(f"dt={dt} too coarse for t_final={t_final}: need dt <= t_final/16 = {t_final / 16.0}")
+        broken.append(f"{name}={t} is not an integer multiple of dt={dt}")
+    if dt > t / 16.0 + 1e-15:
+        broken.append(f"dt={dt} too coarse for {name}={t}: need dt <= {name}/16 = {t / 16.0}")
     if broken:
         raise SolverError("; ".join(broken))
     return int(n_round)
@@ -223,6 +222,23 @@ def check_solve(cfg: SolverConfig, t_final: float) -> int:
     n_steps = _steps_for(t_final, cfg.dt)
     kernel_multiplier(cfg.model, cfg.grid, None)
     return n_steps
+
+
+def check_record_times(cfg: SolverConfig, times: Sequence[float]) -> list:
+    """Raise unless cfg can record at times, strictly increasing; returns their step counts."""
+    broken = []
+    if any(a >= b for a, b in zip(times, times[1:])):
+        broken.append(f"record_times = {times} violates strictly increasing")
+    counts = []
+    for t in times:
+        try:
+            counts.append(_steps_for(t, cfg.dt, "record time"))
+        except SolverError as e:
+            broken.append(str(e))
+    if broken:
+        raise SolverError("; ".join(broken))
+    kernel_multiplier(cfg.model, cfg.grid, None)
+    return counts
 
 
 def check_localization(cfg: SolverConfig, loc: LocalizationConfig, t_final: float) -> None:
@@ -285,7 +301,7 @@ def _record_batch(cfg: SolverConfig, times: Sequence[float], seed: int, streams:
     times G = sum_{i=1..n} P^(2i).  So interval i is driven by step i alone,
     scaled by sqrt(G): the step loop's exact joint law at the record times."""
     grid = cfg.grid
-    counts = [_steps_for(t, cfg.dt) for t in times]
+    counts = check_record_times(cfg, times)
     if cfg.sigma.kind != "constant":
         yield from _stepped_fields(cfg, streams, counts, white_steps(seed, streams, grid, cfg.dt, counts[-1]))
         return
@@ -303,33 +319,10 @@ def _record_batch(cfg: SolverConfig, times: Sequence[float], seed: int, streams:
         yield u
 
 
-def _solve_batch(cfg: SolverConfig, streams: Sequence[int], n_steps: int, steps, collect_stats=None) -> np.ndarray:
-    """The step loop of a full level coupled to others: the field after
-    n_steps driven by steps, an iterator of the transformed white slices of
-    each step, as noise.white_steps yields them.  A multiplicative run
-    counts its clamped sites into collect_stats."""
-    if cfg.sigma.kind != "constant":
-        return next(_stepped_fields(cfg, streams, [n_steps], steps, collect_stats))
-    # sigma does not look at the field, so the whole run can stay spectral;
-    # overflow is detected on the final field
-    grid = cfg.grid
-    P = propagator_multiplier(grid, cfg.kappa, cfg.dt)
-    uhat = np.broadcast_to(np.fft.rfftn(cfg.u0.render(grid)), (len(streams),) + grid.rfft_shape()).copy()
-    spec = np.empty_like(uhat)
-    mult = cfg.sigma.eps0 * kernel_multiplier(cfg.model, grid, None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for what in steps:
-            np.multiply(mult, what, out=spec)
-            uhat += spec
-            uhat *= P
-        u = np.fft.irfftn(uhat, s=grid.shape, axes=tuple(range(1, 1 + grid.d)))
-    _check_finite(n_steps * cfg.dt, u, streams)
-    return u
-
-
 def _stepped_fields(cfg: SolverConfig, streams: Sequence[int], counts: Sequence[int], steps, collect_stats=None):
     """Yield the field after each of counts steps, strictly increasing, of
-    the real-space step loop driven by steps, as for _solve_batch."""
+    the real-space step loop driven by steps, the transformed white slices
+    of noise.white_steps; a multiplicative run counts clamps in collect_stats."""
     grid = cfg.grid
     H = kernel_multiplier(cfg.model, grid, None)
     P = propagator_multiplier(grid, cfg.kappa, cfg.dt)
@@ -400,7 +393,7 @@ def _mild_sum_batch(
     heat kernel of every stochastic convolution evaluated at time s to the
     box |z_l| <= beta*sqrt(s).  None keeps the full kernel and a window that
     covers the torus: the plain Picard iteration, which the tests check
-    against solve_batch.  n and steps are the noise, as for _solve_batch.
+    against solve_batch.  n and steps are the noise, as for _stepped_fields.
     """
     grid = cfg.grid
     R = len(streams)
@@ -466,14 +459,14 @@ def _coupled_batch(cfg: SolverConfig, levels: Sequence, t_final: float, seed: in
     """Yield the field of streams at each of levels, all driven by one draw
     of their white noise: None is the full solution, a LocalizationConfig
     its localized Picard iterate.  The single level None is _record_batch's
-    field at t_final.  Other levels step through every drawn step: more than
-    one keeps the transformed draws, n_steps x len(streams) x F complex; one
-    reads them as they are drawn.  Every lattice solve enters here, but
-    simulate's, which enters _record_batch with all its record times."""
+    field at t_final; other levels step, None in _stepped_fields whatever
+    its sigma.  More than one level keeps the transformed draws, n_steps x
+    len(streams) x F complex; one reads them as drawn.  Every lattice solve
+    enters here, but simulate's, which enters _record_batch with all times."""
+    n_steps = _steps_for(t_final, cfg.dt)
     if list(levels) == [None]:
         yield from _record_batch(cfg, [t_final], seed, streams)
         return
-    n_steps = _steps_for(t_final, cfg.dt)
     steps = white_steps(seed, streams, cfg.grid, cfg.dt, n_steps)
     if len(levels) > 1:
         what = np.empty((n_steps, len(streams)) + cfg.grid.rfft_shape(), dtype=complex)
@@ -482,5 +475,5 @@ def _coupled_batch(cfg: SolverConfig, levels: Sequence, t_final: float, seed: in
     for level in levels:
         if len(levels) > 1:
             steps = iter(what)
-        yield (_solve_batch(cfg, streams, n_steps, steps) if level is None
+        yield (next(_stepped_fields(cfg, streams, [n_steps], steps)) if level is None
                else _mild_sum_batch(cfg, streams, n_steps, steps, level.depth(), level.beta))

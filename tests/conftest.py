@@ -24,6 +24,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus):
         terminalreporter.section("acceptance checks")
         for line in _LINES:
             terminalreporter.write_line(line)
-    # the code-size measure: what `wc -l src/shelab/*.py` totals
-    lines = sum(p.read_bytes().count(b"\n") for p in _SRC.glob("*.py"))
-    terminalreporter.write_line(f"src/shelab/*.py: {lines} lines")
+    # the code-size measure: what `wc -l src/shelab/*.py` totals, then per module
+    per_module = {p.name: p.read_bytes().count(b"\n") for p in sorted(_SRC.glob("*.py"))}
+    terminalreporter.write_line(f"src/shelab/*.py: {sum(per_module.values())} lines")
+    for name, lines in per_module.items():
+        terminalreporter.write_line(f"  {name}: {lines}")

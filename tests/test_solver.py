@@ -15,7 +15,14 @@ import pytest
 import shelab as sl
 import shelab.experiments as exp
 from shelab.noise import white_batch, white_steps
-from shelab.solver import SolverError, _kernel_stack, _mild_sum_batch, _solve_batch
+from shelab.solver import (
+    SolverError,
+    _coupled_batch,
+    _kernel_stack,
+    _mild_sum_batch,
+    _record_batch,
+    _stepped_fields,
+)
 
 
 GRID = sl.LatticeGrid(d=1, m=128, dx=0.25)
@@ -122,12 +129,12 @@ class TestSolveBatch:
         batch = sl.solve_batch(cfg, 0.25, 41, [3, 7, 20])[1]
         assert np.array_equal(solo, batch)
 
-    def test_fast_path_equals_step_loop(self):
-        # the spectral step loop that a full level coupled to localized ones
-        # runs; a lone full level draws once instead (TestExactAdditive)
+    def test_coupled_constant_full_level_equals_step_loop(self):
+        # a full level coupled to localized ones steps in real space whatever
+        # its sigma; a lone full level draws once instead (TestExactAdditive)
         cfg = make_cfg(sl.SigmaFunction.constant(eps0=0.7))
-        fast = _solve_batch(cfg, [2], 16, white_steps(13, [2], GRID, DT, 16))[0]
-        assert np.allclose(fast, step_loop(cfg, 0.25, 13, 2), atol=1e-12)
+        full = next(_coupled_batch(cfg, [None, sl.LocalizationConfig(beta=2.0)], 0.25, 13, [2]))[0]
+        assert np.array_equal(full, step_loop(cfg, 0.25, 13, 2))
 
     def test_general_path_equals_step_loop(self):
         cfg = make_cfg(sl.SigmaFunction.bounded_both())
@@ -140,6 +147,16 @@ class TestSolveBatch:
             sl.solve_batch(cfg, 0.35, 0, [0])  # not an integer multiple
         with pytest.raises(SolverError):
             sl.solve_batch(cfg, 0.5, 0, [0])  # dt > t/16
+
+    @pytest.mark.parametrize("sigma", [sl.SigmaFunction.linear(c=1.0), sl.SigmaFunction.constant(eps0=0.5)],
+                             ids=["linear", "constant"])
+    @pytest.mark.parametrize("times", [[0.25, 0.125], [0.25, 0.25]], ids=["decreasing", "repeated"])
+    def test_record_times_checked(self, sigma, times):
+        # a record out of order is refused, not mislabelled, dropped or
+        # reported as a blowup
+        with pytest.raises(SolverError) as ei:
+            next(_record_batch(make_cfg(sigma, dt=1 / 128), times, 0, [0]))
+        assert str(ei.value) == f"record_times = {times} violates strictly increasing"
 
     def test_variance_matches_exact_discrete_formula(self):
         # oracle: spectral accumulation of the square of the per-step
@@ -182,8 +199,8 @@ class TestSolveBatch:
             for _ in range(256 // factor):
                 yield sum(next(fine) for _ in range(factor))
 
-        a = _solve_batch(cfg, streams, 16, coarse_noise(16))
-        b = _solve_batch(cfg_q, streams, 64, coarse_noise(4))
+        a = next(_stepped_fields(cfg, streams, [16], coarse_noise(16)))
+        b = next(_stepped_fields(cfg_q, streams, [64], coarse_noise(4)))
         c = sl.solve_batch(cfg_s, 0.25, 9, streams)
         e_coarse = float(np.sqrt(np.mean((a - c) ** 2)))
         e_mid = float(np.sqrt(np.mean((b - c) ** 2)))
@@ -306,7 +323,7 @@ class TestSolveBatch:
         cfg = make_cfg(sl.SigmaFunction.linear(c=6.0))
         stats = {}
         streams = range(8)
-        _solve_batch(cfg, streams, 16, white_steps(3, streams, GRID, DT, 16), stats)  # 16 steps of DT: t = 0.25
+        next(_stepped_fields(cfg, streams, [16], white_steps(3, streams, GRID, DT, 16), stats))  # t = 0.25
         assert stats.get("clamped", 0) > 0
         assert stats.get("worst_negative", 0.0) <= 0.0
 
