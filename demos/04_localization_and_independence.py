@@ -28,8 +28,8 @@ curve = an.localization_error_curve(cfg, 0.25, [4.0, 8.0, 16.0, 32.0], k=2, n_re
 print("coupled |u - U(beta)| error ladder:")
 for beta, err in zip(curve.betas, curve.errors):
     print(f"  beta={beta:5.1f}  error={err:.5f}")
-if curve.fit is not None:
-    print(f"decay rate from the fit: {curve.fit.exponent:.2f}")
+if curve.decay_rate is not None:
+    print(f"decay rate from the fit: {curve.decay_rate:.2f}")
 
 # Independence versus separation.  beta=1 runs one Picard sweep; at t=4 the
 # noise window has radius 2, so sites 6 apart share nothing while sites 3

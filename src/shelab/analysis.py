@@ -215,7 +215,6 @@ class MomentReport:
     flags: list
     n_replicas: int
     t: float
-    probes: tuple
 
 
 def _heavy_tail_flag(samples: np.ndarray) -> bool:
@@ -270,7 +269,6 @@ def estimate_moments(
         flags=flags,
         n_replicas=n_replicas,
         t=scenario.t_final,
-        probes=scenario.probes,
     )
 
 
@@ -675,21 +673,20 @@ def _profile_power_fit(ks: np.ndarray, logm: np.ndarray) -> tuple:
     return theta, coef, sse
 
 
-def moment_growth_exponent(report: MomentReport) -> ExponentFit:
+def moment_growth_exponent(ks: Sequence[int], log_moments: Sequence[float], flags: Sequence[bool]) -> ExponentFit:
     """Growth exponent theta of log E|u|^k ~ a k^theta (+ linear nuisance).
 
-    Fits log-moment = a k^theta + b k by profiled least squares; the naive
-    log(log-moment) vs log k slope is reported in extras for reference.
-    Flagged (unreliable) moments are excluded; needs at least four distinct
-    k with positive, unflagged estimates.
+    Fits the log-moments of the orders ks as a k^theta + b k by profiled
+    least squares, leaving out flagged (unreliable) and non-finite ones;
+    needs at least four distinct k left.  The naive log(log-moment) vs log k
+    slope is reported in extras for reference.
     """
-    ks = np.asarray(report.ks, dtype=float)
-    est = np.asarray(report.estimates, dtype=float)
-    keep = (est > 0) & ~np.asarray(report.flags, dtype=bool)
-    ks, est = ks[keep], est[keep]
+    ks = np.asarray(ks, dtype=float)
+    logm = np.asarray(log_moments, dtype=float)
+    keep = np.isfinite(logm) & ~np.asarray(flags, dtype=bool)
+    ks, logm = ks[keep], logm[keep]
     if ks.size < 4:
-        raise AnalysisError("growth fit needs at least four reliable positive moments")
-    logm = np.log(est)
+        raise AnalysisError("growth fit needs at least four reliable finite log-moments")
     theta, coef, sse = _profile_power_fit(ks, logm)
     # delete-one jackknife over the k points for a stderr on theta; a fit
     # to three points is exactly determined
@@ -789,7 +786,7 @@ class LocalizationCurve:
     errors: list
     stderrs: list
     k: int
-    fit: Optional[ExponentFit]
+    decay_rate: Optional[float]  # minus the slope of log error against log beta
 
 
 def check_localization_curve(
@@ -838,19 +835,10 @@ def localization_error_curve(
     means, mean_ses = (a.tolist() for a in _jackknife_means(rows))
     errors = [est ** (1.0 / k) for est in means]
     stderrs = [se / k * est ** (1.0 / k - 1.0) if est > 0 else 0.0 for est, se in zip(means, mean_ses)]
-    fit = None
+    decay_rate = None
     if len(blist) >= 2 and all(e > 0 for e in errors):
-        slope, intercept, se, r2 = _ols(np.log(np.asarray(blist)), np.log(np.asarray(errors)))
-        fit = ExponentFit(
-            abscissae=blist,
-            ordinates=[math.log(e) for e in errors],
-            exponent=slope,
-            stderr=se,
-            intercept=intercept,
-            r2=r2,
-            extras={"decay_rate": -slope},
-        )
-    return LocalizationCurve(betas=blist, errors=errors, stderrs=stderrs, k=k, fit=fit)
+        decay_rate = -_ols(np.log(np.asarray(blist)), np.log(np.asarray(errors)))[0]
+    return LocalizationCurve(betas=blist, errors=errors, stderrs=stderrs, k=k, decay_rate=decay_rate)
 
 
 @dataclass
@@ -862,7 +850,6 @@ class BoundednessProbe:
     increments: list
     increment_stderrs: list
     verdict: str
-    dropped_nonpositive: int
     samples: np.ndarray  # (n_replicas, n_radii) raw sups, the input of tail_estimate
 
 
@@ -919,6 +906,5 @@ def boundedness_probe(
         increments=increments,
         increment_stderrs=inc_se,
         verdict=verdict,
-        dropped_nonpositive=int(np.count_nonzero(sups <= 0)),
         samples=sups,
     )

@@ -311,7 +311,7 @@ def _prepare_localize(blk: dict, run: _Run):
             "betas": c.betas,
             "errors": c.errors,
             "monotone_decreasing": all(a > b for a, b in zip(c.errors, c.errors[1:])),
-            "decay_rate": None if c.fit is None else c.fit.extras["decay_rate"],
+            "decay_rate": c.decay_rate,
         }
 
     return call

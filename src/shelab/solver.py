@@ -225,8 +225,8 @@ def check_solve(cfg: SolverConfig, t_final: float) -> int:
 
 
 def check_record_times(cfg: SolverConfig, times: Sequence[float]) -> list:
-    """Raise unless cfg can record at times, strictly increasing; returns their step counts."""
-    broken = []
+    """Raise unless cfg can record at times, one or more strictly increasing; returns their step counts."""
+    broken = [] if len(times) >= 1 else [f"record_times = {times} violates len(record_times) >= 1"]
     if any(a >= b for a, b in zip(times, times[1:])):
         broken.append(f"record_times = {times} violates strictly increasing")
     counts = []

@@ -121,16 +121,7 @@ def _oracle_growth_fit(model, t, oracle_cfg):
     ks = list(range(2, 9))
     calls = [partial(an.fk_moment_oracle, model, 1.0, t, k, oracle_cfg) for k in ks]
     results = an.fork_map(calls, threads=2)
-    report = an.MomentReport(
-        ks=ks,
-        estimates=[r.estimate for r in results],
-        stderrs=[r.stderr for r in results],
-        flags=[r.heavy_tail for r in results],
-        n_replicas=oracle_cfg.walkers,
-        t=t,
-        probes=(),
-    )
-    fit = an.moment_growth_exponent(report)
+    fit = an.moment_growth_exponent(ks, [r.log_mean for r in results], [r.heavy_tail for r in results])
     fit.extras["resamplings"] = sum(r.resamplings for r in results)
     return fit
 

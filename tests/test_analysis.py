@@ -423,59 +423,48 @@ class TestExponentFits:
 
     def test_growth_theta_on_pure_power(self):
         ks = [2, 3, 4, 5, 6]
-        rep = an.MomentReport(
-            ks=ks,
-            estimates=[math.exp(0.05 * k * k) for k in ks],
-            stderrs=[0.0] * 5,
-            flags=[False] * 5,
-            n_replicas=10,
-            t=1.0,
-            probes=((0.0,),),
-        )
-        fit = an.moment_growth_exponent(rep)
+        fit = an.moment_growth_exponent(ks, [0.05 * k * k for k in ks], [False] * 5)
         assert fit.exponent == pytest.approx(2.0, abs=1e-6)
 
     def test_growth_theta_with_linear_nuisance(self):
         # log-moment c t k(k-1) + k log u0: the linear piece must not bias theta
         ks = [2, 3, 4, 5, 6, 8]
-        rep = an.MomentReport(
-            ks=ks,
-            estimates=[math.exp(0.3 * k * (k - 1) + k * math.log(1.7)) for k in ks],
-            stderrs=[0.0] * 6,
-            flags=[False] * 6,
-            n_replicas=10,
-            t=1.0,
-            probes=((0.0,),),
-        )
-        fit = an.moment_growth_exponent(rep)
+        fit = an.moment_growth_exponent(ks, [0.3 * k * (k - 1) + k * math.log(1.7) for k in ks], [False] * 6)
         assert fit.exponent == pytest.approx(2.0, abs=1e-6)
         assert abs(fit.extras["loglog_slope"] - 2.0) > 0.1  # the naive fit is biased
 
     def test_growth_stderr_with_four_points(self):
         # each delete-one refit fits three points exactly
         ks = [2, 3, 4, 5]
-        cases = (([math.exp(0.3 * k * (k - 1)) for k in ks], 2.0, 0.0), ([2.0, 8.0, 60.0, 900.0], 1.97, 0.14))
-        for estimates, theta, stderr in cases:
-            rep = an.MomentReport(
-                ks=ks, estimates=estimates, stderrs=[0.0] * 4, flags=[False] * 4, n_replicas=10, t=1.0,
-                probes=((0.0,),),
-            )
-            fit = an.moment_growth_exponent(rep)
+        cases = (([0.3 * k * (k - 1) for k in ks], 2.0, 0.0), (np.log([2.0, 8.0, 60.0, 900.0]), 1.97, 0.14))
+        for log_moments, theta, stderr in cases:
+            fit = an.moment_growth_exponent(ks, log_moments, [False] * 4)
             assert fit.exponent == pytest.approx(theta, abs=0.01)
             assert fit.stderr == pytest.approx(stderr, abs=0.01)  # not NaN
 
     def test_growth_needs_four_points(self):
-        rep = an.MomentReport(
-            ks=[2, 3, 4],
-            estimates=[1.0, 2.0, 4.0],
-            stderrs=[0.0] * 3,
-            flags=[False] * 3,
-            n_replicas=10,
-            t=1.0,
-            probes=((0.0,),),
-        )
         with pytest.raises(an.AnalysisError):
-            an.moment_growth_exponent(rep)
+            an.moment_growth_exponent([2, 3, 4], np.log([1.0, 2.0, 4.0]), [False] * 3)
+
+    def test_growth_fit_survives_overflowing_moments(self):
+        # exact theta = 2 (log E u^k = c t k(k-1)); k = 7 and 8 overflow a
+        # float, so only log-moments keep every order in the fit
+        ks = list(range(2, 9))
+        cfg = an.FkOracleConfig(walkers=100, inner_steps=4, seed=1)
+        results = [an.fk_moment_oracle(sl.CorrelationModel.constant(d=1, c=2.0), 1.0, 10.0, k, cfg) for k in ks]
+        assert [math.isinf(r.estimate) for r in results] == [False] * 5 + [True] * 2
+        fit = an.moment_growth_exponent(ks, [r.log_mean for r in results], [r.heavy_tail for r in results])
+        assert fit.exponent == pytest.approx(2.0, abs=1e-6)
+        assert fit.abscissae == ks
+
+    @pytest.mark.parametrize("bad, flagged", [(math.nan, False), (-math.inf, False), (0.0, True)])
+    def test_growth_fit_leaves_out_nonfinite_as_flagged(self, bad, flagged):
+        ks = [2, 3, 4, 5, 6]
+        logm = [0.3 * k * (k - 1) for k in ks]
+        logm[2] = bad
+        fit = an.moment_growth_exponent(ks, logm, [False, False, flagged, False, False])
+        assert fit.abscissae == [2, 3, 5, 6]
+        assert fit.exponent == pytest.approx(2.0, abs=1e-6)
 
 
 class TestSupAndTails:
@@ -518,8 +507,9 @@ class TestLocalizationCurve:
         curve = an.localization_error_curve(cfg, 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=48, seed=17)
         assert len(curve.errors) == 3
         assert curve.errors[0] > curve.errors[1] > curve.errors[2]
-        assert curve.fit is not None
-        assert curve.fit.extras["decay_rate"] > 0
+        assert curve.decay_rate > 0
+        slope = np.polyfit(np.log(curve.betas), np.log(curve.errors), 1)[0]
+        assert curve.decay_rate == pytest.approx(-slope, abs=1e-12)
 
     def test_rows_pinned(self):
         # exact bytes of a three-beta curve (depths 1, 2 and 3); a change to

@@ -773,6 +773,15 @@ class TestRunBundles:
         digests = {name: hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest() for name in ESTIMATOR_PINS}
         assert digests == ESTIMATOR_PINS
 
+    def test_localize_decay_rate_is_the_curves(self, tmp_path):
+        m = base_manifest()
+        m["analysis"] = {"localize": {"betas": [1.5, 2, 3], "k": 2}}
+        assert exp.run(m, tmp_path / "b").complete
+        saved = json.loads((tmp_path / "b" / "summary.json").read_text())["analyses"]["localize"]
+        curve = an.localization_error_curve(manifest_cfg(m), m["solver"]["t_final"], [1.5, 2, 3], 2, m["replicas"],
+                                            seed=m["seed"])
+        assert saved["decay_rate"] == curve.decay_rate
+
     def test_field_and_selftest_files_pinned(self, tmp_path):
         assert exp.run(FIELD_MANIFEST, tmp_path / "b").complete
         digests = {name: hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest() for name in FIELD_PINS}

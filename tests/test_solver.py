@@ -150,13 +150,15 @@ class TestSolveBatch:
 
     @pytest.mark.parametrize("sigma", [sl.SigmaFunction.linear(c=1.0), sl.SigmaFunction.constant(eps0=0.5)],
                              ids=["linear", "constant"])
-    @pytest.mark.parametrize("times", [[0.25, 0.125], [0.25, 0.25]], ids=["decreasing", "repeated"])
-    def test_record_times_checked(self, sigma, times):
-        # a record out of order is refused, not mislabelled, dropped or
-        # reported as a blowup
+    @pytest.mark.parametrize("times, rule", [([0.25, 0.125], "strictly increasing"),
+                                             ([0.25, 0.25], "strictly increasing"),
+                                             ([], "len(record_times) >= 1")], ids=["decreasing", "repeated", "empty"])
+    def test_record_times_checked(self, sigma, times, rule):
+        # a record out of order, or no record, is refused, not mislabelled,
+        # dropped or reported as a blowup
         with pytest.raises(SolverError) as ei:
             next(_record_batch(make_cfg(sigma, dt=1 / 128), times, 0, [0]))
-        assert str(ei.value) == f"record_times = {times} violates strictly increasing"
+        assert str(ei.value) == f"record_times = {times} violates {rule}"
 
     def test_variance_matches_exact_discrete_formula(self):
         # oracle: spectral accumulation of the square of the per-step
