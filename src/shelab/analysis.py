@@ -53,7 +53,7 @@ from scipy import optimize
 from scipy.special import logsumexp
 
 from .correlation import GAUSSIAN_H, RIESZ, CorrelationModel
-from .noise import check_seed
+from .noise import _generators, check_seed
 from .solver import (
     LocalizationConfig,
     SolverConfig,
@@ -432,8 +432,7 @@ def _fk_ladder(
     r_reg = math.sqrt(kappa * dt)
     d = model.d
     K = max(ks)
-    rng, resample_rng = (np.random.Generator(np.random.SFC64(np.random.SeedSequence([cfg.seed, tag])))
-                         for tag in (0x6F7261636C65, 0x726573616D70))
+    rng, resample_rng = _generators(cfg.seed, [0x6F7261636C65, 0x726573616D70])
     y = np.zeros((K, d, M))
     xi = np.empty((K - 1, d, M))
     mix = np.empty((d, M))

@@ -37,21 +37,24 @@ Reproducibility: a slice is a pure function of (seed, stream_id, step).
 Each stream is one SFC64 generator seeded from SeedSequence([seed,
 stream_id]) and drawn forward: step j is the normals [2 j F, 2 (j + 1) F)
 of its stream, F the number of modes, read as complex numbers, so a source
-draws its steps in order and refuses any other.  A normal costs a variable
-number of words (the ziggurat rejects some), so a step's place in the word
-stream is unknown until its predecessors are drawn; there is no random
-access.  white_batch draws k consecutive steps of every source of a batch,
-one generator call per source, and scales the whole block once by a
-per-mode factor; step j has the same bits however many steps each call
-draws, since the generator buffers nothing between calls.  The noise is
-white in time, so the lattice engines read steps from white_steps once
-each, in order: a stepped engine every step, the constant-sigma full field
-one step per record time, each standing for a whole interval.  The real slice's bits also rest on numpy's c2r transform
+draws its steps in order and refuses any other.  The streams of a batch are
+seeded in one pass, _stream_words hashing all their SeedSequence bits.  A
+normal costs a variable number of words (the ziggurat rejects some), so a
+step's place in the word stream is unknown until its predecessors are
+drawn; there is no random access.  white_batch draws k consecutive steps of
+every source of a batch, one generator call per source, and scales the
+whole block once by a per-mode factor; step j has the same bits however
+many steps each call draws, since the generator buffers nothing between
+calls.  The noise is white in time, so the lattice engines read steps from
+white_steps once each, in order: a stepped engine every step, the
+constant-sigma full field one step per record time, each standing for a
+whole interval.  The real slice's bits also rest on numpy's c2r transform
 dropping the imaginary parts named above.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -67,11 +70,54 @@ class NoiseError(ValueError):
     pass
 
 
-def check_seed(seed: int) -> int:
-    """Raise unless 0 <= seed < 2**63; returns the seed as an int."""
-    if not (0 <= int(seed) < 2**63):
-        raise NoiseError("seed must be a nonnegative 63-bit integer")
+def check_seed(seed: int, name: str = "seed") -> int:
+    """Raise unless seed is integral and 0 <= seed < 2**63; returns it as an int."""
+    if not (isinstance(seed, (int, np.integer)) or isinstance(seed, (float, np.floating)) and seed.is_integer()):
+        raise NoiseError(f"{name} = {seed!r} violates {name} integral")
+    if not 0 <= seed < 2**63:
+        raise NoiseError(f"{name} = {seed} violates 0 <= {name} < 2**63: a nonnegative 63-bit integer")
     return int(seed)
+
+
+def _stream_words(seed: int, streams: Sequence[int]) -> np.ndarray:
+    """Row i is SeedSequence([seed, streams[i]]).generate_state(4, np.uint64):
+    numpy's hash, after O'Neill's seed_seq_fe, in uint32 arithmetic over the
+    batch.  The entropy (seed's, then the stream's 32-bit words, low first)
+    fits the pool of four, where a zero high word hashes as padding does."""
+    seed = check_seed(seed)
+    ids = np.asarray(streams)
+    if ids.dtype.kind not in "iu" or ids.size and not (0 <= ids.min() and ids.max() < 2**63):
+        ids = np.array([check_seed(s, "stream_id") for s in streams], dtype=np.int64)
+    words = [seed % 2**32, seed >> 32] if seed >> 32 else [seed]
+    entropy = [np.full(len(ids), w, np.uint32) for w in words] + [ids.astype(np.uint32), (ids >> 32).astype(np.uint32)]
+    a = [0x43B0D7E5 * pow(0x931E8875, j, 2**32) % 2**32 for j in range(17)]  # pool: INIT_A * MULT_A**j
+    b = [0x8B51F9DD * pow(0x58F38DED, j, 2**32) % 2**32 for j in range(9)]  # output: INIT_B * MULT_B**j
+
+    def hashmix(v, c, j):
+        v = (v ^ c[j]) * c[j + 1]
+        return v ^ (v >> 16)
+
+    pool = [hashmix(e, a, j) for j, e in enumerate((entropy + [0 * entropy[0]])[:4])]
+    for j, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
+        x = pool[dst] * 0xCA01F9DD - hashmix(pool[src], a, j) * 0x4973F715
+        pool[dst] = x ^ (x >> 16)
+    out = np.stack([hashmix(pool[j % 4], b, j) for j in range(8)], axis=1, dtype="<u4")
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+@dataclass
+class _Words(np.random.bit_generator.ISeedSequence):
+    """SFC64's seed: a row of _stream_words, whose first three words it reads."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words[:n_words]
+
+
+def _generators(seed: int, streams: Sequence[int]) -> list:
+    """Generator(SFC64(SeedSequence([seed, s]))) for every stream s, seeded in one pass."""
+    return [np.random.Generator(np.random.SFC64(_Words(row))) for row in _stream_words(seed, streams)]
 
 
 @dataclass
@@ -89,10 +135,16 @@ class WhiteNoiseSource:
     next_step: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        seed = check_seed(self.seed)
-        if not (0 <= int(self.stream_id) < 2**63):
-            raise NoiseError("stream_id must be a nonnegative 63-bit integer")
-        self._rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, int(self.stream_id)])))
+        (self._rng,) = _generators(self.seed, [self.stream_id])
+
+    @classmethod
+    def _batch(cls, seed: int, streams: Sequence[int]) -> list:
+        """WhiteNoiseSource(seed, s) for every stream s, built past __init__ so
+        that one pass seeds them all: a pass has a fixed cost of about 0.15 ms."""
+        sources = [cls.__new__(cls) for _ in streams]
+        for src, stream_id, rng in zip(sources, streams, _generators(seed, streams)):
+            src.__dict__.update(seed=seed, stream_id=stream_id, _rng=rng)
+        return sources
 
     def white_at(self, step: int, grid: LatticeGrid, dt: float) -> np.ndarray:
         """White-noise array of this source's next step, which must be step:
@@ -140,9 +192,9 @@ def white_steps(seed: int, streams: Sequence[int], grid: LatticeGrid, dt: float,
     """Yield the transform of every stream's white slice of each step 0 ..
     n_steps - 1, in order: shape (len(streams), *grid.rfft_shape()), a view
     that the next draw overwrites.  It owns one source per stream, so no
-    thread shares one, and draws BLOCK steps of all of them at a time, the
-    last block only up to step n_steps - 1."""
-    sources = [WhiteNoiseSource(seed=seed, stream_id=s) for s in streams]
+    thread shares one, seeds them all in one pass, and draws BLOCK steps of
+    all of them at a time, the last block only up to step n_steps - 1."""
+    sources = WhiteNoiseSource._batch(seed, streams)
     fshape = grid.rfft_shape()
     buf = np.empty((len(sources) * BLOCK,) + fshape, dtype=complex)
     for first in range(0, n_steps, BLOCK):

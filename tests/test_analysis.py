@@ -388,6 +388,18 @@ class TestFkOracle:
         assert [r.k for r in ladder] == [3, 2, 3]
         assert ladder[0] == ladder[2]
 
+    def test_seed_rules(self):
+        # a non-integral seed is refused by name when the config is built,
+        # not inside numpy once the walk starts; an integral float or a numpy
+        # integer walks the same generators as the int
+        for seed, rule in ((2.5, "seed = 2.5 violates seed integral"), (-1, "violates 0 <= seed < 2"),
+                           (2**63, "violates 0 <= seed < 2")):
+            with pytest.raises(noise.NoiseError, match=rule):
+                an.FkOracleConfig(walkers=8, inner_steps=8, seed=seed)
+        runs = [an.fk_moment_oracle(GAUSS, 1.0, 0.5, 2, an.FkOracleConfig(walkers=64, inner_steps=8, seed=seed))
+                for seed in (3, 3.0, np.int64(3))]
+        assert runs[0] == runs[1] == runs[2]
+
     def test_order_validation(self):
         c = sl.CorrelationModel.constant(d=1, c=0.3)
         with pytest.raises(an.AnalysisError):

@@ -1,11 +1,12 @@
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
 
 import shelab as sl
-from shelab.noise import NoiseError, white_batch
+from shelab.noise import NoiseError, _generators, _stream_words, white_batch, white_steps
 
 
 GRID = sl.LatticeGrid(d=1, m=128, dx=0.25)
@@ -43,6 +44,24 @@ class TestWhiteSource:
                 sl.WhiteNoiseSource(seed=seed, stream_id=stream_id)
         top = sl.WhiteNoiseSource(seed=2**63 - 1, stream_id=2**63 - 1)
         assert np.array_equal(top.white_at(0, GRID, DT), reference_white(2**63 - 1, 2**63 - 1, 0, GRID, DT))
+        # a non-integral seed or stream id is refused, not truncated to its
+        # integer part; an integral float or a numpy integer draws the int's
+        # stream
+        for seed, stream_id, rule in ((3.5, 0, "seed = 3.5 violates seed integral"),
+                                      (3, -0.5, "stream_id = -0.5 violates stream_id integral"),
+                                      (math.nan, 0, "seed = nan violates seed integral"),
+                                      (3, "1", "stream_id = '1' violates stream_id integral"),
+                                      (None, 0, "seed = None violates seed integral")):
+            with pytest.raises(NoiseError, match=rule):
+                sl.WhiteNoiseSource(seed=seed, stream_id=stream_id)
+        for seed, stream_id in ((3.0, 5.0), (np.int64(3), np.uint64(5))):
+            src = sl.WhiteNoiseSource(seed=seed, stream_id=stream_id)
+            assert np.array_equal(src.white_at(0, GRID, DT), reference_white(3, 5, 0, GRID, DT))
+        cfg = sl.SolverConfig(grid=GRID, model=GAUSS, sigma=sl.SigmaFunction.constant(eps0=1.0), kappa=1.0, dt=DT,
+                              u0=sl.U0Spec(kind="constant", level=1.0))
+        with pytest.raises(NoiseError, match="seed = 3.5 violates seed integral"):
+            sl.solve_batch(cfg, 0.25, 3.5, [0])
+        assert sl.solve_batch(cfg, 0.25, 3.0, [0]).tobytes() == sl.solve_batch(cfg, 0.25, 3, [0]).tobytes()
 
     def test_streams_and_steps_decorrelated(self):
         n = 4000
@@ -118,6 +137,45 @@ class TestGeneratorReset:
         assert np.array_equal(copy.white_at(14, GRID, DT), reference_white(8, 1, 14, GRID, DT))
 
 
+# Stream ids and seeds at and around the 32-bit word boundaries, where
+# SeedSequence's entropy grows from one word to two.
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+def seed_sequence_words(seed, stream_id):
+    return np.random.SeedSequence([seed, stream_id]).generate_state(4, np.uint64)
+
+
+class TestStreamWords:
+    # _stream_words reproduces numpy's SeedSequence hash for a whole batch;
+    # if numpy ever changes that hash, these tests are what show it
+    def test_word_boundaries(self):
+        for seed in WORD_EDGES:
+            got = _stream_words(seed, WORD_EDGES)
+            assert got.dtype == np.uint64 and got.shape == (len(WORD_EDGES), 4)
+            for row, stream_id in zip(got, WORD_EDGES):
+                assert np.array_equal(row, seed_sequence_words(seed, stream_id))
+
+    def test_random_pairs(self):
+        rnd = random.Random(0)
+        for _ in range(500):
+            seed, stream_id = rnd.randrange(2**63), rnd.randrange(2 ** rnd.randrange(1, 64))
+            assert np.array_equal(_stream_words(seed, [stream_id])[0], seed_sequence_words(seed, stream_id))
+
+    def test_one_batch_of_mixed_ids(self):
+        streams = random.Random(1).sample(range(2**40), 64) + WORD_EDGES
+        got = _stream_words(7, streams)
+        for row, stream_id in zip(got, streams):
+            assert np.array_equal(row, seed_sequence_words(7, stream_id))
+        assert _stream_words(7, []).shape == (0, 4)
+
+    def test_generators_match_seed_sequence(self):
+        for seed, stream_id in ((0, 0), (3, 2**32), (2**63 - 1, 5), (2**40 + 1, 2**63 - 1)):
+            (rng,) = _generators(seed, [stream_id])
+            want = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, stream_id])))
+            assert rng.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
+
+
 def hat_block(rows, k, grid=GRID):
     return np.empty((rows, k) + grid.rfft_shape(), dtype=complex)
 
@@ -143,6 +201,22 @@ class TestWhiteBatch:
                         assert white.tobytes() == twin.white_at(step + lag, grid, DT).tobytes()
                 step += k
             assert [src.next_step for src in sources] == [6] * 3
+
+    def test_mixed_word_batch_from_white_steps(self, monkeypatch):
+        # 1-word and 2-word stream ids seeded in one pass, each row the bits
+        # of its own fresh stream
+        streams = [5, 0, 9, 2**32 - 1, 2**32, 2**63 - 1]
+        for step, block in enumerate(white_steps(3, streams, GRID, DT, 6)):
+            for stream_id, row in zip(streams, block):
+                assert row.tobytes() == reference_hat(3, stream_id, step, GRID, DT).tobytes()
+        # a bad stream id anywhere in the batch is refused before any stream draws
+        calls = []
+        monkeypatch.setattr(sl.noise, "white_batch", lambda *args: calls.append(args))
+        for bad, rule in ((2**63, "violates 0 <= stream_id < 2"), (-1, "violates 0 <= stream_id < 2"),
+                          (2.5, "stream_id = 2.5 violates stream_id integral")):
+            with pytest.raises(NoiseError, match=rule):
+                next(white_steps(3, [5, 0, bad, 1], GRID, DT, 6))
+        assert calls == []
 
     def test_block_split_does_not_change_bits(self):
         # 16 steps drawn as one block, as 5 + 11 and as 16 single steps
