@@ -53,7 +53,7 @@ from scipy import optimize
 from scipy.special import logsumexp
 
 from .correlation import GAUSSIAN_H, RIESZ, CorrelationModel
-from .noise import _generators, check_seed
+from .noise import _generators, _integral, check_seed
 from .solver import (
     LocalizationConfig,
     SolverConfig,
@@ -227,7 +227,7 @@ def _heavy_tail_flag(samples: np.ndarray) -> bool:
 
 def check_moments(scenario: Scenario, ks: Sequence[int], n_replicas: int) -> tuple:
     """Raise unless estimate_moments can run; returns the probe indices."""
-    if not ks or any(int(k) < 1 for k in ks):
+    if not ks or any(_integral(k, "k", AnalysisError) < 1 for k in ks):
         raise AnalysisError("moment orders must be at least one, each >= 1")
     if len(scenario.probes) < 1:
         raise AnalysisError(f"probes = {list(scenario.probes)} violates len(probes) >= 1")
@@ -279,6 +279,8 @@ class FkOracleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("walkers", "inner_steps"):  # an integral float is kept as an int
+            object.__setattr__(self, name, _integral(getattr(self, name), name, AnalysisError))
         if self.walkers < 2 or self.inner_steps < 2:
             raise AnalysisError("oracle needs walkers >= 2 and inner_steps >= 2")
         check_seed(self.seed)
@@ -324,13 +326,13 @@ def _systematic_resample(w: np.ndarray, u: float) -> np.ndarray:
     return np.minimum(idx, n - 1)
 
 
-def check_oracle(model: CorrelationModel, kappa: float, t: float, k: int, u0_level: float) -> None:
-    """Raise unless fk_moment_oracle can run and its path integral is finite.
+def check_oracle(model: CorrelationModel, kappa: float, t: float, k: int, u0_level: float) -> int:
+    """Raise unless fk_moment_oracle can run and its path integral is finite; returns k as an int.
 
     A riesz kernel needs alpha < min(d, 2): the paper's range, and the range
     where Dalang's condition (and so a solution with finite moments) holds.
     """
-    if k < 2:
+    if _integral(k, "k", AnalysisError) < 2:
         raise AnalysisError(f"oracle moment order k = {k} violates k >= 2")
     for name, value in (("kappa", kappa), ("t", t), ("u0_level", u0_level)):
         if not value > 0:
@@ -341,6 +343,7 @@ def check_oracle(model: CorrelationModel, kappa: float, t: float, k: int, u0_lev
             raise AnalysisError(
                 f"riesz alpha = {model.alpha} violates alpha < {bound} = min(d, 2)"
             )
+    return int(k)
 
 
 def fk_moment_oracle(
@@ -375,7 +378,7 @@ def fk_moment_oracle(
     for all its orders, at the one order k: a step draws (k - 1) * d
     normals per walker.
     """
-    check_oracle(model, kappa, t, k, u0_level)
+    k = check_oracle(model, kappa, t, k, u0_level)
     return _fk_ladder(model, kappa, t, [k], cfg, u0_level)[0]
 
 

@@ -36,20 +36,21 @@ floating-point roundoff.
 Reproducibility: a slice is a pure function of (seed, stream_id, step).
 Each stream is one SFC64 generator seeded from SeedSequence([seed,
 stream_id]) and drawn forward: step j is the normals [2 j F, 2 (j + 1) F)
-of its stream, F the number of modes, read as complex numbers, so a source
-draws its steps in order and refuses any other.  The streams of a batch are
-seeded in one pass, _stream_words hashing all their SeedSequence bits.  A
-normal costs a variable number of words (the ziggurat rejects some), so a
-step's place in the word stream is unknown until its predecessors are
-drawn; there is no random access.  white_batch draws k consecutive steps of
-every source of a batch, one generator call per source, and scales the
-whole block once by a per-mode factor; step j has the same bits however
-many steps each call draws, since the generator buffers nothing between
-calls.  The noise is white in time, so the lattice engines read steps from
-white_steps once each, in order: a stepped engine every step, the
-constant-sigma full field one step per record time, each standing for a
-whole interval.  The real slice's bits also rest on numpy's c2r transform
-dropping the imaginary parts named above.
+of its stream, F the number of modes, read as complex numbers, so a stream
+is read in order, each step once.  The streams of a batch are seeded in
+one pass, _stream_words hashing all their SeedSequence bits.  A normal
+costs a variable number of words (the ziggurat rejects some), so a step's
+place in the word stream is unknown until its predecessors are drawn;
+there is no random access.  _draw, the one place normals are drawn, draws
+k consecutive steps of every generator of a batch, one call each, and
+scales the block once by a per-mode factor; step j has the same bits
+however many steps a call draws, since the generator buffers nothing
+between calls.  The noise is white in time, so the lattice engines read
+steps from white_steps once each, in order: a stepped engine every step,
+the constant-sigma full field one step per record time, each standing for
+a whole interval.  WhiteNoiseSource.white_at reads one source's next step
+as a real slice.  The real slice's bits also rest on numpy's c2r
+transform dropping the imaginary parts named above.
 """
 
 from __future__ import annotations
@@ -70,11 +71,16 @@ class NoiseError(ValueError):
     pass
 
 
+def _integral(value, name: str, error: type = NoiseError) -> int:
+    """value as an int; raises error unless value is an integer or an integral float."""
+    if not (isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer()):
+        raise error(f"{name} = {value!r} violates {name} integral")
+    return int(value)
+
+
 def check_seed(seed: int, name: str = "seed") -> int:
     """Raise unless seed is integral and 0 <= seed < 2**63; returns it as an int."""
-    if not (isinstance(seed, (int, np.integer)) or isinstance(seed, (float, np.floating)) and seed.is_integer()):
-        raise NoiseError(f"{name} = {seed!r} violates {name} integral")
-    if not 0 <= seed < 2**63:
+    if not 0 <= _integral(seed, name) < 2**63:
         raise NoiseError(f"{name} = {seed} violates 0 <= {name} < 2**63: a nonnegative 63-bit integer")
     return int(seed)
 
@@ -120,6 +126,22 @@ def _generators(seed: int, streams: Sequence[int]) -> list:
     return [np.random.Generator(np.random.SFC64(_Words(row))) for row in _stream_words(seed, streams)]
 
 
+def _draw(rngs: Sequence[np.random.Generator], grid: LatticeGrid, dt: float, out: np.ndarray) -> np.ndarray:
+    """Draw the transforms of the next k white slices of every generator
+    into out, a C-contiguous complex128 array of shape (len(rngs), k,
+    *grid.rfft_shape()): out[i, l] is the l-th slice of rngs[i]."""
+    if not dt > 0:
+        raise NoiseError("dt must be positive")
+    parts = out.view(np.float64)
+    for rng, row in zip(rngs, parts):
+        rng.standard_normal(out=row)
+    # one factor per mode, for its real and its imaginary part
+    scale = np.full(grid.rfft_shape(), math.sqrt(grid.n_sites * dt / (2.0 * grid.cell_volume)))
+    scale[..., [0, -1]] = math.sqrt(grid.n_sites * dt / grid.cell_volume)
+    parts *= np.repeat(scale, 2, axis=-1)
+    return out
+
+
 @dataclass
 class WhiteNoiseSource:
     """Forward-drawn white-noise stream for one replica.
@@ -137,50 +159,15 @@ class WhiteNoiseSource:
     def __post_init__(self):
         (self._rng,) = _generators(self.seed, [self.stream_id])
 
-    @classmethod
-    def _batch(cls, seed: int, streams: Sequence[int]) -> list:
-        """WhiteNoiseSource(seed, s) for every stream s, built past __init__ so
-        that one pass seeds them all: a pass has a fixed cost of about 0.15 ms."""
-        sources = [cls.__new__(cls) for _ in streams]
-        for src, stream_id, rng in zip(sources, streams, _generators(seed, streams)):
-            src.__dict__.update(seed=seed, stream_id=stream_id, _rng=rng)
-        return sources
-
     def white_at(self, step: int, grid: LatticeGrid, dt: float) -> np.ndarray:
         """White-noise array of this source's next step, which must be step:
         the irfftn of its drawn transform."""
-        what = np.empty((1, 1) + grid.rfft_shape(), dtype=complex)
-        white_batch([self], step, grid, dt, what)
-        return np.fft.irfftn(what[0, 0], s=grid.shape, axes=tuple(range(grid.d)))
-
-
-def white_batch(sources: Sequence[WhiteNoiseSource], step: int, grid: LatticeGrid, dt: float, out: np.ndarray):
-    """Draw the transforms of the k white slices step, ..., step + k - 1 of
-    every source into out, a C-contiguous complex128 array of shape
-    (len(sources), k, *grid.rfft_shape()), k >= 1; out[i, l] holds step + l
-    of sources[i].  Every source must be at step."""
-    if not dt > 0:
-        raise NoiseError("dt must be positive")
-    fshape = grid.rfft_shape()
-    if not (isinstance(out, np.ndarray) and out.ndim == 2 + grid.d and out.shape[0] == len(sources)
-            and out.shape[1] >= 1 and out.shape[2:] == fshape and out.dtype == np.complex128
-            and out.flags.c_contiguous):
-        want = ", ".join(map(str, (len(sources), "k") + fshape))
-        raise NoiseError(f"out must be a C-contiguous complex128 array of shape ({want}), k >= 1, "
-                         f"got {np.shape(out)}")
-    for src in sources:
-        if src.next_step != step:
-            raise NoiseError(f"stream {src.stream_id} expects step {src.next_step}, got step {step}: "
+        if step != self.next_step:
+            raise NoiseError(f"stream {self.stream_id} expects step {self.next_step}, got step {step}: "
                              "a source draws its steps in order, each once")
-    parts = out.view(np.float64)
-    for src, row in zip(sources, parts):
-        src._rng.standard_normal(out=row)
-        src.next_step += out.shape[1]
-    # one factor per mode, for its real and its imaginary part
-    scale = np.full(fshape, math.sqrt(grid.n_sites * dt / (2.0 * grid.cell_volume)))
-    scale[..., [0, -1]] = math.sqrt(grid.n_sites * dt / grid.cell_volume)
-    parts *= np.repeat(scale, 2, axis=-1)
-    return out
+        what = _draw([self._rng], grid, dt, np.empty((1, 1) + grid.rfft_shape(), dtype=complex))
+        self.next_step += 1
+        return np.fft.irfftn(what[0, 0], s=grid.shape, axes=tuple(range(grid.d)))
 
 
 # Steps of white noise drawn per generator call.  Step j's bits do not
@@ -191,15 +178,15 @@ BLOCK = 4
 def white_steps(seed: int, streams: Sequence[int], grid: LatticeGrid, dt: float, n_steps: int):
     """Yield the transform of every stream's white slice of each step 0 ..
     n_steps - 1, in order: shape (len(streams), *grid.rfft_shape()), a view
-    that the next draw overwrites.  It owns one source per stream, so no
+    that the next draw overwrites.  It owns one generator per stream, so no
     thread shares one, seeds them all in one pass, and draws BLOCK steps of
     all of them at a time, the last block only up to step n_steps - 1."""
-    sources = WhiteNoiseSource._batch(seed, streams)
+    rngs = _generators(seed, streams)
     fshape = grid.rfft_shape()
-    buf = np.empty((len(sources) * BLOCK,) + fshape, dtype=complex)
+    buf = np.empty((len(rngs) * BLOCK,) + fshape, dtype=complex)
     for first in range(0, n_steps, BLOCK):
         k = min(BLOCK, n_steps - first)
-        block = white_batch(sources, first, grid, dt, buf[: len(sources) * k].reshape((len(sources), k) + fshape))
+        block = _draw(rngs, grid, dt, buf[: len(rngs) * k].reshape((len(rngs), k) + fshape))
         for lag in range(k):
             yield block[:, lag]
 
@@ -262,15 +249,15 @@ def effective_covariance(model: CorrelationModel, grid: LatticeGrid) -> np.ndarr
     return np.fft.irfftn(mult * mult, s=grid.shape, axes=tuple(range(grid.d))) / grid.cell_volume
 
 
-def check_covariance_selftest(model: CorrelationModel, grid: LatticeGrid, lags, n_slices: int) -> list:
-    """Raise unless covariance_selftest can run; returns the lags as ints."""
-    if n_slices < 2:
+def check_covariance_selftest(model: CorrelationModel, grid: LatticeGrid, lags, n_slices: int) -> tuple:
+    """Raise unless covariance_selftest can run; returns the lags and n_slices as ints."""
+    if _integral(n_slices, "n_slices") < 2:
         raise NoiseError("need at least two slices")
-    lags = [int(l) for l in lags]
+    lags = [_integral(l, "lag") for l in lags]
     if any(l < 0 or l >= grid.m for l in lags):
         raise NoiseError(f"lags must lie in [0, m), got {lags}")
     kernel_multiplier(model, grid)
-    return lags
+    return lags, int(n_slices)
 
 
 def covariance_selftest(
@@ -298,10 +285,10 @@ def covariance_selftest(
     lag_distance, target, empirical, stderr and cross_time is a dict with
     mean, stderr, n_pairs.
     """
-    lags = check_covariance_selftest(model, grid, lags, n_slices)
+    lags, n_slices = check_covariance_selftest(model, grid, lags, n_slices)
     f_eff = effective_covariance(model, grid)
     H = kernel_multiplier(model, grid)
-    src = WhiteNoiseSource(seed=seed, stream_id=0)
+    (rng,) = _generators(seed, [0])
     axes = tuple(range(1, 1 + grid.d))
     lag_means = np.empty((len(lags), n_slices))
     pair_means = np.empty(n_slices - 1)
@@ -311,7 +298,7 @@ def covariance_selftest(
     for start in range(0, n_slices, chunk):
         first, stop = max(start - 1, 0), min(start + chunk, n_slices)
         w[0, 0] = w[0, -1]
-        white_batch([src], start, grid, dt, w[:, 1 : 1 + stop - start])
+        _draw([rng], grid, dt, w[:, 1 : 1 + stop - start])
         zeta = np.fft.irfftn(w[0, 1 + first - start : 1 + stop - start] * H, s=grid.shape, axes=axes)
         own = zeta[start - first:]
         for li, lag in enumerate(lags):

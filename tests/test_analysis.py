@@ -202,6 +202,9 @@ class TestMoments:
     def test_needs_a_moment_order(self):
         with pytest.raises(an.AnalysisError, match="at least one"):
             an.estimate_moments(an.Scenario(cfg=small_cfg(), t_final=0.25), [], 4)
+        # a non-integral order is refused, not computed and reported as its integer part
+        with pytest.raises(an.AnalysisError, match="k = 2.5 violates k integral"):
+            an.estimate_moments(an.Scenario(cfg=small_cfg(), t_final=0.25), [2.5], 4)
 
     def test_determinism_across_threads(self):
         cfg = small_cfg()
@@ -399,11 +402,25 @@ class TestFkOracle:
         runs = [an.fk_moment_oracle(GAUSS, 1.0, 0.5, 2, an.FkOracleConfig(walkers=64, inner_steps=8, seed=seed))
                 for seed in (3, 3.0, np.int64(3))]
         assert runs[0] == runs[1] == runs[2]
+        # so are non-integral walker and step counts; integral floats are kept as ints
+        for walkers, inner_steps, rule in ((10.5, 8, "walkers = 10.5 violates walkers integral"),
+                                           (8, 4.5, "inner_steps = 4.5 violates inner_steps integral")):
+            with pytest.raises(an.AnalysisError, match=rule):
+                an.FkOracleConfig(walkers=walkers, inner_steps=inner_steps)
+        cfg = an.FkOracleConfig(walkers=64.0, inner_steps=np.int64(8), seed=3)
+        assert (type(cfg.walkers), type(cfg.inner_steps)) == (int, int)
+        assert an.fk_moment_oracle(GAUSS, 1.0, 0.5, 2, cfg) == runs[0]
 
     def test_order_validation(self):
         c = sl.CorrelationModel.constant(d=1, c=0.3)
         with pytest.raises(an.AnalysisError):
             an.fk_moment_oracle(c, 1.0, 1.0, 1, an.FkOracleConfig(walkers=8, inner_steps=8))
+        # a non-integral order is refused by rule; an integral float runs as the int
+        ocfg = an.FkOracleConfig(walkers=8, inner_steps=8)
+        with pytest.raises(an.AnalysisError, match="k = 2.5 violates k integral"):
+            an.fk_moment_oracle(c, 1.0, 1.0, 2.5, ocfg)
+        for k in (2.0, np.int64(2)):
+            assert an.fk_moment_oracle(c, 1.0, 1.0, k, ocfg) == an.fk_moment_oracle(c, 1.0, 1.0, 2, ocfg)
 
 
 class TestExponentFits:
@@ -533,16 +550,18 @@ class TestLocalizationCurve:
 
     def test_one_noise_draw_per_chunk(self, monkeypatch):
         # the full solve and every beta share one draw of the chunk's noise
+        # (generators, steps) per draw: the 16 steps of the chunk's 6 streams
+        # in blocks of BLOCK = 4, each drawn once
         calls = []
-        white_batch = noise.white_batch
+        draw = noise._draw
 
-        def counted(sources, step, grid, dt, out):
-            calls.extend((src.stream_id, step + lag) for src in sources for lag in range(out.shape[1]))
-            return white_batch(sources, step, grid, dt, out)
+        def counted(rngs, grid, dt, out):
+            calls.append(out.shape[:2])
+            return draw(rngs, grid, dt, out)
 
-        monkeypatch.setattr(noise, "white_batch", counted)
+        monkeypatch.setattr(noise, "_draw", counted)
         an.localization_error_curve(small_cfg(), 0.25, [2.0, 4.0, 7.9], k=2, n_replicas=6, seed=17)
-        assert sorted(calls) == [(s, j) for s in range(6) for j in range(round(0.25 / DT))]
+        assert calls == [(6, 4)] * (round(0.25 / DT) // 4)
 
     def test_shared_noise_matches_separate_solves(self):
         # the full solve and the localized iterates read one draw of the

@@ -1,12 +1,14 @@
+import ast
 import math
 import pickle
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shelab as sl
-from shelab.noise import NoiseError, _generators, _stream_words, white_batch, white_steps
+from shelab.noise import NoiseError, _generators, _stream_words, white_steps
 
 
 GRID = sl.LatticeGrid(d=1, m=128, dx=0.25)
@@ -176,31 +178,22 @@ class TestStreamWords:
             assert rng.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
 
 
-def hat_block(rows, k, grid=GRID):
-    return np.empty((rows, k) + grid.rfft_shape(), dtype=complex)
-
-
 class TestWhiteBatch:
-    # one call draws the transforms of k consecutive steps for many sources;
-    # out[i, l] must be the bits of a fresh generator's step step + l, and
-    # its irfftn the bits of sources[i].white_at(step + l)
+    # a batch of white slices: white_steps draws BLOCK steps of every stream
+    # per generator call; each row must be the bits of a fresh generator's
+    # step, and its irfftn the bits of a source's white_at
     def test_rows_match_white_at_and_fresh_generator(self):
         grid2 = sl.LatticeGrid(d=2, m=8, dx=0.5)
+        streams = (5, 0, 9)
         for grid in (GRID, grid2):
-            sources = [sl.WhiteNoiseSource(seed=3, stream_id=s) for s in (5, 0, 9)]
-            twins = [sl.WhiteNoiseSource(seed=3, stream_id=s) for s in (5, 0, 9)]
-            step = 0
-            for k in (3, 1, 2):
-                out = np.full((3, k) + grid.rfft_shape(), np.nan, dtype=complex)
-                assert white_batch(sources, step, grid, DT, out) is out
-                for src, twin, row in zip(sources, twins, out):
-                    for lag, slice_ in enumerate(row):
-                        want = reference_hat(3, src.stream_id, step + lag, grid, DT)
-                        assert slice_.tobytes() == want.tobytes()
-                        white = np.fft.irfftn(slice_, s=grid.shape, axes=tuple(range(grid.d)))
-                        assert white.tobytes() == twin.white_at(step + lag, grid, DT).tobytes()
-                step += k
-            assert [src.next_step for src in sources] == [6] * 3
+            twins = [sl.WhiteNoiseSource(seed=3, stream_id=s) for s in streams]
+            for step, block in enumerate(white_steps(3, streams, grid, DT, 6)):
+                assert block.shape == (3,) + grid.rfft_shape()
+                for stream_id, twin, row in zip(streams, twins, block):
+                    assert row.tobytes() == reference_hat(3, stream_id, step, grid, DT).tobytes()
+                    white = np.fft.irfftn(row, s=grid.shape, axes=tuple(range(grid.d)))
+                    assert white.tobytes() == twin.white_at(step, grid, DT).tobytes()
+            assert [twin.next_step for twin in twins] == [6] * 3
 
     def test_mixed_word_batch_from_white_steps(self, monkeypatch):
         # 1-word and 2-word stream ids seeded in one pass, each row the bits
@@ -209,62 +202,39 @@ class TestWhiteBatch:
         for step, block in enumerate(white_steps(3, streams, GRID, DT, 6)):
             for stream_id, row in zip(streams, block):
                 assert row.tobytes() == reference_hat(3, stream_id, step, GRID, DT).tobytes()
-        # a bad stream id anywhere in the batch is refused before any stream draws
+        # a bad stream id anywhere in the batch is refused before any stream
+        # draws; a draw is counted as (generators, steps)
         calls = []
-        monkeypatch.setattr(sl.noise, "white_batch", lambda *args: calls.append(args))
+        monkeypatch.setattr(sl.noise, "_draw", lambda rngs, grid, dt, out: calls.append(out.shape[:2]))
         for bad, rule in ((2**63, "violates 0 <= stream_id < 2"), (-1, "violates 0 <= stream_id < 2"),
                           (2.5, "stream_id = 2.5 violates stream_id integral")):
             with pytest.raises(NoiseError, match=rule):
                 next(white_steps(3, [5, 0, bad, 1], GRID, DT, 6))
         assert calls == []
 
-    def test_block_split_does_not_change_bits(self):
-        # 16 steps drawn as one block, as 5 + 11 and as 16 single steps
-        def draw(blocks):
-            sources = [sl.WhiteNoiseSource(seed=12, stream_id=s) for s in (0, 3)]
-            parts, step = [], 0
-            for k in blocks:
-                parts.append(white_batch(sources, step, GRID, DT, hat_block(2, k)))
-                step += k
-            return np.concatenate(parts, axis=1).tobytes()
-
-        assert draw([16]) == draw([5, 11]) == draw([1] * 16)
-
-    def test_step_not_next_refused(self):
-        # a source behind or ahead of the batch's step is named with the step
-        # it expects, and no source of the batch draws
-        sources = [sl.WhiteNoiseSource(seed=1, stream_id=s) for s in range(3)]
-        white_batch(sources[:2], 0, GRID, DT, hat_block(2, 2))
-        with pytest.raises(NoiseError, match="stream 2 expects step 0, got step 2"):
-            white_batch(sources, 2, GRID, DT, hat_block(3, 1))
-        with pytest.raises(NoiseError, match="stream 0 expects step 2, got step 1"):
-            white_batch(sources, 1, GRID, DT, hat_block(3, 1))
-        assert [src.next_step for src in sources] == [2, 2, 0]
-
     def test_bad_dt_refused(self):
-        out = hat_block(1, 1)
+        # a refused step draws nothing: the source still expects step 0
         for dt in (0.0, -DT, math.nan):
             with pytest.raises(NoiseError, match="dt must be positive"):
-                white_batch([sl.WhiteNoiseSource(seed=1)], 0, GRID, dt, out)
+                next(white_steps(1, [0, 1], GRID, dt, 4))
+            src = sl.WhiteNoiseSource(seed=1)
+            with pytest.raises(NoiseError, match="dt must be positive"):
+                src.white_at(0, GRID, dt)
+            assert src.next_step == 0
+            assert np.array_equal(src.white_at(0, GRID, DT), reference_white(1, 0, 0, GRID, DT))
 
-    def test_wrong_buffer_refused(self):
-        sources = [sl.WhiteNoiseSource(seed=1, stream_id=s) for s in range(2)]
-        f = GRID.m // 2 + 1
-        want = r"C-contiguous complex128 array of shape \(2, k, 65\), k >= 1"
-        with pytest.raises(NoiseError, match=want + r", got \(2, 3, 66\)"):
-            white_batch(sources, 0, GRID, DT, np.empty((2, 3, f + 1), dtype=complex))
-        for bad in (np.empty((2, 1, f)), np.empty((2, 1, f), dtype=np.complex64),
-                    np.empty((2, 1, GRID.m), dtype=complex), np.empty((2, 1, 2 * f), dtype=complex)[..., ::2],
-                    np.empty((f, 1, 2), dtype=complex).T, [[[0j] * f]] * 2, hat_block(2, 0),
-                    np.empty((2, f), dtype=complex)):
-            with pytest.raises(NoiseError, match=want):
-                white_batch(sources, 0, GRID, DT, bad)
-        # a row count other than the number of sources: zip over sources and
-        # rows would stop at the shorter one and leave rows undrawn
-        for rows in (1, 3):
-            with pytest.raises(NoiseError, match=rf"got \({rows}, 1, 65\)"):
-                white_batch(sources, 0, GRID, DT, hat_block(rows, 1))
-        assert [src.next_step for src in sources] == [0, 0]
+
+def test_one_drawer():
+    # every normal of the noise comes from _draw: noise.py calls
+    # standard_normal there and nowhere else
+    tree = ast.parse(Path(sl.noise.__file__).read_text())
+    callers = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            callers += [fn.name for node in ast.walk(fn)
+                        if isinstance(node, ast.Attribute) and node.attr == "standard_normal"]
+    assert callers == ["_draw"]
+    assert sum(isinstance(node, ast.Attribute) and node.attr == "standard_normal" for node in ast.walk(tree)) == 1
 
 
 # The law of the drawn transform in d = 1, 2 and 3.  Each check compares a
@@ -278,9 +248,7 @@ LAW_GRIDS = [sl.LatticeGrid(d=1, m=16, dx=0.5), sl.LatticeGrid(d=2, m=8, dx=0.5)
 
 
 def law_draws(grid):
-    what = np.empty((1, LAW_STEPS) + grid.rfft_shape(), dtype=complex)
-    white_batch([sl.WhiteNoiseSource(seed=21, stream_id=0)], 0, grid, DT, what)
-    return what[0]
+    return np.stack([step[0].copy() for step in white_steps(21, [0], grid, DT, LAW_STEPS)])
 
 
 def within_band(samples, target):
@@ -441,6 +409,15 @@ class TestCorrelatedSlices:
             sl.covariance_selftest(GAUSS, GRID, DT, [GRID.m], 100)
         with pytest.raises(NoiseError):
             sl.covariance_selftest(GAUSS, GRID, DT, [0], 1)
+        # a non-integral lag or slice count is refused, not truncated; an
+        # integral float or a numpy integer runs as the int
+        for lags, n_slices, rule in (([0.5, 2.9], 4, "lag = 0.5 violates lag integral"),
+                                     ([2], 4.5, "n_slices = 4.5 violates n_slices integral")):
+            with pytest.raises(NoiseError, match=rule):
+                sl.covariance_selftest(GAUSS, GRID, DT, lags, n_slices)
+        want = sl.covariance_selftest(GAUSS, GRID, DT, [2], 4)
+        assert sl.covariance_selftest(GAUSS, GRID, DT, [2.0], np.int64(4)) == want
+        assert sl.covariance_selftest(GAUSS, GRID, DT, [np.int64(2)], 4.0) == want
 
 
 class TestCovarianceTargets:

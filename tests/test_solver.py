@@ -14,7 +14,7 @@ import pytest
 
 import shelab as sl
 import shelab.experiments as exp
-from shelab.noise import white_batch, white_steps
+from shelab.noise import _draw, _generators, white_steps
 from shelab.solver import (
     SolverError,
     _coupled_batch,
@@ -99,13 +99,10 @@ def step_loop(cfg, t, seed, stream_id):
     """Reference path: one exponential-Euler step at a time,
     u <- P_dt[u + sigma(u) * zeta_j], with zeta_j = irfftn(w_hat_j * H) the
     correlated slice of step j's white-noise transform w_hat_j."""
-    src = sl.WhiteNoiseSource(seed=seed, stream_id=stream_id)
     H = sl.kernel_multiplier(cfg.model, GRID)
-    what = np.empty((1, 1) + GRID.rfft_shape(), dtype=complex)
     u = cfg.u0.render(GRID)
-    for j in range(round(t / cfg.dt)):
-        white_batch([src], j, GRID, cfg.dt, what)
-        zeta = np.fft.irfftn(what[0, 0] * H, s=GRID.shape, axes=(0,))
+    for what in white_steps(seed, [stream_id], GRID, cfg.dt, round(t / cfg.dt)):
+        zeta = np.fft.irfftn(what[0] * H, s=GRID.shape, axes=(0,))
         spec = np.fft.rfftn(u + cfg.sigma(u) * zeta, axes=(0,))
         spec *= sl.propagator_multiplier(GRID, cfg.kappa, cfg.dt)
         u = np.fft.irfftn(spec, s=GRID.shape, axes=(0,))
@@ -281,31 +278,32 @@ class TestSolveBatch:
         streams = [4, 9]
         got = [step.copy() for step in white_steps(9, streams, GRID, DT, 10)]
         assert len(got) == 10
-        sources = [sl.WhiteNoiseSource(seed=9, stream_id=s) for s in streams]
+        rngs = _generators(9, streams)
         want = np.empty((len(streams), 1) + GRID.rfft_shape(), dtype=complex)
-        for j, step in enumerate(got):
-            white_batch(sources, j, GRID, DT, want)
+        for step in got:
+            _draw(rngs, GRID, DT, want)
             assert step.tobytes() == want[:, 0].tobytes()
 
     def test_draws_stop_at_the_last_step(self, monkeypatch):
         # 17 steps are four blocks of BLOCK = 4 and one of 1: each stepped
         # path draws every step of every stream once and nothing past the
-        # last; constant sigma draws step 0 of each stream, and nothing more
+        # last; constant sigma draws step 0 of each stream, and nothing more.
+        # A draw is counted as (generators, steps): it sees no stream ids
         calls = []
 
-        def counted(sources, step, grid, dt, out):
-            calls.extend((src.stream_id, step + lag) for src in sources for lag in range(out.shape[1]))
-            return white_batch(sources, step, grid, dt, out)
+        def counted(rngs, grid, dt, out):
+            calls.append(out.shape[:2])
+            return _draw(rngs, grid, dt, out)
 
-        monkeypatch.setattr(sl.noise, "white_batch", counted)
+        monkeypatch.setattr(sl.noise, "_draw", counted)
         cfg = make_cfg(sl.SigmaFunction.linear(c=1.0))
         sl.solve_batch(make_cfg(sl.SigmaFunction.constant(eps0=0.5)), 17 * DT, 9, [2, 5])
-        assert calls == [(2, 0), (5, 0)]
+        assert calls == [(2, 1)]
         for run in (lambda: sl.solve_batch(cfg, 17 * DT, 9, [2, 5]),
                     lambda: sl.localized_solve_batch(cfg, ENGINE_LOC, 17 * DT, 9, [2, 5])):
             calls.clear()
             run()
-            assert sorted(calls) == [(s, j) for s in (2, 5) for j in range(17)]
+            assert calls == [(2, 4)] * 4 + [(2, 1)]
 
     def test_solver_holds_no_draw_policy(self):
         # noise.white_steps alone reads the stream: the solver names none
@@ -319,7 +317,7 @@ class TestSolveBatch:
                 named.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-        assert named & {"white_batch", "WhiteNoiseSource", "BLOCK"} == set()
+        assert named & {"_draw", "_generators", "WhiteNoiseSource", "BLOCK"} == set()
 
     def test_clamp_statistics_collected(self):
         cfg = make_cfg(sl.SigmaFunction.linear(c=6.0))
