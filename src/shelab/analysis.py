@@ -44,7 +44,7 @@ The orders of a block are therefore positively correlated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -132,27 +132,29 @@ def replica_map(fn: Callable, n_replicas: int, threads: int = 1) -> np.ndarray:
     (seed, stream id), so the concatenated output is invariant to threads.
     The chunks run through fork_map, in up to ``threads`` worker processes.
     """
-    if n_replicas < 1:
-        raise AnalysisError("need at least one replica")
-    calls = [partial(fn, list(chunk)) for chunk in _chunks(n_replicas)]
+    n = _integral(n_replicas, "replicas", AnalysisError)  # an integral float runs as the int
+    if n < 1:
+        raise AnalysisError(f"replicas = {n_replicas} violates replicas >= 1")
+    calls = [partial(fn, list(chunk)) for chunk in _chunks(n)]
     return np.concatenate(fork_map(calls, threads), axis=0)
 
 
-def _jackknife_se(loo: np.ndarray) -> float:
-    """Delete-one jackknife stderr from the n leave-one-out estimates loo."""
-    n = loo.size
-    return math.sqrt((n - 1) / n * float(np.sum((loo - np.mean(loo)) ** 2)))
+def _jackknife_se(loo: np.ndarray) -> np.ndarray:
+    """Delete-one jackknife stderr from the n leave-one-out estimates along
+    the last axis of loo; one value per leading index."""
+    n = loo.shape[-1]
+    dev = loo - np.mean(loo, axis=-1, keepdims=True)
+    return np.sqrt((n - 1) / n * np.sum(dev**2, axis=-1))
 
 
 def _jackknife_means(rows: np.ndarray) -> tuple:
     """Mean and delete-one jackknife stderr of each column of rows (n >= 2, c).
-    Each column is copied to a contiguous row first, so it sums in the order
-    of a 1-D array: its bits do not depend on the other columns."""
+    Each column is copied to a contiguous row first, so its mean and its
+    leave-one-out means sum in the order of a 1-D array: their bits do not
+    depend on the other columns."""
     x = np.ascontiguousarray(np.transpose(rows), dtype=float)
-    n = x.shape[-1]
-    loo = (np.sum(x, axis=-1, keepdims=True) - x) / (n - 1)
-    dev = loo - np.mean(loo, axis=-1, keepdims=True)
-    return np.mean(x, axis=-1), np.sqrt((n - 1) / n * np.sum(dev**2, axis=-1))
+    loo = (np.sum(x, axis=-1, keepdims=True) - x) / (x.shape[-1] - 1)
+    return np.mean(x, axis=-1), _jackknife_se(loo)
 
 
 def jackknife_stat(values: np.ndarray, stat: str = "mean"):
@@ -170,13 +172,13 @@ def jackknife_stat(values: np.ndarray, stat: str = "mean"):
         est = float(np.var(x, ddof=1))
         mean_loo = (s1 - x) / (n - 1)
         loo = (s2 - x * x - (n - 1) * mean_loo**2) / (n - 2)
-        return est, _jackknife_se(loo)
+        return est, float(_jackknife_se(loo))
     raise AnalysisError(f"unknown jackknife stat {stat!r}")
 
 
 def _check_replicas(n_replicas: int) -> None:
-    if n_replicas < 2:
-        raise AnalysisError(f"needs replicas >= 2 for a sample statistic, got {n_replicas}")
+    if _integral(n_replicas, "replicas", AnalysisError) < 2:
+        raise AnalysisError(f"replicas = {n_replicas} violates replicas >= 2: a sample statistic needs two")
 
 
 def _point_array(points, d: int) -> np.ndarray:
@@ -227,8 +229,11 @@ def _heavy_tail_flag(samples: np.ndarray) -> bool:
 
 def check_moments(scenario: Scenario, ks: Sequence[int], n_replicas: int) -> tuple:
     """Raise unless estimate_moments can run; returns the probe indices."""
-    if not ks or any(_integral(k, "k", AnalysisError) < 1 for k in ks):
-        raise AnalysisError("moment orders must be at least one, each >= 1")
+    if not ks:
+        raise AnalysisError(f"ks = {list(ks)} violates len(ks) >= 1: at least one moment order")
+    for k in ks:
+        if _integral(k, "k", AnalysisError) < 1:
+            raise AnalysisError(f"k = {k} violates k >= 1")
     if len(scenario.probes) < 1:
         raise AnalysisError(f"probes = {list(scenario.probes)} violates len(probes) >= 1")
     _check_replicas(n_replicas)
@@ -251,7 +256,7 @@ def estimate_moments(
     above 50% set the per-k unreliable flag.
     """
     idx = check_moments(scenario, ks, n_replicas)
-    ks = [int(k) for k in ks]
+    ks, n_replicas = [int(k) for k in ks], int(n_replicas)
 
     def batch(streams):
         vals = next(_coupled_batch(scenario.cfg, [None], scenario.t_final, seed, streams))
@@ -315,7 +320,7 @@ def _log_mean_jackknife(logx: np.ndarray) -> tuple:
     e = np.exp(logx - shift)
     tot = float(np.sum(e))
     loo = shift + np.log(np.maximum(tot - e, 1e-300) / (n - 1))
-    return log_mean, _jackknife_se(loo)
+    return log_mean, float(_jackknife_se(loo))
 
 
 def _systematic_resample(w: np.ndarray, u: float) -> np.ndarray:
@@ -588,31 +593,28 @@ def tail_estimate(sups: np.ndarray, lam: float) -> TailEstimate:
 
 @dataclass
 class ExponentFit:
-    abscissae: list
-    ordinates: list
+    abscissae: list  # the points that entered the fit
     exponent: float
     stderr: float
-    intercept: float
     r2: float
-    extras: dict = dc_field(default_factory=dict)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Slope, intercept, slope stderr, r2 of ordinary least squares.  Two
-    points determine the line exactly, so their slope stderr is nan."""
+    """Slope, slope stderr and r2 of ordinary least squares.  Two points
+    determine the line exactly, so their slope stderr is nan."""
     n = x.size
     xbar, ybar = np.mean(x), np.mean(y)
     sxx = float(np.sum((x - xbar) ** 2))
     if sxx == 0:
         raise AnalysisError("degenerate abscissae for a fit")
     slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    intercept = float(ybar - slope * xbar)
+    intercept = ybar - slope * xbar
     resid = y - (intercept + slope * x)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - ybar) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     se = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else math.nan
-    return slope, intercept, se, r2
+    return slope, se, r2
 
 
 def check_fluctuation_radii(radii: Sequence[float]) -> None:
@@ -625,9 +627,9 @@ def check_fluctuation_radii(radii: Sequence[float]) -> None:
 def fluctuation_exponent(radii: Sequence[float], mean_log_sup: Sequence[float]) -> ExponentFit:
     """Fit mean log u*(R) = A (log R)^psi, i.e. a line in log-log-R space.
 
-    Nonpositive ordinates cannot enter the outer log and are dropped with a
-    count recorded in extras; at least two usable rungs are required, and
-    radii must be strictly increasing with log R > 0 (R > 1).
+    Nonpositive ordinates cannot enter the outer log: their radii are left
+    out of the fit and of its abscissae.  At least two usable rungs are
+    required, and radii must be strictly increasing with log R > 0 (R > 1).
     """
     r = np.asarray(radii, dtype=float)
     y = np.asarray(mean_log_sup, dtype=float)
@@ -635,21 +637,10 @@ def fluctuation_exponent(radii: Sequence[float], mean_log_sup: Sequence[float]) 
         raise AnalysisError("need matching radii and ordinates, at least two")
     check_fluctuation_radii(radii)
     keep = y > 0
-    dropped = int(np.count_nonzero(~keep))
     if int(np.count_nonzero(keep)) < 2:
         raise AnalysisError("fewer than two positive mean-log-sup values")
-    x_fit = np.log(np.log(r[keep]))
-    y_fit = np.log(y[keep])
-    slope, intercept, se, r2 = _ols(x_fit, y_fit)
-    return ExponentFit(
-        abscissae=list(r),
-        ordinates=list(y),
-        exponent=slope,
-        stderr=se,
-        intercept=intercept,
-        r2=r2,
-        extras={"dropped_nonpositive": dropped, "amplitude": math.exp(intercept)},
-    )
+    slope, se, r2 = _ols(np.log(np.log(r[keep])), np.log(y[keep]))
+    return ExponentFit(abscissae=list(r[keep]), exponent=slope, stderr=se, r2=r2)
 
 
 def _profile_power_fit(ks: np.ndarray, logm: np.ndarray) -> tuple:
@@ -662,17 +653,12 @@ def _profile_power_fit(ks: np.ndarray, logm: np.ndarray) -> tuple:
 
     def ssr(theta):
         X = np.column_stack([ks**theta, ks])
-        coef, res, rank, sv = np.linalg.lstsq(X, logm, rcond=None)
-        r = logm - X @ coef
-        return float(np.dot(r, r)), coef
+        r = logm - X @ np.linalg.lstsq(X, logm, rcond=None)[0]
+        return float(np.dot(r, r))
 
-    res = optimize.minimize_scalar(
-        lambda th: ssr(th)[0], bounds=(1.05, 5.0), method="bounded",
-        options={"xatol": 1e-12},
-    )
+    res = optimize.minimize_scalar(ssr, bounds=(1.05, 5.0), method="bounded", options={"xatol": 1e-12})
     theta = float(res.x)
-    sse, coef = ssr(theta)
-    return theta, coef, sse
+    return theta, ssr(theta)
 
 
 def moment_growth_exponent(ks: Sequence[int], log_moments: Sequence[float], flags: Sequence[bool]) -> ExponentFit:
@@ -680,8 +666,8 @@ def moment_growth_exponent(ks: Sequence[int], log_moments: Sequence[float], flag
 
     Fits the log-moments of the orders ks as a k^theta + b k by profiled
     least squares, leaving out flagged (unreliable) and non-finite ones;
-    needs at least four distinct k left.  The naive log(log-moment) vs log k
-    slope is reported in extras for reference.
+    needs at least four distinct k left, which are the fit's abscissae.
+    The stderr is a delete-one jackknife over those orders.
     """
     ks = np.asarray(ks, dtype=float)
     logm = np.asarray(log_moments, dtype=float)
@@ -689,27 +675,12 @@ def moment_growth_exponent(ks: Sequence[int], log_moments: Sequence[float], flag
     ks, logm = ks[keep], logm[keep]
     if ks.size < 4:
         raise AnalysisError("growth fit needs at least four reliable finite log-moments")
-    theta, coef, sse = _profile_power_fit(ks, logm)
-    # delete-one jackknife over the k points for a stderr on theta; a fit
-    # to three points is exactly determined
+    theta, sse = _profile_power_fit(ks, logm)
+    # the delete-one refits; with four orders each fits three exactly
     loo = np.array([_profile_power_fit(np.delete(ks, i), np.delete(logm, i))[0] for i in range(ks.size)])
-    se = _jackknife_se(loo)
-    pos = logm > 0
-    if np.count_nonzero(pos) >= 2:
-        naive_slope, _, _, _ = _ols(np.log(ks[pos]), np.log(logm[pos]))
-    else:
-        naive_slope = math.nan
     ss_tot = float(np.sum((logm - logm.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - sse / ss_tot
-    return ExponentFit(
-        abscissae=list(ks),
-        ordinates=list(logm),
-        exponent=theta,
-        stderr=se,
-        intercept=float(coef[0]),
-        r2=r2,
-        extras={"linear_term": float(coef[1]), "loglog_slope": naive_slope},
-    )
+    return ExponentFit(abscissae=list(ks), exponent=theta, stderr=float(_jackknife_se(loo)), r2=r2)
 
 
 @dataclass
@@ -795,8 +766,8 @@ def check_localization_curve(
     cfg: SolverConfig, t_final: float, betas: Sequence[float], k: int, n_replicas: int
 ) -> list:
     """Raise unless localization_error_curve can run; returns one config per beta."""
-    if k < 1:
-        raise AnalysisError("error norm order k must be >= 1")
+    if not k >= 1:
+        raise AnalysisError(f"k = {k} violates k >= 1")
     blist = [float(b) for b in betas]
     if not blist or sorted(blist) != blist or len(set(blist)) != len(blist):
         raise AnalysisError("beta ladder must be nonempty and strictly increasing")

@@ -249,6 +249,11 @@ def effective_covariance(model: CorrelationModel, grid: LatticeGrid) -> np.ndarr
     return np.fft.irfftn(mult * mult, s=grid.shape, axes=tuple(range(grid.d))) / grid.cell_volume
 
 
+# Bytes of white transforms covariance_selftest draws per chunk, at most 2048
+# slices; its other buffers are a few times this.  No bit depends on it.
+SELFTEST_CHUNK_BYTES = 32 * 2**20
+
+
 def check_covariance_selftest(model: CorrelationModel, grid: LatticeGrid, lags, n_slices: int) -> tuple:
     """Raise unless covariance_selftest can run; returns the lags and n_slices as ints."""
     if _integral(n_slices, "n_slices") < 2:
@@ -271,13 +276,14 @@ def covariance_selftest(
     """Empirical check of the slice covariance against dt * f_eff.
 
     Draws n_slices consecutive correlated slices (stream 0, steps
-    0..n_slices-1) in chunks of 2048, each slice one irfftn(w_hat * H), a
-    chunk after the first carrying the last white draw of the chunk before
-    it so that every consecutive pair lies in one chunk.  Each slice's
-    spatially averaged lag products along the first axis go into a
-    (len(lags), n_slices) array, each pair's averaged product into an
-    (n_slices - 1,) array, and each row reduces once to its mean and
-    std / sqrt(n).  The lag means are compared with the
+    0..n_slices-1) in chunks of as many slices as fit SELFTEST_CHUNK_BYTES
+    of white transforms, at least one and at most 2048, each slice one
+    irfftn(w_hat * H), a chunk after the first carrying the last white draw
+    of the chunk before it so that every consecutive pair lies in one
+    chunk.  Each slice's spatially averaged lag products along the first
+    axis go into a (len(lags), n_slices) array, each pair's averaged
+    product into an (n_slices - 1,) array, and each row reduces once to
+    its mean and std / sqrt(n).  The lag means are compared with the
     multiplier-derived target; the pair mean must sit in a null band (the
     noise is white in time).
 
@@ -292,7 +298,7 @@ def covariance_selftest(
     axes = tuple(range(1, 1 + grid.d))
     lag_means = np.empty((len(lags), n_slices))
     pair_means = np.empty(n_slices - 1)
-    chunk = 2048
+    chunk = min(2048, max(1, SELFTEST_CHUNK_BYTES // (16 * math.prod(grid.rfft_shape()))))
     # w[0, 1:] takes a chunk's white draws, w[0, 0] the last one of the chunk before
     w = np.empty((1, 1 + min(chunk, n_slices)) + grid.rfft_shape(), dtype=complex)
     for start in range(0, n_slices, chunk):

@@ -122,12 +122,11 @@ def _oracle_growth_fit(model, t, oracle_cfg):
     calls = [partial(an.fk_moment_oracle, model, 1.0, t, k, oracle_cfg) for k in ks]
     results = an.fork_map(calls, threads=2)
     fit = an.moment_growth_exponent(ks, [r.log_mean for r in results], [r.heavy_tail for r in results])
-    fit.extras["resamplings"] = sum(r.resamplings for r in results)
-    return fit
+    return fit, sum(r.resamplings for r in results)
 
 
 def test_moment_growth_exponent_flat_kernel(accept):
-    fit = _oracle_growth_fit(
+    fit, _ = _oracle_growth_fit(
         sl.CorrelationModel.constant(d=1, c=0.3),
         1.0,
         an.FkOracleConfig(walkers=5000, inner_steps=16, seed=7),
@@ -155,7 +154,7 @@ def test_moment_growth_exponent_long_range_kernel(accept):
     #   the best Gaussian trial state of 8 walkers in d=2.  With 512 steps
     #   theta reads 2.69 from ks 2-5 only.
     t0 = time.time()
-    fit = _oracle_growth_fit(
+    fit, resamplings = _oracle_growth_fit(
         sl.CorrelationModel.riesz(d=2, alpha=1.0, c0=0.7),
         1.0,
         an.FkOracleConfig(walkers=20000, inner_steps=256, seed=7),
@@ -165,7 +164,7 @@ def test_moment_growth_exponent_long_range_kernel(accept):
     accept(
         ok,
         f"theta={fit.exponent:.4f}+-{fit.stderr:.4f} band [2.4, 3.6] "
-        f"ks={[int(k) for k in fit.abscissae]} resamplings={fit.extras['resamplings']} "
+        f"ks={[int(k) for k in fit.abscissae]} resamplings={resamplings} "
         f"wall={wall:.0f}s",
     )
 

@@ -82,6 +82,9 @@ class TestReplicaMap:
 
         with pytest.raises(an.AnalysisError, match=r"threads = 0 violates threads >= 1"):
             an.replica_map(fn, 4, threads=0)
+        for n, rule in ((3.5, "replicas = 3.5 violates replicas integral"), (0, "replicas = 0 violates replicas >= 1")):
+            with pytest.raises(an.AnalysisError, match=rule):
+                an.replica_map(fn, n)
         assert calls == []
 
     def test_blowup_crosses_the_process_boundary(self):
@@ -145,6 +148,19 @@ class TestJackknife:
             for i, col in enumerate(matrix.T):
                 assert (est[i], se[i]) == an.jackknife_stat(col, "mean")
 
+    def test_stderr_covers_the_truth(self):
+        # 200 standard normals per seed, seeds 0-399: the share of seeds whose
+        # estimate misses the truth by more than 1.96 stderr lies within 3
+        # binomial sd of the nominal 5%
+        misses = {"mean": 0, "var": 0}
+        for seed in range(400):
+            x = np.random.default_rng(seed).standard_normal(200)
+            for stat, truth in (("mean", 0.0), ("var", 1.0)):
+                est, se = an.jackknife_stat(x, stat)
+                misses[stat] += abs(est - truth) > 1.96 * se
+        for stat, n in misses.items():
+            assert 0.017 <= n / 400 <= 0.083, (stat, n)
+
     def test_needs_enough_samples(self):
         with pytest.raises(an.AnalysisError):
             an.jackknife_stat(np.array([1.0]), "mean")
@@ -200,11 +216,23 @@ class TestMoments:
         assert rep.flags[rep.ks.index(9)]
 
     def test_needs_a_moment_order(self):
-        with pytest.raises(an.AnalysisError, match="at least one"):
-            an.estimate_moments(an.Scenario(cfg=small_cfg(), t_final=0.25), [], 4)
-        # a non-integral order is refused, not computed and reported as its integer part
-        with pytest.raises(an.AnalysisError, match="k = 2.5 violates k integral"):
-            an.estimate_moments(an.Scenario(cfg=small_cfg(), t_final=0.25), [2.5], 4)
+        scen = an.Scenario(cfg=small_cfg(), t_final=0.25)
+        with pytest.raises(an.AnalysisError, match=r"ks = \[\] violates len\(ks\) >= 1: at least one"):
+            an.estimate_moments(scen, [], 4)
+        # a non-integral order is refused, not computed and reported as its
+        # integer part; the rule names the first order that breaks it
+        for ks, rule in (([2.5], "k = 2.5 violates k integral"), ([0], "k = 0 violates k >= 1"),
+                         ([2, -1], "k = -1 violates k >= 1")):
+            with pytest.raises(an.AnalysisError, match=rule):
+                an.estimate_moments(scen, ks, 4)
+        # so is a non-integral replica count; an integral float or a numpy
+        # integer runs as the int, with the same bits
+        with pytest.raises(an.AnalysisError, match="replicas = 4.5 violates replicas integral"):
+            an.estimate_moments(scen, [2], 4.5)
+        want = an.estimate_moments(scen, [2], 4)
+        for n in (4.0, np.int64(4)):
+            got = an.estimate_moments(scen, [2], n)
+            assert got == want and type(got.n_replicas) is int
 
     def test_determinism_across_threads(self):
         cfg = small_cfg()
@@ -429,13 +457,12 @@ class TestExponentFits:
         fit = an.fluctuation_exponent(R, 3.0 * np.log(R) ** 0.5)
         assert fit.exponent == pytest.approx(0.5, abs=1e-12)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert fit.extras["amplitude"] == pytest.approx(3.0, rel=1e-10)
 
     def test_fluctuation_drops_nonpositive(self):
         R = np.array([4.0, 8.0, 16.0, 32.0])
         y = np.array([-0.1, 1.0, 1.2, 1.4])
         fit = an.fluctuation_exponent(R, y)
-        assert fit.extras["dropped_nonpositive"] == 1
+        assert fit.abscissae == [8.0, 16.0, 32.0]
 
     def test_two_rungs_have_no_slope_stderr(self):
         # two points fit a line exactly; a third gives the residual its one degree of freedom
@@ -460,7 +487,6 @@ class TestExponentFits:
         ks = [2, 3, 4, 5, 6, 8]
         fit = an.moment_growth_exponent(ks, [0.3 * k * (k - 1) + k * math.log(1.7) for k in ks], [False] * 6)
         assert fit.exponent == pytest.approx(2.0, abs=1e-6)
-        assert abs(fit.extras["loglog_slope"] - 2.0) > 0.1  # the naive fit is biased
 
     def test_growth_stderr_with_four_points(self):
         # each delete-one refit fits three points exactly
@@ -528,6 +554,8 @@ class TestBoundednessProbe:
             an.boundedness_probe(scen, [4.0, 2.0], 8)
         with pytest.raises(an.AnalysisError):
             an.boundedness_probe(scen, [4.0], 8)
+        with pytest.raises(an.AnalysisError, match="replicas = 4.5 violates replicas integral"):
+            an.boundedness_probe(scen, [2.0, 4.0], 4.5)
 
 
 class TestLocalizationCurve:
@@ -588,6 +616,12 @@ class TestLocalizationCurve:
             an.localization_error_curve(cfg, 0.25, [4.0, 2.0], k=0, n_replicas=8)
         with pytest.raises(an.AnalysisError, match="nonempty"):
             an.localization_error_curve(cfg, 0.25, [], k=2, n_replicas=8)
+        with pytest.raises(an.AnalysisError, match="k = 0 violates k >= 1"):
+            an.localization_error_curve(cfg, 0.25, [2.0, 4.0], k=0, n_replicas=8)
+        with pytest.raises(an.AnalysisError, match="replicas = 4.5 violates replicas integral"):
+            an.localization_error_curve(cfg, 0.25, [2.0, 4.0], k=2, n_replicas=4.5)
+        want = an.localization_error_curve(cfg, 0.25, [2.0, 4.0], k=2, n_replicas=4)
+        assert an.localization_error_curve(cfg, 0.25, [2.0, 4.0], k=2, n_replicas=4.0) == want
 
 
 def separation_cfg():

@@ -2,6 +2,7 @@ import ast
 import math
 import pickle
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -383,21 +384,35 @@ class TestCorrelatedSlices:
         for r in rows:
             assert abs(r["empirical"] - r["target"]) < 4 * r["stderr"]
 
-    @pytest.mark.parametrize("d, lags", [(1, [0, 1, 3]), (2, [0, 2])])
-    def test_reduction_matches_all_slices_at_once(self, d, lags):
-        # 2 * 2048 + 3 slices cross two chunk boundaries; a boundary pair
-        # dropped or counted twice moves the cross-time mean
-        grid = sl.LatticeGrid(d=d, m=8, dx=0.5)
+    @pytest.mark.parametrize("d, m, lags", [(1, 8, [0, 1, 3]), (2, 8, [0, 2]), (2, 64, [0, 1])],
+                             ids=["1-lags0", "2-lags1", "2-m64"])
+    def test_reduction_matches_all_slices_at_once(self, d, m, lags):
+        # 2 chunks + 3 slices cross two chunk boundaries; a boundary pair
+        # dropped or counted twice moves the cross-time mean.  A chunk holds
+        # 2048 slices at m = 8 and fewer at d = 2, m = 64, where the byte
+        # budget bounds the memory the self-test holds
+        grid = sl.LatticeGrid(d=d, m=m, dx=0.5)
         model = sl.CorrelationModel.gaussian_h(d=d, width=1.0, amplitude=1.0)
-        n = 2 * 2048 + 3
-        rows, cross = sl.covariance_selftest(model, grid, DT, lags, n, seed=4)
-        src = sl.WhiteNoiseSource(seed=4, stream_id=0)
-        white = np.stack([src.white_at(j, grid, DT) for j in range(n)])
-        axes = tuple(range(1, 1 + d))
         H = sl.kernel_multiplier(model, grid)
-        zeta = np.fft.irfftn(np.fft.rfftn(white, axes=axes) * H, s=grid.shape, axes=axes)
-        per_slice = [(zeta * np.roll(zeta, -lag, axis=1)).mean(axis=axes) for lag in lags]
-        per_pair = (zeta[:-1] * zeta[1:]).mean(axis=axes)
+        slice_bytes = 16 * math.prod(grid.rfft_shape())
+        chunk = min(2048, sl.noise.SELFTEST_CHUNK_BYTES // slice_bytes)
+        assert (chunk == 2048) == (m == 8)
+        n = 2 * chunk + 3
+        tracemalloc.start()
+        rows, cross = sl.covariance_selftest(model, grid, DT, lags, n, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # at m = 64 this reads 158 MiB; all 1987 slices in one chunk read 254 MiB
+        assert peak < 6 * chunk * slice_bytes
+        src = sl.WhiteNoiseSource(seed=4, stream_id=0)
+        axes, products, prev = tuple(range(d)), [], None
+        for j in range(n):  # one slice at a time
+            z = np.fft.irfftn(np.fft.rfftn(src.white_at(j, grid, DT)) * H, s=grid.shape, axes=axes)
+            products.append([(z * np.roll(z, -lag, axis=0)).mean() for lag in lags]
+                            + [(prev * z).mean() if j else np.nan])
+            prev = z
+        products = np.array(products).T
+        per_slice, per_pair = list(products[:-1]), products[-1, 1:]
         got = [(r["empirical"], r["stderr"]) for r in rows] + [(cross["mean"], cross["stderr"])]
         for (mean, stderr), x in zip(got, per_slice + [per_pair]):
             assert mean == pytest.approx(x.mean(), rel=1e-12, abs=0)
